@@ -61,7 +61,13 @@ from .histories import (  # noqa: F401
     consistency_check,
     uncollapsed_probability,
 )
-from .lln import frequency_audit, lln_limit_scan, lln_tail, lln_tail_exact  # noqa: F401
+from .lln import (  # noqa: F401
+    frequency_audit,
+    lln_limit_scan,
+    lln_tail,
+    lln_tail_exact,
+    tail_work,
+)
 from .nogo import (  # noqa: F401
     PMSystem,
     RaySet,

@@ -62,7 +62,7 @@ from .hilbert import (
     sublattice_from_graining,
 )
 from .histories import HistorySet, HistoryStep, consistency_check
-from .lln import frequency_audit, lln_limit_scan, lln_tail
+from .lln import frequency_audit, lln_limit_scan, lln_tail, tail_work
 from .nogo import (
     FrameAssignment,
     PMSystem,
@@ -289,6 +289,7 @@ def _handle_solve_measure(params: dict, seed: int, csv_dir) -> dict:
         "rank": result.rank,
         "n_unknowns": result.n_unknowns,
         "constraints": result.constraint_count,
+        "nonzeros": result.nonzeros,
     }
     if result.unique:
         total = sum(masses)
@@ -428,12 +429,15 @@ def _handle_histories(params: dict, seed: int, csv_dir) -> dict:
 def _handle_lln(params: dict, seed: int, csv_dir) -> dict:
     op = _require(params, "op")
     if op == "tail":
-        value = lln_tail(
-            int(_require(params, "n")),
-            float(_require(params, "delta")),
-            float(_require(params, "p")),
-        )
-        return {"verdicts": {"computed": "PASS"}, "metrics": {"tail": value}}
+        n = int(_require(params, "n"))
+        delta = float(_require(params, "delta"))
+        p = float(_require(params, "p"))
+        value = lln_tail(n, delta, p)
+        work = tail_work(n, delta, p)
+        return {
+            "verdicts": {"computed": "PASS"},
+            "metrics": {"tail": value, "tail_path": work.path, "terms": work.terms},
+        }
     if op == "scan":
         report = lln_limit_scan(
             float(_require(params, "p")),

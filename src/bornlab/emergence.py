@@ -868,7 +868,8 @@ class UniquenessResult:
     ``status`` is ``unique`` or ``underdetermined``.  For unique systems
     ``table`` holds the solved weights (exact rationals).  Otherwise
     ``freedom`` gives the solution-space dimension and ``witnesses`` two
-    distinct valid tables.
+    distinct valid tables.  ``nonzeros`` counts the nonzero coefficients
+    of the constraint matrix.
     """
 
     status: str
@@ -879,6 +880,7 @@ class UniquenessResult:
     freedom: int = 0
     witnesses: tuple[MeasureTable, MeasureTable] | None = None
     constraint_count: int = 0
+    nonzeros: int = 0
 
     @property
     def unique(self) -> bool:
@@ -984,6 +986,7 @@ def measure_uniqueness_solve(
 
     result: LinearSolveResult = solve_exact(rows, rhs, labels)
     require_feasible(result, "weight-uniqueness system")
+    nonzeros = sum(1 for row in rows for x in row if x)
 
     dim0 = family.members[0].dim
 
@@ -1001,6 +1004,7 @@ def measure_uniqueness_solve(
             unknown_keys=tuple(keys),
             table=table,
             constraint_count=len(rows),
+            nonzeros=nonzeros,
         )
 
     # underdetermined: exhibit two distinct valid tables around the
@@ -1027,4 +1031,5 @@ def measure_uniqueness_solve(
         freedom=result.freedom,
         witnesses=(table_a, table_b),
         constraint_count=len(rows),
+        nonzeros=nonzeros,
     )

@@ -1,13 +1,19 @@
 """Exact linear-constraint solving over the rationals.
 
-Small dense Gaussian elimination on Fraction matrices with constraint
-provenance: every working row remembers which original constraints were
-combined into it, so an infeasible system can name a conflicting subset and
-rank decisions are exact rather than floating-point guesses.
+Gauss-Jordan elimination over the integers with constraint provenance.
+Each row of [A | b] is scaled to integers once; elimination then
+cross-multiplies rows (fraction-free, after Bareiss, Math. Comp. 22, 1968),
+touching only the pivot row's nonzero columns and dividing each updated row
+by its gcd.  Every working row stays a nonzero multiple of the row that
+rational Gauss-Jordan would hold, so pivots, rank and zero tests are exact,
+and rationals are formed only when the reduced rows are read out.  Every
+working row remembers which original constraints were combined into it, so
+an infeasible system can name a conflicting subset.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,6 +43,25 @@ class LinearSolveResult:
         return len(self.nullspace)
 
 
+def _integer_row(row: Sequence, rhs) -> dict[int, int]:
+    """Nonzero entries of one row of [A | b], scaled to coprime integers.
+
+    The right-hand side sits at column ``len(row)``.
+    """
+    entries = [Fraction(x) for x in row] + [Fraction(rhs)]
+    scale = math.lcm(*(x.denominator for x in entries))
+    ints = {j: x.numerator * (scale // x.denominator) for j, x in enumerate(entries) if x}
+    return _primitive(ints)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    content = math.gcd(*row.values())
+    if content > 1:
+        for j in row:
+            row[j] //= content
+    return row
+
+
 def solve_exact(
     rows: Sequence[Sequence[Fraction]],
     rhs: Sequence[Fraction],
@@ -53,7 +78,8 @@ def solve_exact(
     n = len(rows[0])
     if labels is None:
         labels = [f"row{i}" for i in range(m)]
-    work = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    # sparse integer rows; column n holds the right-hand side
+    work = [_integer_row(row, rhs[i]) for i, row in enumerate(rows)]
     provenance: list[set[str]] = [{labels[i]} for i in range(m)]
 
     pivot_cols: list[int] = []
@@ -61,20 +87,33 @@ def solve_exact(
     for col in range(n):
         sel = None
         for r in range(pivot_row, m):
-            if work[r][col] != 0:
+            if col in work[r]:
                 sel = r
                 break
         if sel is None:
             continue
         work[pivot_row], work[sel] = work[sel], work[pivot_row]
         provenance[pivot_row], provenance[sel] = provenance[sel], provenance[pivot_row]
-        pivot = work[pivot_row][col]
-        work[pivot_row] = [x / pivot for x in work[pivot_row]]
+        prow = work[pivot_row]
+        pivot = prow[col]
         for r in range(m):
-            if r != pivot_row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
-                provenance[r] = provenance[r] | provenance[pivot_row]
+            row = work[r]
+            if r == pivot_row or col not in row:
+                continue
+            # row <- (pivot * row - row[col] * prow) / g, clearing column col
+            g = math.gcd(pivot, row[col])
+            keep, take = pivot // g, row[col] // g
+            if keep != 1:
+                for j in row:
+                    row[j] *= keep
+            for j, x in prow.items():
+                y = row.get(j, 0) - take * x
+                if y:
+                    row[j] = y
+                else:
+                    row.pop(j, None)
+            _primitive(row)
+            provenance[r] = provenance[r] | provenance[pivot_row]
         pivot_cols.append(col)
         pivot_row += 1
         if pivot_row == m:
@@ -82,7 +121,7 @@ def solve_exact(
 
     rank = len(pivot_cols)
     for r in range(rank, m):
-        if work[r][n] != 0:
+        if n in work[r]:
             return LinearSolveResult(
                 status="infeasible",
                 rank=rank,
@@ -90,10 +129,11 @@ def solve_exact(
                 conflict=tuple(sorted(provenance[r])),
             )
 
+    # reduced row r reads x[pivot_cols[r]] + sum(row[j] x[j]) / pivot = rhs / pivot
     free_cols = [c for c in range(n) if c not in pivot_cols]
     particular = [Fraction(0)] * n
     for r, col in enumerate(pivot_cols):
-        particular[col] = work[r][n]
+        particular[col] = Fraction(work[r].get(n, 0), work[r][col])
     if not free_cols:
         return LinearSolveResult(
             status="unique", rank=rank, n_unknowns=n, solution=tuple(particular)
@@ -103,7 +143,7 @@ def solve_exact(
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
         for r, col in enumerate(pivot_cols):
-            vec[col] = -work[r][free]
+            vec[col] = -Fraction(work[r].get(free, 0), work[r][col])
         basis.append(tuple(vec))
     return LinearSolveResult(
         status="underdetermined",

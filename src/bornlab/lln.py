@@ -2,9 +2,12 @@
 
 The central quantity is the chance that the relative frequency of an
 outcome over n independent trials differs from its per-trial chance by
-more than delta (strictly: boundary deviations are excluded).  Small n is
-summed in exact rational arithmetic; large n switches to log-domain
-summation to avoid overflow.
+more than delta (strictly: boundary deviations are excluded).  The tail's
+index set is decided exactly, by two integer cut points.  Small n is summed
+as integers: with p = a/d, the terms comb(n, k) a^k (d - a)^(n - k) of each
+tail run are summed by an exact integer recurrence, and the sum over d^n is
+the tail as a rational.  Large n switches to log-domain summation to avoid
+overflow.
 """
 
 from __future__ import annotations
@@ -34,10 +37,36 @@ class LlnQuery:
             raise ValueError("per-trial chance must lie in [0, 1]")
 
 
-def _tail_indices(n: int, delta: Fraction, p: Fraction):
-    for k in range(n + 1):
-        if abs(Fraction(k, n) - p) > delta:
-            yield k
+def _tail_cut(n: int, delta: Fraction, p: Fraction) -> tuple[int, int]:
+    """Cut points (lo, hi): |k/n - p| > delta exactly for k < lo or k >= hi.
+
+    With p = a/d and delta = e/f the test is |k d - n a| f > e n d, so the
+    lower run ends below (n a f - e n d) / (d f) and the upper run starts
+    above (n a f + e n d) / (d f).
+    """
+    a, d = p.numerator, p.denominator
+    e, f = delta.numerator, delta.denominator
+    centre, width, scale = n * a * f, e * n * d, d * f
+    lo = (centre - width - 1) // scale + 1
+    hi = (centre + width) // scale + 1
+    return min(max(lo, 0), n + 1), min(max(hi, 0), n + 1)
+
+
+def _run_sum(n: int, count: int, a: int, b: int) -> int:
+    """sum of comb(n, k) a^k b^(n-k) for k < count, as an integer.
+
+    Horner's rule in b over the terms comb(n, k) a^k, each found from the
+    one before by exact division by k; the common factor b^(n - count + 1)
+    is applied last, so the working integers grow with k instead of
+    starting n digits long.  a = 0 or b = 0 needs no special case.
+    """
+    if count <= 0:
+        return 0
+    term = total = 1
+    for k in range(1, count):
+        term = term * ((n - k + 1) * a) // k
+        total = total * b + term
+    return total * b ** (n + 1 - count)
 
 
 def lln_tail_exact(n: int, delta, p) -> Fraction:
@@ -48,13 +77,12 @@ def lln_tail_exact(n: int, delta, p) -> Fraction:
     """
     query = LlnQuery(int(n), float(delta), float(p))
     n = query.n
-    delta = Fraction(delta)
     p = Fraction(p)
-    q = 1 - p
-    total = Fraction(0)
-    for k in _tail_indices(n, delta, p):
-        total += math.comb(n, k) * p**k * q ** (n - k)
-    return total
+    lo, hi = _tail_cut(n, Fraction(delta), p)
+    a, d = p.numerator, p.denominator
+    # the upper run mirrors the lower one with the roles of a and d - a swapped
+    total = _run_sum(n, lo, a, d - a) + _run_sum(n, n + 1 - hi, d - a, a)
+    return Fraction(total, d**n)
 
 
 def _log_pmf(n: int, k: int, p: float) -> float:
@@ -67,19 +95,45 @@ def _log_pmf(n: int, k: int, p: float) -> float:
     )
 
 
-def lln_tail(n: int, delta: float, p: float) -> float:
-    """P(|K/n - p| > delta), exact summation (log-domain above n=1000)."""
+@dataclass(frozen=True)
+class TailWork:
+    """Which summation ``lln_tail`` runs and how many tail indices it sums."""
+
+    path: str
+    terms: int
+
+
+def tail_work(n: int, delta: float | Fraction, p: float) -> TailWork:
+    """The work ``lln_tail(n, delta, p)`` does, without doing it.
+
+    A chance of 0 or 1 sums nothing; otherwise n <= EXACT_N_LIMIT takes the
+    ``exact`` integer path and larger n the ``log`` path.
+    """
     query = LlnQuery(int(n), float(delta), float(p))
-    n, delta, p = query.n, query.delta, query.p
+    if query.p in (0.0, 1.0):
+        return TailWork("exact", 0)
+    lo, hi = _tail_cut(query.n, Fraction(delta), Fraction(p))
+    path = "exact" if query.n <= EXACT_N_LIMIT else "log"
+    return TailWork(path, lo + query.n + 1 - hi)
+
+
+def lln_tail(n: int, delta: float | Fraction, p: float) -> float:
+    """P(|K/n - p| > delta), exact summation (log-domain above n=1000).
+
+    ``delta`` may be a Fraction, so a threshold that is not a float (an
+    observed deviation, say) is compared exactly.
+    """
+    query = LlnQuery(int(n), float(delta), float(p))
+    n, p = query.n, query.p
+    delta = Fraction(delta)
     if p == 0.0 or p == 1.0:
         # the frequency equals p with certainty; strict deviation needs
         # |k/n - p| > delta with k pinned at 0 or n
         return 0.0
     if n <= EXACT_N_LIMIT:
         return float(lln_tail_exact(n, delta, p))
-    logs = [
-        _log_pmf(n, k, p) for k in _tail_indices(n, Fraction(delta), Fraction(p))
-    ]
+    lo, hi = _tail_cut(n, delta, Fraction(p))
+    logs = [_log_pmf(n, k, p) for k in (*range(lo), *range(hi, n + 1))]
     if not logs:
         return 0.0
     peak = max(logs)
@@ -164,17 +218,17 @@ def frequency_audit(outcomes: Sequence[int], weights: Sequence[float]) -> Freque
     for k, weight in enumerate(weights):
         count = sum(1 for o in outcomes if o == k)
         freq = count / n
-        deviation = abs(freq - weight)
-        surprise = lln_tail(n, deviation, weight) if deviation > 0 else (
-            lln_tail(n, 1e-300, weight)
-        )
+        # the threshold is the exact observed deviation, so the observed
+        # count itself never lands in the strict tail through rounding
+        exact_deviation = abs(Fraction(count, n) - Fraction(weight))
+        surprise = lln_tail(n, exact_deviation or 1e-300, weight)
         rows.append(
             AuditRow(
                 outcome=k,
                 count=count,
                 frequency=freq,
                 weight=weight,
-                deviation=deviation,
+                deviation=abs(freq - weight),
                 surprise=surprise,
             )
         )

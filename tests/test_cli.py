@@ -223,6 +223,19 @@ class TestScenarioKinds:
         report, code = run_scenario(write_scenario(tmp_path, doc))
         assert code == EXIT_OK
         assert report["metrics"]["freedom"] >= 1
+        # x(0,2) + x(2,3) + x(3,4) = 1 and x(2,3) - x(3,4) = 0
+        assert report["metrics"]["constraints"] == 2
+        assert report["metrics"]["nonzeros"] == 5
+
+    @pytest.mark.parametrize(
+        "n, path, terms", [(10, "exact", 6), (1000, "exact", 600), (1001, "log", 602)]
+    )
+    def test_lln_tail_counters(self, tmp_path, n, path, terms):
+        doc = {"kind": "lln", "parameters": {"op": "tail", "n": n, "delta": 0.2, "p": 0.5}}
+        report, code = run_scenario(write_scenario(tmp_path, doc))
+        assert code == EXIT_OK
+        assert report["metrics"]["tail_path"] == path
+        assert report["metrics"]["terms"] == terms
 
     def test_games_pivotal(self, tmp_path):
         doc = {

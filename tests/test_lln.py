@@ -12,7 +12,9 @@ from bornlab.lln import (
     frequency_audit,
     lln_limit_scan,
     lln_tail,
+    TailWork,
     lln_tail_exact,
+    tail_work,
 )
 
 
@@ -25,6 +27,38 @@ def brute_force_tail(n: int, delta: float, p: float) -> float:
         if abs(Fraction(k, n) - chance) > dlt:
             total += math.comb(n, k) * p**k * (1 - p) ** (n - k)
     return total
+
+
+def fraction_tail(n: int, delta, p) -> Fraction:
+    # oracle: Fraction powers summed over the indices picked one Fraction
+    # comparison at a time
+    delta, p = Fraction(delta), Fraction(p)
+    total = Fraction(0)
+    for k in range(n + 1):
+        if abs(Fraction(k, n) - p) > delta:
+            total += math.comb(n, k) * p**k * (1 - p) ** (n - k)
+    return total
+
+
+# floats stay clear of subnormals, whose 2^-1074 denominators make the
+# Fraction oracle crawl
+chances = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+    st.floats(1e-3, 1.0),
+    st.builds(Fraction, st.integers(0, 40), st.integers(40, 97)),
+)
+
+
+@st.composite
+def boundary_queries(draw):
+    # delta equal to |k/n - p| for some k, so that index sits on the boundary
+    n = draw(st.integers(1, 300))
+    p = draw(chances)
+    k = draw(st.integers(0, n))
+    delta = abs(Fraction(k, n) - Fraction(p))
+    if delta == 0:
+        delta = Fraction(1, n)
+    return n, delta, p
 
 
 class TestLlnTail:
@@ -66,13 +100,46 @@ class TestLlnTail:
         exact = float(lln_tail_exact(1000, 0.05, 0.5))
         from bornlab import lln
 
-        logs = [
-            lln._log_pmf(1000, k, 0.5)
-            for k in lln._tail_indices(1000, Fraction(1, 20), Fraction(1, 2))
-        ]
+        lo, hi = lln._tail_cut(1000, Fraction(1, 20), Fraction(1, 2))
+        logs = [lln._log_pmf(1000, k, 0.5) for k in (*range(lo), *range(hi, 1001))]
         peak = max(logs)
         log_value = math.exp(peak) * sum(math.exp(x - peak) for x in logs)
         assert log_value == pytest.approx(exact, rel=1e-10)
+
+    @given(st.integers(1, 300), st.floats(1e-3, 1.0), chances)
+    @settings(max_examples=80, deadline=None)
+    def test_exact_matches_fraction_oracle(self, n, delta, p):
+        assert lln_tail_exact(n, delta, p) == fraction_tail(n, delta, p)
+
+    @given(boundary_queries())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_matches_fraction_oracle_on_boundaries(self, query):
+        n, delta, p = query
+        assert lln_tail_exact(n, delta, p) == fraction_tail(n, delta, p)
+
+    @given(boundary_queries())
+    @settings(max_examples=100, deadline=None)
+    def test_cut_points_match_index_test(self, query):
+        from bornlab import lln
+
+        n, delta, p = query
+        lo, hi = lln._tail_cut(n, delta, Fraction(p))
+        picked = [*range(lo), *range(hi, n + 1)]
+        assert picked == [k for k in range(n + 1) if abs(Fraction(k, n) - Fraction(p)) > delta]
+
+    def test_tail_work(self):
+        # |k/10 - 1/2| > 1/5 for k in {0, 1, 2, 8, 9, 10}
+        assert tail_work(10, 0.2, 0.5) == TailWork("exact", 6)
+        assert tail_work(1001, 0.5, 0.5) == TailWork("log", 0)
+        # k <= 100 and k >= 901
+        assert tail_work(1001, 0.4, 0.5) == TailWork("log", 2 * 101)
+        assert tail_work(100, 0.1, 0.0) == TailWork("exact", 0)
+
+    def test_fraction_delta_is_exact(self):
+        # 0.6 - 0.3 rounds down to the float 0.3, which would let k = 6 in
+        dev = Fraction(6, 10) - Fraction(0.3)
+        assert lln_tail(10, dev, 0.3) == float(fraction_tail(10, dev, 0.3))
+        assert lln_tail(10, 0.6 - 0.3, 0.3) > lln_tail(10, dev, 0.3)
 
     @given(
         st.integers(1, 200),
@@ -138,6 +205,18 @@ class TestFrequencyAudit:
         audit = frequency_audit([0, 1] * 50, [0.5, 0.5])
         assert audit.row(0).deviation == 0.0
         assert audit.row(0).surprise > 0.9
+
+    def test_surprise_is_strict_tail(self):
+        # 6 of 10 against weight 0.3: deviations strictly larger than the
+        # observed one are K >= 7, so the observed count is excluded
+        audit = frequency_audit([1] * 6 + [0] * 4, [0.7, 0.3])
+        row = audit.row(1)
+        assert row.deviation == 0.6 - 0.3
+        assert row.surprise == float(fraction_tail(10, Fraction(6, 10) - Fraction(0.3), 0.3))
+        assert row.surprise == pytest.approx(0.0106, abs=5e-5)
+        p = Fraction(0.3)
+        at_least_7 = sum(math.comb(10, k) * p**k * (1 - p) ** (10 - k) for k in range(7, 11))
+        assert row.surprise == float(at_least_7)
 
     def test_outcome_outside_table(self):
         with pytest.raises(IndexError):
