@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from . import __version__
 from .collapse import (
     CollapseModel,
     ensemble_outcomes,
-    martingale_check,
     simulate,
     trajectory_to_csv,
 )
@@ -168,48 +168,23 @@ def _handle_simulate(params: dict, seed: int, csv_dir: Path | None) -> dict:
         eps_collapse=eps,
         band_multiplier=float(params.get("band_multiplier", 1.0)),
         workers=int(params.get("workers", 1)),
+        martingale_checkpoints=params.get("martingale_checkpoints"),
+        martingale_trajectories=int(params.get("martingale_trajectories", min(n, 2000))),
     )
     verdicts = {
         "born_frequencies": "PASS" if report.passed else "FAIL",
         "unresolved_fraction": "FAIL" if report.unresolved_flagged else "PASS",
     }
     metrics = {
-        "outcomes": [
-            {
-                "outcome": row.outcome,
-                "eigenvalues": list(row.eigenvalues),
-                "count": row.count,
-                "frequency": row.frequency,
-                "born": row.born,
-                "deviation": row.deviation,
-                "band": row.band,
-            }
-            for row in report.rows
-        ],
+        "outcomes": [asdict(row) for row in report.rows],
         "n_resolved": report.n_resolved,
         "unresolved_fraction": report.unresolved_fraction,
+        "trajectory_steps": report.trajectory_steps,
+        "resolve_time": report.resolve_time_quantiles(),
     }
-    if "martingale_checkpoints" in params:
-        mart = martingale_check(
-            model,
-            psi0,
-            int(params.get("martingale_trajectories", min(n, 2000))),
-            [float(t) for t in params["martingale_checkpoints"]],
-            dt=dt,
-            seed=seed,
-            eps_collapse=eps,
-        )
-        verdicts["martingale"] = "PASS" if mart.passed else "FAIL"
-        metrics["martingale"] = [
-            {
-                "time": r.time,
-                "outcome": r.outcome,
-                "mean": r.mean,
-                "born": r.born,
-                "sigma_mean": r.sigma_mean,
-            }
-            for r in mart.rows
-        ]
+    if report.martingale is not None:
+        verdicts["martingale"] = "PASS" if report.martingale.passed else "FAIL"
+        metrics["martingale"] = [asdict(r) for r in report.martingale.rows]
     if csv_dir is not None:
         for idx in params.get("csv_trajectories", [0]):
             traj = simulate(

@@ -5,8 +5,9 @@ commuting family of preferred observables: the diffusion operators are the
 observables centred on their expectations, the drift adds the Hamiltonian
 and a quadratic damping term, and the Gaussian noise carries variance
 ``gamma * dt`` per component.  Explicit Euler-Maruyama steps with per-step
-renormalization; ensembles run one independent, seeded noise stream per
-trajectory so results never depend on scheduling or worker count.
+renormalization, taken by one batch engine in the observables' joint
+eigenbasis; every trajectory runs on its own seeded noise stream, so no
+result depends on how trajectories are batched.
 
 Norm convention: taken literally, the quadratic drift preserves the mean
 squared norm only at one special coupling value.  The default mode scales
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -279,9 +279,6 @@ class Trajectory:
     def resolved(self) -> bool:
         return self.outcome is not None
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def _check_step_size(model: CollapseModel, dt: float) -> None:
     if dt * model.gamma > STEP_WARN_THRESHOLD:
@@ -291,6 +288,192 @@ def _check_step_size(model: CollapseModel, dt: float) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
+
+
+# ---------------------------------------------------------------------------
+# batch engine in the joint eigenbasis
+# ---------------------------------------------------------------------------
+
+
+def _eigen_frame(model: CollapseModel):
+    """Block-ordered eigenbasis V, eigenvalue rows, block starts and V^+ H V.
+
+    Each joint block is a contiguous run of columns; row ``k`` of the
+    eigenvalues is the real diagonal of ``V^+ A_k V``.  ``V^+ H V`` comes
+    back as None when it vanishes, as its real diagonal when it is
+    diagonal, and dense otherwise.
+    """
+    basis = model.eigenbasis[:, [i for b in model.blocks for i in b.indices]]
+    lam = np.array(
+        [np.real(np.sum(basis.conj() * (a @ basis), axis=0)) for a in model.observables]
+    )
+    starts = np.cumsum([0] + [len(b.indices) for b in model.blocks[:-1]])
+    ham = basis.conj().T @ model.hamiltonian @ basis
+    size = float(np.max(np.abs(ham)))
+    if size <= NORM_TOL:
+        return basis, lam, starts, None
+    if np.max(np.abs(ham - np.diag(np.diag(ham)))) <= NORM_TOL * size:
+        return basis, lam, starts, np.real(np.diag(ham)).copy()
+    return basis, lam, starts, ham
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum the last axis in an order set by its length (short rows: cheaper column adds)."""
+    if a.shape[-1] > 4:
+        return np.add.reduce(a, axis=-1)
+    return sum((a[..., i] for i in range(1, a.shape[-1])), a[..., 0])
+
+
+@dataclass(frozen=True)
+class _Batch:
+    outcome: np.ndarray  # per seed: joint block index, -1 while unresolved
+    resolve_step: np.ndarray  # per seed: -1 while unresolved
+    final: np.ndarray  # per seed: final coordinates in the block-ordered eigenbasis
+    steps: int  # trajectory-steps integrated over all seeds
+    snapshots: dict  # checkpoint step -> block masses of the snapshot rows
+    trace_steps: list  # steps recorded by a batch of one
+    trace: np.ndarray  # its states at those steps, rotated back
+
+
+def _run_batch(
+    model: CollapseModel,
+    psi0: np.ndarray,
+    seeds: Sequence[int],
+    horizons: Sequence[int],
+    dt: float,
+    eps_collapse: float,
+    *,
+    checkpoints: Sequence[int] = (),
+    snapshot_rows: int = 0,
+    record_every: int = 0,
+) -> _Batch:
+    """Evolve one trajectory per seed in the joint eigenbasis.
+
+    Row ``i`` starts at ``psi0`` and runs until it resolves or reaches
+    ``horizons[i]`` steps on its own stream, drawn ``(span, K)`` per chunk.
+    A step multiplies coordinates by ``1 + sum_k r_k (db_k - c dt r_k)``,
+    ``r_k = lambda_k - <lambda_k>``, subtracts ``i dt H' c`` and
+    renormalizes.  Per-row values come from elementwise operations and
+    reductions along the row, so no row depends on the batch it runs in.
+    The first ``snapshot_rows`` rows' block masses are kept at each
+    checkpoint step; a batch of one with ``record_every > 0`` records its
+    state every that many steps and when it stops.
+    """
+    basis, lam, starts, ham = _eigen_frame(model)
+    n, K = len(seeds), model.n_observables
+    horizons = np.asarray(horizons, dtype=int)
+    last, ends, checkpoints = int(horizons.max()), set(horizons.tolist()), set(checkpoints)
+    singletons = len(starts) == model.dim
+    if K == 1:
+        lam = lam[0]
+    cdt = model.damping_coefficient * dt
+    cdt_lam = cdt * lam
+    scale = np.sqrt(model.gamma * dt)
+    threshold = 1.0 - eps_collapse
+
+    coeff = basis.conj().T @ psi0
+    phase = None
+    if ham is None:
+        # real step factors: evolve signed moduli; the phases never move
+        modulus = np.abs(coeff)
+        phase = np.divide(coeff, modulus, out=np.ones_like(coeff), where=modulus > 0)
+        coeff = modulus
+    else:
+        rot = -1j * dt * (ham if ham.ndim == 1 else ham.T)
+    x = np.tile(coeff, (n, 1))
+
+    def squares(x):
+        if phase is not None:
+            return x * x
+        w = x.view(float) ** 2
+        return w[:, 0::2] + w[:, 1::2]
+
+    mass = squares(x)
+    bm = mass if singletons else np.add.reduceat(mass, starts, axis=1)
+    gens = [np.random.default_rng(int(s)) for s in seeds]
+    ids = np.arange(n)
+    outcome, resolve_step = np.full(n, -1), np.full(n, -1)
+    final = np.empty_like(x)
+    frozen = np.empty((snapshot_rows, len(starts)))
+    snapshots, trace_steps, trace = {}, [], []
+    total = step = j = span = 0
+    sel = None
+    while True:
+        done = None
+        if np.maximum.reduce(bm, axis=None) > threshold:
+            done = np.maximum.reduce(bm, axis=1) > threshold
+        if step in ends:
+            stop = horizons[ids] == step
+            done = stop if done is None else done | stop
+        if record_every and (step % record_every == 0 or done is not None):
+            trace_steps.append(step)
+            trace.append(x[0].copy())
+        if done is not None:
+            rows, settled = ids[done], bm[done]
+            won = np.maximum.reduce(settled, axis=1) > threshold
+            outcome[rows[won]] = settled[won].argmax(axis=1)
+            resolve_step[rows[won]] = step
+            final[rows] = x[done]
+            low = rows < snapshot_rows
+            frozen[rows[low]] = settled[low]
+            total += step * rows.size
+            # compact the live rows; the chunk's noise block stays in place
+            keep = ~done
+            ids, x, mass = ids[keep], x[keep], mass[keep]
+            bm = mass if singletons else bm[keep]
+            sel = np.flatnonzero(keep) if sel is None else sel[keep]
+        if step in checkpoints:
+            snapshots[step] = snap = frozen.copy()
+            live = np.searchsorted(ids, snapshot_rows)
+            snap[ids[:live]] = bm[:live]
+        if not ids.size:
+            break
+        if j == span:
+            span = min(_CHUNK_STEPS, last - step)
+            stream = np.empty((span, ids.size, K))
+            for col, row in enumerate(ids):
+                stream[:, col] = gens[row].standard_normal((span, K))
+            stream *= scale
+            j, sel = 0, None
+        db = stream[j] if sel is None else stream[j, sel]
+        j += 1
+        if K == 1:
+            e = _row_sum(mass * lam)[:, None]
+        else:
+            e = _row_sum(mass[:, None, :] * lam)[:, :, None]
+            db = db[:, :, None]
+        factor = (lam - e) * ((db + cdt * e) - cdt_lam)
+        if K > 1:
+            factor = np.add.reduce(factor, axis=1)
+        factor += 1.0
+        if phase is not None:
+            x *= factor
+        elif ham.ndim == 1:
+            x *= factor + rot
+        else:
+            # numpy hands a one-row product to another BLAS kernel; two rows keep one
+            wide = x if len(x) > 1 else np.vstack((x, x))
+            x = x * factor + (wide @ rot)[: len(x)]
+        mass = squares(x)
+        norm2 = _row_sum(mass)
+        step += 1
+        if not (np.minimum.reduce(norm2) > 0.0 and np.maximum.reduce(norm2) < np.inf):
+            bad = np.flatnonzero(~((norm2 > 0.0) & (norm2 < np.inf)))[0]
+            raise IntegrationFailureError(
+                f"integration failed for trajectory seed {seeds[ids[bad]]}: "
+                f"squared norm {norm2[bad]} at step {step}",
+                step=step,
+                time=step * dt,
+            )
+        x /= np.sqrt(norm2)[:, None]
+        mass /= norm2[:, None]
+        bm = mass if singletons else np.add.reduceat(mass, starts, axis=1)
+    for cp in checkpoints - snapshots.keys():
+        snapshots[cp] = frozen.copy()
+    trace = np.array(trace).reshape(len(trace_steps), model.dim)
+    if phase is not None:
+        final, trace = final * phase, trace * phase
+    return _Batch(outcome, resolve_step, final, total, snapshots, trace_steps, trace @ basis.T)
 
 
 def simulate(
@@ -307,161 +490,32 @@ def simulate(
 
     The trajectory resolves to outcome ``k`` at the first step where the
     k-th joint-eigenprojector expectation exceeds ``1 - eps_collapse``.
-    Identical seeds give bit-identical trajectories.
+    It is a batch of one: identical seeds give bit-identical trajectories,
+    and ensemble member ``seed`` resolves the same way at the same step.
+    States are recorded every ``record_every`` steps, at the resolution
+    step and at ``t_max``.
     """
     if dt <= 0 or t_max <= 0:
         raise ValueError("dt and t_max must be positive")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
     psi0.require_nonzero()
     if psi0.dim != model.dim:
         raise DimensionMismatchError("state and model dimensions differ")
     _check_step_size(model, dt)
     n_steps = int(round(t_max / dt))
-    rng = np.random.default_rng(int(seed))
-    scale = np.sqrt(model.gamma * dt)
-
-    psi = psi0.normalized().amplitudes.copy()
-    times = [0.0]
-    states = [psi.copy()]
-    outcome = None
-    resolve_time = None
-
-    weights = model.block_weights(psi)
-    top = int(np.argmax(weights))
-    if weights[top] > 1.0 - eps_collapse:
-        outcome = top
-        resolve_time = 0.0
-
-    step = 0
-    while step < n_steps and outcome is None:
-        noise = rng.standard_normal(model.n_observables) * scale
-        try:
-            psi = em_step(model, psi, dt, noise)
-        except IntegrationFailureError as err:
-            raise IntegrationFailureError(
-                f"integration failed at step {step + 1}: {err}",
-                step=step + 1,
-                time=(step + 1) * dt,
-            ) from err
-        step += 1
-        if step % record_every == 0 or step == n_steps:
-            times.append(step * dt)
-            states.append(psi.copy())
-        weights = model.block_weights(psi)
-        top = int(np.argmax(weights))
-        if weights[top] > 1.0 - eps_collapse:
-            outcome = top
-            resolve_time = step * dt
-            if times[-1] != resolve_time:
-                times.append(resolve_time)
-                states.append(psi.copy())
+    psi = psi0.normalized().amplitudes
+    run = _run_batch(
+        model, psi, [int(seed)], [n_steps], dt, eps_collapse, record_every=record_every
+    )
+    resolved = run.outcome[0] >= 0
     return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        outcome=outcome,
-        resolve_time=resolve_time,
+        times=np.array(run.trace_steps) * dt,
+        states=run.trace,
+        outcome=int(run.outcome[0]) if resolved else None,
+        resolve_time=int(run.resolve_step[0]) * dt if resolved else None,
         seed=int(seed),
     )
-
-
-# ---------------------------------------------------------------------------
-# vectorized ensemble engine
-# ---------------------------------------------------------------------------
-
-
-def _run_batch(
-    model: CollapseModel,
-    psi0: np.ndarray,
-    seeds: Sequence[int],
-    n_steps: int,
-    dt: float,
-    eps_collapse: float,
-    checkpoints: Sequence[int] | None = None,
-):
-    """Evolve one trajectory per seed, freezing each at resolution.
-
-    Each trajectory consumes only its own stream, in step order, so the
-    result is independent of batching and scheduling.  Returns outcome
-    indices (-1 while unresolved), resolution steps, final states, and the
-    per-checkpoint block expectations when ``checkpoints`` is given.
-    """
-    n = len(seeds)
-    d = model.dim
-    K = model.n_observables
-    c_damp = model.damping_coefficient
-    scale = np.sqrt(model.gamma * dt)
-    basis = model.eigenbasis
-    block_index = [list(b.indices) for b in model.blocks]
-    diagonal_basis = np.allclose(basis, np.eye(d))
-
-    gens = [np.random.default_rng(int(s)) for s in seeds]
-    psi = np.tile(psi0, (n, 1)).astype(complex)
-    outcome = np.full(n, -1, dtype=int)
-    resolve_step = np.full(n, -1, dtype=int)
-    checkpoint_set = {int(c) for c in (checkpoints or ())}
-    snapshots: dict[int, np.ndarray] = {}
-
-    def block_mass(states: np.ndarray) -> np.ndarray:
-        coeff = states if diagonal_basis else states @ basis.conj()
-        mass = np.abs(coeff) ** 2
-        return np.stack([mass[:, idx].sum(axis=1) for idx in block_index], axis=1)
-
-    def mark_resolved(rows: np.ndarray, at_step: int) -> None:
-        if not rows.size:
-            return
-        weights = block_mass(psi[rows])
-        top = np.argmax(weights, axis=1)
-        resolved = weights[np.arange(len(rows)), top] > 1.0 - eps_collapse
-        hit = rows[resolved]
-        outcome[hit] = top[resolved]
-        resolve_step[hit] = at_step
-
-    mark_resolved(np.arange(n), 0)
-    if 0 in checkpoint_set:
-        snapshots[0] = block_mass(psi)
-
-    step = 0
-    while step < n_steps:
-        span = min(_CHUNK_STEPS, n_steps - step)
-        active = np.where(outcome < 0)[0]
-        if active.size == 0:
-            # all frozen: remaining checkpoint snapshots are constant
-            for cp in checkpoint_set:
-                if cp > step and cp not in snapshots:
-                    snapshots[cp] = block_mass(psi)
-            break
-        stream = np.empty((active.size, span, K))
-        for row, traj in enumerate(active):
-            stream[row] = gens[traj].standard_normal((span, K))
-        stream *= scale
-        for j in range(span):
-            mask = outcome[active] < 0
-            rows = active[mask]
-            if rows.size:
-                states = psi[rows]
-                quad = np.zeros_like(states)
-                update = np.zeros_like(states)
-                for k, a in enumerate(model.observables):
-                    apsi = states @ a.T
-                    expect = np.real(np.einsum("nd,nd->n", states.conj(), apsi))
-                    rpsi = apsi - expect[:, None] * states
-                    quad += (rpsi @ a.T) - expect[:, None] * rpsi
-                    update += rpsi * stream[mask, j, k][:, None]
-                drift = -1j * (states @ model.hamiltonian.T) - c_damp * quad
-                new = states + drift * dt + update
-                norms = np.linalg.norm(new, axis=1)
-                if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
-                    bad = rows[~np.isfinite(norms) | (norms == 0.0)][0]
-                    raise IntegrationFailureError(
-                        f"integration failed for trajectory seed {seeds[int(bad)]}",
-                        step=step + j + 1,
-                        time=(step + j + 1) * dt,
-                    )
-                psi[rows] = new / norms[:, None]
-                mark_resolved(rows, step + j + 1)
-            if (step + j + 1) in checkpoint_set:
-                snapshots[step + j + 1] = block_mass(psi)
-        step += span
-    return outcome, resolve_step, psi, snapshots
 
 
 @dataclass(frozen=True)
@@ -477,119 +531,6 @@ class OutcomeRow:
     @property
     def within_band(self) -> bool:
         return self.deviation <= self.band
-
-
-@dataclass(frozen=True)
-class EnsembleReport:
-    """Outcome frequencies of an ensemble against the state's weights.
-
-    Frequencies are over resolved trajectories; the unresolved fraction is
-    reported (and flagged above 1%) but never silently dropped.  The band
-    is ``multiplier * 3 * sqrt(p(1-p)/N)``.  ``outcomes`` holds the raw
-    per-trajectory outcome indices (-1 while unresolved) in seed order,
-    ready for frequency auditing.
-    """
-
-    n_trajectories: int
-    n_resolved: int
-    rows: tuple[OutcomeRow, ...]
-    unresolved_fraction: float
-    unresolved_flagged: bool
-    band_multiplier: float
-    base_seed: int
-    passed: bool
-    outcomes: tuple[int, ...] = ()
-
-    def row(self, outcome: int) -> OutcomeRow:
-        return self.rows[outcome]
-
-
-def ensemble_outcomes(
-    model: CollapseModel,
-    psi0: StateVector,
-    n: int,
-    *,
-    t_max: float,
-    dt: float,
-    seed: int,
-    eps_collapse: float = DEFAULT_COLLAPSE_EPS,
-    band_multiplier: float = 1.0,
-    workers: int = 1,
-    unresolved_flag_fraction: float = 0.01,
-) -> EnsembleReport:
-    """Run ``n`` trajectories with seeds ``seed + i`` and compare to weights.
-
-    Per-outcome frequencies must sit within ``band_multiplier`` times the
-    three-sigma binomial band around the state's projector weights for the
-    report to pass.  Worker count never changes the result: each
-    trajectory's noise comes from its own seeded stream.
-    """
-    if n < 1:
-        raise ValueError("need at least one trajectory")
-    psi0.require_nonzero()
-    _check_step_size(model, dt)
-    n_steps = int(round(t_max / dt))
-    psi_start = psi0.normalized().amplitudes
-    seeds = [int(seed) + i for i in range(n)]
-
-    workers = max(1, int(workers))
-    slices = []
-    per = (n + workers - 1) // workers
-    for w in range(workers):
-        lo, hi = w * per, min(n, (w + 1) * per)
-        if lo < hi:
-            slices.append((lo, hi))
-
-    def run_slice(bounds):
-        lo, hi = bounds
-        return _run_batch(
-            model, psi_start, seeds[lo:hi], n_steps, dt, eps_collapse
-        )[:2]
-
-    if len(slices) == 1:
-        results = [run_slice(slices[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            results = list(pool.map(run_slice, slices))
-    outcome = np.concatenate([r[0] for r in results])
-
-    born = model.born_weights(psi0)
-    resolved = outcome >= 0
-    n_resolved = int(resolved.sum())
-    rows = []
-    passed = True
-    for k in range(model.n_outcomes):
-        count = int((outcome == k).sum())
-        freq = count / n_resolved if n_resolved else 0.0
-        p = float(born[k])
-        band = band_multiplier * 3.0 * np.sqrt(p * (1.0 - p) / n)
-        deviation = abs(freq - p)
-        rows.append(
-            OutcomeRow(
-                outcome=k,
-                eigenvalues=model.blocks[k].eigenvalues,
-                count=count,
-                frequency=freq,
-                born=p,
-                deviation=deviation,
-                band=band,
-            )
-        )
-        if deviation > band:
-            passed = False
-    unresolved_fraction = 1.0 - n_resolved / n
-    flagged = unresolved_fraction > unresolved_flag_fraction
-    return EnsembleReport(
-        n_trajectories=n,
-        n_resolved=n_resolved,
-        rows=tuple(rows),
-        unresolved_fraction=unresolved_fraction,
-        unresolved_flagged=flagged,
-        band_multiplier=band_multiplier,
-        base_seed=int(seed),
-        passed=passed,
-        outcomes=tuple(int(o) for o in outcome),
-    )
 
 
 @dataclass(frozen=True)
@@ -612,11 +553,129 @@ class MartingaleReport:
     passed: bool
     n_trajectories: int
 
-    def worst_deviation(self) -> float:
-        return max(
-            (abs(r.mean - r.born) / r.sigma_mean if r.sigma_mean else 0.0)
-            for r in self.rows
-        )
+
+@dataclass(frozen=True)
+class EnsembleReport:
+    """Outcome frequencies of an ensemble against the state's weights.
+
+    Frequencies are over resolved trajectories; the unresolved fraction is
+    reported (and flagged above 1%) but never silently dropped.  The band
+    is ``multiplier * 3 * sqrt(p(1-p)/N)``.  ``outcomes`` and
+    ``resolve_steps`` hold each trajectory's outcome index and resolution
+    step (-1 while unresolved) in seed order, ready for frequency auditing.
+    ``trajectory_steps`` counts steps integrated over the whole pass,
+    martingale rows included; ``martingale`` is the fused check, if any.
+    """
+
+    n_trajectories: int
+    n_resolved: int
+    rows: tuple[OutcomeRow, ...]
+    unresolved_fraction: float
+    unresolved_flagged: bool
+    band_multiplier: float
+    base_seed: int
+    passed: bool
+    outcomes: tuple[int, ...] = ()
+    resolve_steps: tuple[int, ...] = ()
+    dt: float = 0.0
+    trajectory_steps: int = 0
+    martingale: MartingaleReport | None = None
+
+    def resolve_time_quantiles(self) -> dict:
+        """p50, p90 and max resolution time over resolved trajectories."""
+        times = np.array([s for s in self.resolve_steps if s >= 0]) * self.dt
+        if not times.size:
+            return dict.fromkeys(("p50", "p90", "max"))
+        return dict(zip(("p50", "p90", "max"), np.quantile(times, [0.5, 0.9, 1.0]).tolist()))
+
+
+def ensemble_outcomes(
+    model: CollapseModel,
+    psi0: StateVector,
+    n: int,
+    *,
+    t_max: float,
+    dt: float,
+    seed: int,
+    eps_collapse: float = DEFAULT_COLLAPSE_EPS,
+    band_multiplier: float = 1.0,
+    workers: int = 1,
+    unresolved_flag_fraction: float = 0.01,
+    martingale_checkpoints: Sequence[float] | None = None,
+    martingale_trajectories: int | None = None,
+) -> EnsembleReport:
+    """Run ``n`` trajectories with seeds ``seed + i`` and compare to weights.
+
+    Per-outcome frequencies must sit within ``band_multiplier`` times the
+    three-sigma binomial band around the state's projector weights for the
+    report to pass.  ``workers`` is accepted and ignored: one batch runs
+    every trajectory, each on its own seeded stream.  Given
+    ``martingale_checkpoints``, the same pass also runs the martingale
+    check of :func:`martingale_check` over the first
+    ``martingale_trajectories`` seeds (default ``n``).
+    """
+    if n < 1:
+        raise ValueError("need at least one trajectory")
+    psi0.require_nonzero()
+    _check_step_size(model, dt)
+    n_steps = int(round(t_max / dt))
+    m, times = 0, []
+    if martingale_checkpoints is not None:
+        m = n if martingale_trajectories is None else int(martingale_trajectories)
+        times = sorted(float(t) for t in martingale_checkpoints)
+        if m < 1 or not times:
+            raise ValueError("a martingale check needs a trajectory and a checkpoint")
+    cp_steps = [int(round(t / dt)) for t in times]
+    horizons = np.zeros(max(n, m), dtype=int)
+    horizons[:n] = n_steps
+    horizons[:m] = np.maximum(horizons[:m], max(cp_steps, default=0))
+    seeds = [int(seed) + i for i in range(horizons.size)]
+    psi = psi0.normalized().amplitudes
+    run = _run_batch(
+        model, psi, seeds, horizons, dt, eps_collapse, checkpoints=cp_steps, snapshot_rows=m
+    )
+    # martingale rows may run past t_max; a later resolution is no outcome
+    late = run.resolve_step[:n] > n_steps
+    outcome = np.where(late, -1, run.outcome[:n])
+    resolve_step = np.where(late, -1, run.resolve_step[:n])
+
+    born = model.born_weights(psi0)
+    n_resolved = int((outcome >= 0).sum())
+    rows = []
+    for k, block in enumerate(model.blocks):
+        count = int((outcome == k).sum())
+        freq = count / n_resolved if n_resolved else 0.0
+        p = float(born[k])
+        band = band_multiplier * 3.0 * np.sqrt(p * (1.0 - p) / n)
+        rows.append(OutcomeRow(k, block.eigenvalues, count, freq, p, abs(freq - p), band))
+    martingale = None
+    if m:
+        mart_rows = []
+        for t, s in zip(times, cp_steps):
+            for k in range(model.n_outcomes):
+                sample = run.snapshots[s][:, k]
+                sigma = float(sample.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+                mart_rows.append(
+                    MartingaleRow(t, k, float(sample.mean()), float(born[k]), sigma)
+                )
+        passed = all(row.within_band for row in mart_rows)
+        martingale = MartingaleReport(tuple(mart_rows), passed, m)
+    unresolved_fraction = 1.0 - n_resolved / n
+    return EnsembleReport(
+        n_trajectories=n,
+        n_resolved=n_resolved,
+        rows=tuple(rows),
+        unresolved_fraction=unresolved_fraction,
+        unresolved_flagged=unresolved_fraction > unresolved_flag_fraction,
+        band_multiplier=band_multiplier,
+        base_seed=int(seed),
+        passed=all(row.deviation <= row.band for row in rows),
+        outcomes=tuple(int(o) for o in outcome),
+        resolve_steps=tuple(int(s) for s in resolve_step),
+        dt=dt,
+        trajectory_steps=run.steps,
+        martingale=martingale,
+    )
 
 
 def martingale_check(
@@ -633,37 +692,20 @@ def martingale_check(
 
     The mean should stay at the initial weight for all times: the check
     passes iff every |mean - weight| < 4 sigma of the mean (zero-variance
-    rows must match exactly).
+    rows must match exactly).  It is the martingale part of an ensemble
+    pass with no outcome horizon, so it equals the check that
+    :func:`ensemble_outcomes` fuses into its own pass.
     """
-    if n < 1:
-        raise ValueError("need at least one trajectory")
-    psi0.require_nonzero()
-    checkpoints = sorted(float(t) for t in checkpoints)
-    if not checkpoints:
-        raise ValueError("need at least one checkpoint")
-    steps = [int(round(t / dt)) for t in checkpoints]
-    n_steps = max(steps)
-    psi_start = psi0.normalized().amplitudes
-    seeds = [int(seed) + i for i in range(n)]
-    _, _, _, snapshots = _run_batch(
-        model, psi_start, seeds, n_steps, dt, eps_collapse, checkpoints=steps
-    )
-    born = model.born_weights(psi0)
-    rows = []
-    passed = True
-    for t, s in zip(checkpoints, steps):
-        mass = snapshots[s]
-        for k in range(model.n_outcomes):
-            sample = mass[:, k]
-            mean = float(sample.mean())
-            sigma = float(sample.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-            row = MartingaleRow(
-                time=t, outcome=k, mean=mean, born=float(born[k]), sigma_mean=sigma
-            )
-            rows.append(row)
-            if not row.within_band:
-                passed = False
-    return MartingaleReport(rows=tuple(rows), passed=passed, n_trajectories=n)
+    return ensemble_outcomes(
+        model,
+        psi0,
+        n,
+        t_max=0.0,
+        dt=dt,
+        seed=seed,
+        eps_collapse=eps_collapse,
+        martingale_checkpoints=checkpoints,
+    ).martingale
 
 
 def trajectory_to_csv(trajectory: Trajectory, model: CollapseModel, path) -> None:

@@ -232,15 +232,6 @@ class Projector:
             list(self.cells) + list(other.cells), self.dim
         )
 
-    def intersect(self, other: "Projector") -> "Projector":
-        self._require_cells_pair(other)
-        common = self.index_set() & other.index_set()
-        return Projector.from_cells(common, self.dim)
-
-    def disjoint_from(self, other: "Projector") -> bool:
-        self._require_cells_pair(other)
-        return not (self.index_set() & other.index_set())
-
     def contains(self, other: "Projector") -> bool:
         self._require_cells_pair(other)
         return other.index_set() <= self.index_set()
@@ -385,9 +376,6 @@ class GrainingFamily:
             raise DimensionMismatchError("family members must share one grid")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "allow_generated", bool(allow_generated))
-
-    def refinements_of(self, graining: CoarseGraining) -> list[CoarseGraining]:
-        return [g for g in self.members if g.refines(graining)]
 
     def is_partial_order_consistent(self) -> bool:
         """Refinement is reflexive, antisymmetric and transitive on members."""

@@ -297,12 +297,6 @@ class SearchResult:
     def satisfiable(self) -> bool:
         return bool(self.assignments)
 
-    def as_frame_assignments(self) -> list[FrameAssignment]:
-        return [
-            FrameAssignment({i: float(v) for i, v in enumerate(values)})
-            for values in self.assignments
-        ]
-
 
 def _orthogonality_contexts(rays: RaySet, *, tol: float = ORTHO_TOL):
     """Maximal cliques of mutually orthogonal rays (Bron-Kerbosch), sorted."""

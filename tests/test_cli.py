@@ -96,6 +96,29 @@ class TestDeterminism:
         second.pop("wall_clock_s")
         assert render_report(first) == render_report(second)
 
+    def test_simulate_work_counters(self, tmp_path):
+        doc = {
+            "kind": "simulate",
+            "seed": 4300,
+            "parameters": {
+                "model": {"observables": [[[1, 0], [0, -1]]], "gamma": 1.0},
+                "psi0": [0.7071067811865476, 0.7071067811865476],
+                "t_max": 3.0,
+                "dt": 0.001,
+                "n_trajectories": 40,
+                "martingale_checkpoints": [0.5, 4.0],
+                "martingale_trajectories": 50,
+            },
+        }
+        report, _ = run_scenario(write_scenario(tmp_path, doc))
+        metrics = report["metrics"]
+        assert sorted(metrics["resolve_time"]) == ["max", "p50", "p90"]
+        assert 0 < metrics["resolve_time"]["p50"] <= metrics["resolve_time"]["max"] <= 3.0
+        # 40 ensemble rows to 3000 steps at most, 50 martingale rows to 4000
+        assert 0 < metrics["trajectory_steps"] <= 50 * 4000
+        assert [row["time"] for row in metrics["martingale"]] == [0.5, 0.5, 4.0, 4.0]
+        assert report["verdicts"]["martingale"] in ("PASS", "FAIL")
+
     def test_worker_count_invariance(self, tmp_path):
         base = {
             "kind": "simulate",

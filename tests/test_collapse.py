@@ -6,6 +6,8 @@ import pytest
 from bornlab.collapse import (
     CollapseModel,
     NoiseIncrement,
+    _eigen_frame,
+    _run_batch,
     drift_diffusion,
     em_step,
     ensemble_outcomes,
@@ -16,6 +18,7 @@ from bornlab.collapse import (
 )
 from bornlab.errors import (
     DimensionMismatchError,
+    IntegrationFailureError,
     InvalidStateError,
     PreconditionError,
 )
@@ -29,6 +32,38 @@ def qubit_model():
 
 def plus_state():
     return StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
+
+
+# joint labels on six cells; every family has at least one 2-dim joint block
+LABELS = [[1, 1, 0, 0, -1, -1], [1, 0, 1, 0, 1, 1], [0, 2, 2, 1, 1, 1]]
+
+
+def rotated_model(n_obs, hamiltonian="zero", norm_mode="mean-preserving"):
+    """Observables diagonal in a random basis, plus a normalized start state.
+
+    ``hamiltonian`` is ``zero``, ``diagonal`` (diagonal in the model's own
+    eigenbasis, so it commutes with the observables) or ``dense`` (a random
+    Hermitian matrix that does not commute with them).
+    """
+    rng = np.random.default_rng(n_obs)
+    d = len(LABELS[0])
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    obs = [basis @ np.diag(labels) @ basis.conj().T for labels in LABELS[:n_obs]]
+    ham = np.zeros((d, d))
+    if hamiltonian == "diagonal":
+        v = CollapseModel(ham, obs, gamma=1.0).eigenbasis
+        ham = v @ np.diag(rng.normal(size=d)) @ v.conj().T
+    elif hamiltonian == "dense":
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        ham = 0.3 * (z + z.conj().T)
+    model = CollapseModel(ham, obs, gamma=1.0, norm_mode=norm_mode)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return model, psi / np.linalg.norm(psi)
+
+
+def engine_path(model):
+    ham = _eigen_frame(model)[3]
+    return "zero" if ham is None else ("diagonal" if ham.ndim == 1 else "dense")
 
 
 class TestCollapseModel:
@@ -272,8 +307,97 @@ class TestEnsemble:
                 qubit_model, plus_state(), t_max=20.0, dt=1e-3, seed=7000 + i
             )
             outcomes.append(traj.outcome)
+            # same outcome at the same step: a simulation is a batch of one
+            assert report.outcomes[i] == (-1 if traj.outcome is None else traj.outcome)
+            step = report.resolve_steps[i]
+            assert (None if step < 0 else step * 1e-3) == traj.resolve_time
         assert report.rows[0].count == sum(1 for o in outcomes if o == 0)
         assert report.rows[1].count == sum(1 for o in outcomes if o == 1)
+
+    def test_work_counters(self, qubit_model):
+        report = ensemble_outcomes(
+            qubit_model, plus_state(), 60, t_max=2.0, dt=1e-3, seed=31
+        )
+        steps = report.resolve_steps
+        assert report.trajectory_steps == sum(s if s >= 0 else 2000 for s in steps)
+        times = sorted(s * 1e-3 for s in steps if s >= 0)
+        assert 0 < len(times) < 60
+        quantiles = report.resolve_time_quantiles()
+        assert quantiles["p50"] == pytest.approx(np.quantile(times, 0.5), abs=0)
+        assert quantiles["p90"] == pytest.approx(np.quantile(times, 0.9), abs=0)
+        assert quantiles["max"] == times[-1]
+
+    def test_counters_without_resolution(self, qubit_model):
+        report = ensemble_outcomes(
+            qubit_model, plus_state(), 5, t_max=0.01, dt=1e-3, seed=3
+        )
+        assert report.trajectory_steps == 5 * 10
+        assert report.resolve_time_quantiles() == {"p50": None, "p90": None, "max": None}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_raises_integration_failure(self):
+        model = CollapseModel(np.zeros((2, 2)), [np.diag([1e200, -1e200])], gamma=1.0)
+        with pytest.raises(IntegrationFailureError) as err:
+            ensemble_outcomes(model, plus_state(), 3, t_max=1.0, dt=1e-3, seed=1)
+        assert err.value.step == 1
+        assert "seed 1" in str(err.value)
+
+
+class TestBatchEngine:
+    @pytest.mark.parametrize("norm_mode", ["mean-preserving", "literal"])
+    @pytest.mark.parametrize("hamiltonian", ["zero", "diagonal", "dense"])
+    @pytest.mark.parametrize("n_obs", [1, 2, 3])
+    def test_matches_scalar_em_step(self, n_obs, hamiltonian, norm_mode):
+        model, psi0 = rotated_model(n_obs, hamiltonian, norm_mode)
+        assert engine_path(model) == hamiltonian
+        assert max(len(b.indices) for b in model.blocks) == 2
+        dt, n_steps, seed = 1e-3, 250, 17
+        traj = simulate(
+            model, StateVector(psi0), t_max=n_steps * dt, dt=dt, seed=seed, eps_collapse=0.0
+        )
+        assert len(traj.states) == n_steps + 1
+        # the oracle draws the same stream one step at a time
+        rng = np.random.default_rng(seed)
+        scale = np.sqrt(model.gamma * dt)
+        psi = psi0
+        assert np.max(np.abs(traj.states[0] - psi)) < 1e-12
+        for step in range(1, n_steps + 1):
+            psi = em_step(model, psi, dt, rng.standard_normal(n_obs) * scale)
+            assert np.max(np.abs(traj.states[step] - psi)) < 1e-12, step
+
+    @pytest.mark.parametrize("hamiltonian", ["zero", "diagonal", "dense"])
+    def test_row_does_not_depend_on_its_batch(self, hamiltonian):
+        model, psi0 = rotated_model(2, hamiltonian)
+        seeds = list(range(4000, 4300))
+        batch = _run_batch(model, psi0, seeds, [6000] * 300, 1e-3, 1e-6)
+        if hamiltonian != "dense":
+            assert 0 < np.count_nonzero(batch.outcome >= 0) < 300
+        for i in (0, 1, 150, 299):
+            alone = _run_batch(model, psi0, [seeds[i]], [6000], 1e-3, 1e-6)
+            assert alone.outcome[0] == batch.outcome[i]
+            assert alone.resolve_step[0] == batch.resolve_step[i]
+            assert np.array_equal(alone.final[0], batch.final[i])
+
+    @pytest.mark.parametrize("n, m, t_max", [(120, 40, 20.0), (120, 120, 20.0), (50, 80, 1.0)])
+    def test_fused_martingale_matches_standalone(self, qubit_model, n, m, t_max):
+        psi0 = StateVector([np.sqrt(0.3), np.sqrt(0.7)])
+        checkpoints = [2.0, 0.0, 0.4, 1.0]
+        kwargs = dict(t_max=t_max, dt=1e-3, seed=8100)
+        fused = ensemble_outcomes(
+            qubit_model,
+            psi0,
+            n,
+            martingale_checkpoints=checkpoints,
+            martingale_trajectories=m,
+            **kwargs,
+        )
+        alone = martingale_check(qubit_model, psi0, m, checkpoints, dt=1e-3, seed=8100)
+        assert fused.martingale == alone
+        assert fused.martingale.n_trajectories == m
+        # martingale rows that run past t_max change no outcome
+        plain = ensemble_outcomes(qubit_model, psi0, n, **kwargs)
+        assert fused.outcomes == plain.outcomes
+        assert fused.resolve_steps == plain.resolve_steps
 
 
 class TestMartingale:
