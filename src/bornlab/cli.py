@@ -371,15 +371,22 @@ def _handle_games(params: dict, seed: int, csv_dir) -> dict:
 def _handle_histories(params: dict, seed: int, csv_dir) -> dict:
     psi0 = StateVector(parse_vector(_require(params, "psi0")))
     dim = psi0.dim
+    docs = _require(params, "steps")
+    if not isinstance(docs, list) or not docs or not all(isinstance(d, dict) for d in docs):
+        raise ScenarioError("histories 'steps' must be a non-empty list of objects")
     steps = []
-    for doc in _require(params, "steps"):
-        resolution = [
-            Projector.from_cells([int(i) for i in cells], dim)
-            for cells in _require(doc, "resolution")
-        ]
+    for doc in docs:
+        cells = _require(doc, "resolution")
+        if not isinstance(cells, list) or not all(
+            isinstance(c, list) and all(type(i) is int for i in c) for c in cells
+        ):
+            raise ScenarioError("histories 'resolution' must be a list of integer cell lists")
         unitary = parse_matrix(doc["unitary"]) if "unitary" in doc else None
-        steps.append(HistoryStep(resolution, unitary))
-    history_set = HistorySet(steps, float(params.get("epsilon", 1e-8)))
+        steps.append(HistoryStep([Projector.from_cells(c, dim) for c in cells], unitary))
+    epsilon = params.get("epsilon", 1e-8)
+    if type(epsilon) not in (int, float) or not 0 <= epsilon <= sys.float_info.max:
+        raise ScenarioError(f"histories 'epsilon' must be a finite number >= 0, got {epsilon!r}")
+    history_set = HistorySet(steps, float(epsilon))
     report = consistency_check(history_set, psi0)
     expect = params.get("expect", "CONSISTENT")
     sums_ok = abs(report.collapsed_sum - 1.0) <= 1e-9
@@ -397,6 +404,8 @@ def _handle_histories(params: dict, seed: int, csv_dir) -> dict:
             "collapsed_sum": report.collapsed_sum,
             "uncollapsed_sum": report.uncollapsed_sum,
             "n_histories": report.n_histories,
+            "pairs": report.pairs,
+            "pairs_over_epsilon": report.pairs_over_epsilon,
         },
     }
 
@@ -565,6 +574,8 @@ def run_scenario(
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise ScenarioError(f"cannot parse scenario {path}: {err}") from err
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"scenario {path} must be a JSON object, not {type(doc).__name__}")
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ScenarioError(
@@ -575,6 +586,8 @@ def run_scenario(
             f"scenario kind {kind!r} does not match the {expected_kind!r} subcommand"
         )
     params = doc.get("parameters", {})
+    if not isinstance(params, dict):
+        raise ScenarioError(f"'parameters' must be an object, not {type(params).__name__}")
     seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
     csv_dir = None
     if write_csv:

@@ -174,9 +174,6 @@ class RationalState:
     def to_state(self) -> StateVector:
         return StateVector([math.sqrt(float(m)) for m in self.cell_masses().masses])
 
-    def separating_set(self) -> SeparatingSet:
-        return SeparatingSet.from_graining(self.to_state(), self.graining)
-
 
 # ---------------------------------------------------------------------------
 # equal-mass refinement

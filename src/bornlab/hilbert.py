@@ -377,20 +377,6 @@ class GrainingFamily:
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "allow_generated", bool(allow_generated))
 
-    def is_partial_order_consistent(self) -> bool:
-        """Refinement is reflexive, antisymmetric and transitive on members."""
-        ms = self.members
-        for a in ms:
-            if not a.refines(a):
-                return False
-            for b in ms:
-                if a.refines(b) and b.refines(a) and a.blocks != b.blocks:
-                    return False
-                for c in ms:
-                    if a.refines(b) and b.refines(c) and not a.refines(c):
-                        return False
-        return True
-
 
 @dataclass(frozen=True)
 class BooleanSublattice:

@@ -27,6 +27,9 @@ DEFAULT_EPSILON = 1e-8
 DEFAULT_HISTORY_CAP = 10**6
 DEFAULT_PAIR_CAP = 4096
 RESOLUTION_TOL = 1e-10
+# rows of the decoherence functional reduced at once; at least 2, as a one-row block would go
+# through a matrix-vector product, which rounds differently from the full matrix product
+PAIR_BLOCK_ROWS = 512
 
 
 def _as_unitary(matrix, dim: int) -> np.ndarray:
@@ -182,11 +185,39 @@ class ConsistencyReport:
     collapsed_sum: float
     uncollapsed_sum: float
     n_histories: int
-    discrepancies: tuple[EventDiscrepancy, ...]
+    pairs: int
+    pairs_over_epsilon: int
+    discrepancies: tuple[EventDiscrepancy, ...]  # history and marginal rows; pairs are reduced
 
     @property
     def consistent(self) -> bool:
         return self.verdict == "CONSISTENT"
+
+
+def _worst_pair(histories, chains, collapsed, chained, epsilon: float):
+    """Reduce the pair unions i < j through the decoherence functional D.
+
+    The chained measure of {h_i, h_j} is |C_i psi|^2 + |C_j psi|^2 + 2 Re D(h_i, h_j), taken
+    ``PAIR_BLOCK_ROWS`` rows at a time; no block starts at the last row, which has no pair.
+    Returns the pair row of the first largest gap in (i, j) order, as a list of at most one
+    row, and the count of gaps over epsilon.
+    """
+    n = len(histories)
+    best, best_gap, over = [], -np.inf, 0
+    for i0 in range(0, n - 1, PAIR_BLOCK_ROWS):
+        i1 = min(i0 + PAIR_BLOCK_ROWS, n)
+        gram = chains[i0:i1].conj() @ chains.T
+        additive = collapsed[i0:i1, None] + collapsed[None, :]
+        chain = chained[i0:i1, None] + chained[None, :] + 2.0 * np.real(gram)
+        gap = np.abs(additive - chain)
+        gap[np.arange(n)[None, :] <= np.arange(i0, i1)[:, None]] = -np.inf  # keep j > i
+        over += int(np.count_nonzero(gap > epsilon))
+        r, j = divmod(int(np.argmax(gap)), n)
+        if gap[r, j] > best_gap:  # a later block wins only when strictly larger
+            best_gap = gap[r, j]
+            label = f"{histories[i0 + r].choices}+{histories[j].choices}"
+            best = [EventDiscrepancy("pair", label, float(additive[r, j]), float(chain[r, j]))]
+    return best, over
 
 
 def consistency_check(
@@ -202,7 +233,9 @@ def consistency_check(
     norm of the summed chain vectors, so any interference between branches
     shows up as a discrepancy; commuting chains agree to rounding.  The
     verdict is CONSISTENT iff the largest discrepancy is at most the set's
-    epsilon.  Both per-history families must sum to one.
+    epsilon; the worst event is the first largest in the order histories,
+    pairs in (i, j) order, marginals.  Both per-history families must sum
+    to one.
     """
     n = history_set.n_histories
     if n > pair_cap:
@@ -214,58 +247,24 @@ def consistency_check(
     chains = np.array([_chain_vector(h, psi0) for h in histories])
     collapsed = np.array([collapsed_probability(h, psi0) for h in histories])
     chained = np.real(np.einsum("nd,nd->n", chains.conj(), chains))
-
-    discrepancies: list[EventDiscrepancy] = []
-    for h, p_add, p_chain in zip(histories, collapsed, chained):
-        discrepancies.append(
-            EventDiscrepancy(
-                kind="history",
-                label=str(h.choices),
-                additive=float(p_add),
-                chained=float(p_chain),
-            )
-        )
-
-    # unions of two histories: chained measure of {h, h'} is |C_h psi + C_h' psi|^2
-    gram = chains.conj() @ chains.T
-    for i in range(n):
-        for j in range(i + 1, n):
-            additive = float(collapsed[i] + collapsed[j])
-            chained_pair = float(chained[i] + chained[j] + 2.0 * np.real(gram[i, j]))
-            discrepancies.append(
-                EventDiscrepancy(
-                    kind="pair",
-                    label=f"{histories[i].choices}+{histories[j].choices}",
-                    additive=additive,
-                    chained=chained_pair,
-                )
-            )
+    rows = [
+        EventDiscrepancy("history", str(h.choices), float(p_add), float(p_chain))
+        for h, p_add, p_chain in zip(histories, collapsed, chained)
+    ]
+    pair_rows, pairs_over = _worst_pair(histories, chains, collapsed, chained, history_set.epsilon)
 
     # final-time marginals: evolve without any projection, then project once
     psi = psi0.normalized().amplitudes
     for step in history_set.steps:
         psi = step.unitary @ psi
-    last = history_set.steps[-1]
-    for k, proj in enumerate(last.resolution):
+    marginals = []
+    for k, proj in enumerate(history_set.steps[-1].resolution):
         image = proj.apply(psi)
-        marginal_chain = float(np.real(np.vdot(image, image)))
-        marginal_additive = float(
-            sum(
-                p
-                for h, p in zip(histories, collapsed)
-                if h.choices[-1] == k
-            )
-        )
-        discrepancies.append(
-            EventDiscrepancy(
-                kind="marginal",
-                label=f"final={k}",
-                additive=marginal_additive,
-                chained=marginal_chain,
-            )
-        )
+        chain = float(np.real(np.vdot(image, image)))
+        additive = float(sum(p for h, p in zip(histories, collapsed) if h.choices[-1] == k))
+        marginals.append(EventDiscrepancy("marginal", f"final={k}", additive, chain))
 
-    worst = max(discrepancies, key=lambda d: d.gap)
+    worst = max(rows + pair_rows + marginals, key=lambda d: d.gap)
     max_gap = worst.gap
     verdict = "CONSISTENT" if max_gap <= history_set.epsilon else "INCONSISTENT"
     return ConsistencyReport(
@@ -276,5 +275,7 @@ def consistency_check(
         collapsed_sum=float(collapsed.sum()),
         uncollapsed_sum=float(chained.sum()),
         n_histories=n,
-        discrepancies=tuple(discrepancies),
+        pairs=n * (n - 1) // 2,
+        pairs_over_epsilon=pairs_over,
+        discrepancies=tuple(rows + marginals),
     )

@@ -176,6 +176,38 @@ class TestMain:
         scenario = write_scenario(tmp_path, doc)
         assert main(["nogo", "--scenario", str(scenario)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([{"kind": "histories"}], "JSON object"),
+            ({"kind": "histories", "parameters": [1, 2]}, "'parameters'"),
+        ],
+    )
+    def test_malformed_document_exit_usage(self, tmp_path, capsys, doc, field):
+        scenario = write_scenario(tmp_path, doc)
+        assert main(["histories", "--scenario", str(scenario)]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"epsilon": "x"}, "'epsilon'"),
+            ({"epsilon": -1e-3}, "'epsilon'"),
+            ({"epsilon": float("inf")}, "'epsilon'"),
+            ({"epsilon": float("nan")}, "'epsilon'"),
+            ({"steps": 5}, "'steps'"),
+            ({"steps": []}, "'steps'"),
+            ({"steps": [[[0], [1]]]}, "'steps'"),
+            ({"steps": [{"resolution": [["a"], [1]]}]}, "'resolution'"),
+            ({"steps": [{"resolution": [[0.5], [1]]}]}, "'resolution'"),
+        ],
+    )
+    def test_malformed_histories_exit_usage(self, tmp_path, capsys, change, field):
+        params = {"psi0": [0.6, 0.8], "steps": [{"resolution": [[0], [1]]}], **change}
+        scenario = write_scenario(tmp_path, {"kind": "histories", "parameters": params})
+        assert main(["histories", "--scenario", str(scenario)]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, recwarn):
         # eigenvalues near the float ceiling overflow the quadratic drift
         doc = {
@@ -285,6 +317,8 @@ class TestScenarioKinds:
         report, code = run_scenario(write_scenario(tmp_path, doc))
         assert code == EXIT_OK
         assert report["metrics"]["max_discrepancy"] == pytest.approx(0.5)
+        assert report["metrics"]["pairs"] == 6
+        assert report["metrics"]["pairs_over_epsilon"] == 2
 
     def test_simulate_csv(self, tmp_path):
         doc = {

@@ -18,7 +18,6 @@ from bornlab.hilbert import (
     BooleanSublattice,
     CoarseGraining,
     DensityMatrix,
-    GrainingFamily,
     MeasureTable,
     Projector,
     SeparatingSet,
@@ -183,16 +182,6 @@ class TestGraining:
         coarse = CoarseGraining(4, [(0, 2), (2, 4)])
         assert fine.refines(coarse)
         assert not coarse.refines(fine)
-
-    def test_family_partial_order(self):
-        family = GrainingFamily(
-            [
-                CoarseGraining.unit_cells(4),
-                CoarseGraining(4, [(0, 2), (2, 4)]),
-                CoarseGraining(4, [(0, 4)]),
-            ]
-        )
-        assert family.is_partial_order_consistent()
 
 
 class TestSublattice:

@@ -4,13 +4,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bornlab import histories as histories_module
 from bornlab.errors import DimensionMismatchError, HistoryCountError
 from bornlab.hilbert import Projector, StateVector
 from bornlab.histories import (
+    EventDiscrepancy,
     History,
     HistorySet,
     HistoryStep,
+    _chain_vector,
+    _worst_pair,
     collapsed_probability,
     consistency_check,
     uncollapsed_probability,
@@ -25,6 +31,67 @@ def z_resolution():
 
 def plus():
     return StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
+
+
+def oracle_check(history_set, psi0):
+    """The full event loop: one row per history, per pair union and per marginal."""
+    histories = list(history_set.histories())
+    chains = np.array([_chain_vector(h, psi0) for h in histories])
+    collapsed = np.array([collapsed_probability(h, psi0) for h in histories])
+    chained = np.real(np.einsum("nd,nd->n", chains.conj(), chains))
+    discrepancies = [
+        EventDiscrepancy("history", str(h.choices), float(p_add), float(p_chain))
+        for h, p_add, p_chain in zip(histories, collapsed, chained)
+    ]
+    gram = chains.conj() @ chains.T
+    n = len(histories)
+    for i in range(n):
+        for j in range(i + 1, n):
+            additive = float(collapsed[i] + collapsed[j])
+            chained_pair = float(chained[i] + chained[j] + 2.0 * np.real(gram[i, j]))
+            label = f"{histories[i].choices}+{histories[j].choices}"
+            discrepancies.append(EventDiscrepancy("pair", label, additive, chained_pair))
+    psi = psi0.normalized().amplitudes
+    for step in history_set.steps:
+        psi = step.unitary @ psi
+    for k, proj in enumerate(history_set.steps[-1].resolution):
+        image = proj.apply(psi)
+        marginal_chain = float(np.real(np.vdot(image, image)))
+        marginal_additive = float(
+            sum(p for h, p in zip(histories, collapsed) if h.choices[-1] == k)
+        )
+        discrepancies.append(
+            EventDiscrepancy("marginal", f"final={k}", marginal_additive, marginal_chain)
+        )
+    worst = max(discrepancies, key=lambda d: d.gap)
+    return worst, discrepancies, float(collapsed.sum()), float(chained.sum())
+
+
+@st.composite
+def history_problems(draw):
+    """Up to 64 histories over d in 2..4 with random unitaries and multi-cell resolutions."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps, count = [], 1
+    for index in range(draw(st.integers(1, 4))):
+        n_cells = draw(st.integers(1, d))
+        if index and count * n_cells > 64:
+            break
+        labels = np.concatenate([np.arange(n_cells), rng.integers(0, n_cells, d - n_cells)])
+        rng.shuffle(labels)
+        resolution = [
+            Projector.from_cells([int(i) for i in np.flatnonzero(labels == c)], d)
+            for c in range(n_cells)
+        ]
+        unitary = None
+        if draw(st.booleans()):
+            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            unitary, _ = np.linalg.qr(z)
+        steps.append(HistoryStep(resolution, unitary))
+        count *= n_cells
+    epsilon = draw(st.sampled_from([0.0, 1e-16, 1e-12, 1e-3]) | st.floats(0.0, 1.0))
+    psi0 = StateVector(rng.normal(size=d) + 1j * rng.normal(size=d))
+    return HistorySet(steps, epsilon), psi0
 
 
 class TestCollapsedProbability:
@@ -145,6 +212,63 @@ class TestConsistencyCheck:
             HistorySet(
                 [HistoryStep(z_resolution()) for _ in range(6)], cap=32
             )
+
+
+class TestPairReduction:
+    @given(history_problems(), st.integers(2, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_event_loop(self, problem, block_rows):
+        history_set, psi0 = problem
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(histories_module, "PAIR_BLOCK_ROWS", block_rows)
+            report = consistency_check(history_set, psi0)
+        worst, rows, collapsed_sum, uncollapsed_sum = oracle_check(history_set, psi0)
+        assert report.max_discrepancy == worst.gap
+        assert (report.worst.kind, report.worst.label) == (worst.kind, worst.label)
+        assert report.worst == worst
+        assert report.collapsed_sum == collapsed_sum
+        assert report.uncollapsed_sum == uncollapsed_sum
+        assert report.discrepancies == tuple(d for d in rows if d.kind != "pair")
+        pair_rows = [d for d in rows if d.kind == "pair"]
+        assert report.pairs == len(pair_rows)
+        over = sum(1 for d in pair_rows if d.gap > history_set.epsilon)
+        assert report.pairs_over_epsilon == over
+
+    @pytest.mark.parametrize("block_rows", [2, 3, 4, 512])
+    def test_first_pair_wins_ties(self, block_rows, monkeypatch):
+        # unit chains e0, e1, e0, e1, e0, e1: every pair of equal chains has gap exactly 2
+        monkeypatch.setattr(histories_module, "PAIR_BLOCK_ROWS", block_rows)
+        histories = [History((), (k,)) for k in range(6)]
+        chains = np.array([[1.0, 0.0], [0.0, 1.0]] * 3, dtype=complex)
+        ones = np.ones(6)
+        best, over = _worst_pair(histories, chains, ones, ones, 1.0)
+        assert best == [EventDiscrepancy("pair", "(0,)+(2,)", 2.0, 4.0)]
+        assert over == 6
+
+    def test_history_tie_beats_pairs_and_marginals(self):
+        # a z-basis state measured in z: every gap is exactly zero
+        steps = [HistoryStep(z_resolution()), HistoryStep(z_resolution())]
+        report = consistency_check(HistorySet(steps), StateVector([1.0, 0.0]))
+        assert report.max_discrepancy == 0.0
+        assert (report.worst.kind, report.worst.label) == ("history", "(0, 0)")
+        assert report.pairs_over_epsilon == 0
+
+    def test_pair_tie_beats_later_marginal(self):
+        # the interference set's largest pair gap ties the final marginal's
+        steps = [HistoryStep(z_resolution()), HistoryStep(z_resolution(), HADAMARD)]
+        report = consistency_check(HistorySet(steps), plus())
+        worst, rows, _, _ = oracle_check(HistorySet(steps), plus())
+        marginal = max(d.gap for d in rows if d.kind == "marginal")
+        assert marginal == report.max_discrepancy
+        assert report.worst == worst
+        assert report.worst.kind == "pair"
+
+    def test_pair_cap_smoke(self):
+        steps = [HistoryStep(z_resolution(), HADAMARD) for _ in range(12)]
+        report = consistency_check(HistorySet(steps), plus())
+        assert report.n_histories == 4096
+        assert report.pairs == 4096 * 4095 // 2
+        assert len(report.discrepancies) == 4096 + 2
 
 
 class TestHistorySetValidation:
