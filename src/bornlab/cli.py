@@ -47,10 +47,10 @@ from .games import (
     derive_pivotal,
     general_equivalence_check,
     linear_payoff,
+    projector_swap,
     value_solve,
     verify_soundness,
 )
-from .games import _swap_unitary
 from .hilbert import (
     CoarseGraining,
     GrainingFamily,
@@ -100,27 +100,45 @@ def _entry_to_complex(value) -> complex:
 
 
 def parse_vector(values) -> np.ndarray:
+    if not isinstance(values, list):
+        raise ScenarioError(f"expected a list of numbers, not {type(values).__name__}")
     return np.array([_entry_to_complex(v) for v in values], dtype=complex)
 
 
 def parse_matrix(rows) -> np.ndarray:
-    return np.array([[_entry_to_complex(v) for v in row] for row in rows], dtype=complex)
+    if not isinstance(rows, list):
+        raise ScenarioError(f"expected a list of rows, not {type(rows).__name__}")
+    return np.array([parse_vector(row) for row in rows], dtype=complex)
 
 
 def parse_rational(value) -> Fraction:
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (str, int, float)):
         return Fraction(value)
     raise ScenarioError(f"cannot read {value!r} as a rational mass")
 
 
-def _require(params: dict, key: str):
+_REQUIRED = object()
+
+
+def _field(params: dict, key: str, convert=lambda value: value, default=_REQUIRED):
+    """``convert(params[key])``, or ``default`` when the key is absent.
+
+    A missing required key, or a value that ``convert`` rejects with a
+    TypeError, ValueError, KeyError or ArithmeticError, raises a
+    ScenarioError naming the key.
+    """
     if key not in params:
-        raise ScenarioError(f"scenario parameters missing required key {key!r}")
-    return params[key]
+        if default is _REQUIRED:
+            raise ScenarioError(f"scenario parameters missing required key {key!r}")
+        return default
+    try:
+        return convert(params[key])
+    except (TypeError, ValueError, KeyError, ArithmeticError) as err:
+        raise ScenarioError(f"cannot read {key!r}: {err}") from err
+
+
+def _ints(values) -> list[int]:
+    return [int(v) for v in values]
 
 
 def _table_to_dict(table: MeasureTable) -> dict:
@@ -139,25 +157,20 @@ def _table_to_dict(table: MeasureTable) -> dict:
 
 
 def _handle_simulate(params: dict, seed: int, csv_dir: Path | None) -> dict:
-    model_doc = _require(params, "model")
-    observables = [parse_matrix(m) for m in _require(model_doc, "observables")]
+    model_doc = _field(params, "model", dict)
+    observables = _field(model_doc, "observables", lambda ms: [parse_matrix(m) for m in ms])
     dim = observables[0].shape[0]
-    hamiltonian = (
-        parse_matrix(model_doc["hamiltonian"])
-        if "hamiltonian" in model_doc
-        else np.zeros((dim, dim))
-    )
     model = CollapseModel(
-        hamiltonian,
+        _field(model_doc, "hamiltonian", parse_matrix, np.zeros((dim, dim))),
         observables,
-        _require(model_doc, "gamma"),
+        _field(model_doc, "gamma", float),
         model_doc.get("norm_mode", "mean-preserving"),
     )
-    psi0 = StateVector(parse_vector(_require(params, "psi0")))
-    t_max = float(_require(params, "t_max"))
-    dt = float(_require(params, "dt"))
-    n = int(_require(params, "n_trajectories"))
-    eps = float(params.get("eps_collapse", 1e-6))
+    psi0 = StateVector(_field(params, "psi0", parse_vector))
+    t_max = _field(params, "t_max", float)
+    dt = _field(params, "dt", float)
+    n = _field(params, "n_trajectories", int)
+    eps = _field(params, "eps_collapse", float, 1e-6)
     report = ensemble_outcomes(
         model,
         psi0,
@@ -166,10 +179,10 @@ def _handle_simulate(params: dict, seed: int, csv_dir: Path | None) -> dict:
         dt=dt,
         seed=seed,
         eps_collapse=eps,
-        band_multiplier=float(params.get("band_multiplier", 1.0)),
-        workers=int(params.get("workers", 1)),
+        band_multiplier=_field(params, "band_multiplier", float, 1.0),
+        workers=_field(params, "workers", int, 1),
         martingale_checkpoints=params.get("martingale_checkpoints"),
-        martingale_trajectories=int(params.get("martingale_trajectories", min(n, 2000))),
+        martingale_trajectories=_field(params, "martingale_trajectories", int, min(n, 2000)),
     )
     verdicts = {
         "born_frequencies": "PASS" if report.passed else "FAIL",
@@ -186,31 +199,24 @@ def _handle_simulate(params: dict, seed: int, csv_dir: Path | None) -> dict:
         verdicts["martingale"] = "PASS" if report.martingale.passed else "FAIL"
         metrics["martingale"] = [asdict(r) for r in report.martingale.rows]
     if csv_dir is not None:
-        for idx in params.get("csv_trajectories", [0]):
-            traj = simulate(
-                model,
-                psi0,
-                t_max,
-                dt,
-                seed + int(idx),
-                eps,
-                record_every=int(params.get("csv_record_every", 1)),
-            )
-            path = csv_dir / f"trajectory_{int(idx)}.csv"
+        record_every = _field(params, "csv_record_every", int, 1)
+        for idx in _field(params, "csv_trajectories", _ints, [0]):
+            traj = simulate(model, psi0, t_max, dt, seed + idx, eps, record_every=record_every)
+            path = csv_dir / f"trajectory_{idx}.csv"
             trajectory_to_csv(traj, model, path)
             metrics.setdefault("csv_files", []).append(str(path))
     return {"verdicts": verdicts, "metrics": metrics}
 
 
 def _handle_derive(params: dict, seed: int, csv_dir) -> dict:
-    construction = _require(params, "construction")
+    construction = _field(params, "construction")
     if construction == "rational":
-        weights = [int(w) for w in _require(params, "weights")]
-        sizes = params.get("block_sizes", [1] * len(weights))
+        weights = _field(params, "weights", _ints)
+        sizes = _field(params, "block_sizes", _ints, [1] * len(weights))
         graining = CoarseGraining.from_sizes(sizes)
-        profiles = None
-        if "profiles" in params:
-            profiles = [[parse_rational(p) for p in prof] for prof in params["profiles"]]
+        profiles = _field(
+            params, "profiles", lambda ps: [[parse_rational(p) for p in prof] for prof in ps], None
+        )
         state = RationalState(weights, graining, profiles)
         table, trace = rational_born_values(state)
         total = sum(weights)
@@ -226,8 +232,8 @@ def _handle_derive(params: dict, seed: int, csv_dir) -> dict:
             "traces": [trace.to_dict()],
         }
     if construction == "equiprobable":
-        amplitudes = parse_vector(_require(params, "amplitudes"))
-        sizes = params.get("block_sizes", [1] * len(amplitudes))
+        amplitudes = _field(params, "amplitudes", parse_vector)
+        sizes = _field(params, "block_sizes", _ints, [1] * len(amplitudes))
         graining = CoarseGraining.from_sizes(sizes)
         psi = StateVector(amplitudes)
         separating = SeparatingSet.from_graining(psi, graining)
@@ -246,14 +252,11 @@ def _handle_derive(params: dict, seed: int, csv_dir) -> dict:
 
 
 def _handle_solve_measure(params: dict, seed: int, csv_dir) -> dict:
-    masses = [parse_rational(m) for m in _require(params, "masses")]
+    masses = _field(params, "masses", lambda ms: [parse_rational(m) for m in ms])
     dim = len(masses)
-    grainings = []
-    for sizes in _require(params, "grainings"):
-        graining = CoarseGraining.from_sizes(sizes)
-        if graining.dim != dim:
-            raise ScenarioError("graining sizes must cover the mass grid")
-        grainings.append(graining)
+    grainings = _field(params, "grainings", lambda gs: [CoarseGraining.from_sizes(g) for g in gs])
+    if any(graining.dim != dim for graining in grainings):
+        raise ScenarioError("graining sizes must cover the mass grid")
     family = GrainingFamily(grainings)
     profile = MassProfile(masses)
     result = measure_uniqueness_solve(profile, family)
@@ -284,10 +287,10 @@ def _handle_solve_measure(params: dict, seed: int, csv_dir) -> dict:
 
 
 def _handle_games(params: dict, seed: int, csv_dir) -> dict:
-    mode = _require(params, "mode")
+    mode = _field(params, "mode")
+    payoff = linear_payoff(_field(params, "slope", float, 1.0))
     if mode == "pivotal":
-        x1, x2 = float(_require(params, "x1")), float(_require(params, "x2"))
-        payoff = linear_payoff(float(params.get("slope", 1.0)))
+        x1, x2 = _field(params, "x1", float), _field(params, "x2", float)
         result = derive_pivotal(x1, x2, payoff)
         expected = 0.5 * (payoff(x1) + payoff(x2))
         game = Game(
@@ -301,16 +304,14 @@ def _handle_games(params: dict, seed: int, csv_dir) -> dict:
         solve_ok = True
         rank = None
         if game is not None:
-            solved = value_solve([game], int(params.get("depth", 4)))
+            solved = value_solve([game], _field(params, "depth", int, 4))
             rank = solved.rank
             solve_ok = (
                 solved.value_of(game) is not None
                 and abs(solved.value_of(game) - expected) < 1e-9
             )
         ok = result.value.known and abs(result.value.value - expected) < 1e-9
-        sound = verify_soundness(
-            result.solver.constraints, result.solver.games.values()
-        )
+        sound = verify_soundness(result.solver.constraints, result.solver.games.values())
         return {
             "verdicts": {
                 "pivotal_value": "PASS" if ok else "FAIL",
@@ -326,23 +327,18 @@ def _handle_games(params: dict, seed: int, csv_dir) -> dict:
             "traces": [result.trace.to_dict()],
         }
     if mode == "special-equivalence":
-        state = parse_vector(_require(params, "state"))
-        dim = len(state)
-        p1 = Projector.from_cells([int(i) for i in _require(params, "p1_cells")], dim)
-        p2 = Projector.from_cells([int(i) for i in _require(params, "p2_cells")], dim)
-        payoff = linear_payoff(float(params.get("slope", 1.0)))
+        state = _field(params, "state", parse_vector)
+        p1 = Projector.from_cells(_field(params, "p1_cells", _ints), len(state))
+        p2 = Projector.from_cells(_field(params, "p2_cells", _ints), len(state))
+        if p1.index_set() & p2.index_set():
+            raise ScenarioError("'p1_cells' and 'p2_cells' must not overlap")
         psi = StateVector(state)
         w1, w2 = born_weight(psi, p1), born_weight(psi, p2)
         game_a = Game.projector_game(state, p1, payoff)
         game_b = Game.projector_game(state, p2, payoff)
-        rest = p1.union(p2).complement()
-        helper_spectral = [(1.0, p1), (0.0, p2)]
-        if rest.rank:
-            helper_spectral.append((-1.0, rest))
-        helper = Game(state, helper_spectral, linear_payoff(1.0))
-        swap = _swap_unitary(helper, 0, 1)
+        swap = projector_swap(state, p1, p2)
         unitaries = [swap] if swap is not None else []
-        solved = value_solve([game_a, game_b], int(params.get("depth", 2)), unitaries=unitaries)
+        solved = value_solve([game_a, game_b], _field(params, "depth", int, 2), unitaries=unitaries)
         diff = solved.difference(game_a, game_b)
         ok = abs(w1 - w2) < 1e-10 and diff is not None and abs(diff) < 1e-9
         general = general_equivalence_check(solved, [game_a, game_b])
@@ -369,26 +365,28 @@ def _handle_games(params: dict, seed: int, csv_dir) -> dict:
 
 
 def _handle_histories(params: dict, seed: int, csv_dir) -> dict:
-    psi0 = StateVector(parse_vector(_require(params, "psi0")))
+    psi0 = StateVector(_field(params, "psi0", parse_vector))
     dim = psi0.dim
-    docs = _require(params, "steps")
+    docs = _field(params, "steps")
     if not isinstance(docs, list) or not docs or not all(isinstance(d, dict) for d in docs):
         raise ScenarioError("histories 'steps' must be a non-empty list of objects")
     steps = []
     for doc in docs:
-        cells = _require(doc, "resolution")
+        cells = _field(doc, "resolution")
         if not isinstance(cells, list) or not all(
             isinstance(c, list) and all(type(i) is int for i in c) for c in cells
         ):
             raise ScenarioError("histories 'resolution' must be a list of integer cell lists")
-        unitary = parse_matrix(doc["unitary"]) if "unitary" in doc else None
+        unitary = _field(doc, "unitary", parse_matrix, None)
         steps.append(HistoryStep([Projector.from_cells(c, dim) for c in cells], unitary))
     epsilon = params.get("epsilon", 1e-8)
     if type(epsilon) not in (int, float) or not 0 <= epsilon <= sys.float_info.max:
         raise ScenarioError(f"histories 'epsilon' must be a finite number >= 0, got {epsilon!r}")
+    expect = params.get("expect", "CONSISTENT")
+    if expect not in ("CONSISTENT", "INCONSISTENT"):
+        raise ScenarioError(f"histories 'expect' must be CONSISTENT or INCONSISTENT: {expect!r}")
     history_set = HistorySet(steps, float(epsilon))
     report = consistency_check(history_set, psi0)
-    expect = params.get("expect", "CONSISTENT")
     sums_ok = abs(report.collapsed_sum - 1.0) <= 1e-9
     return {
         "verdicts": {
@@ -411,11 +409,11 @@ def _handle_histories(params: dict, seed: int, csv_dir) -> dict:
 
 
 def _handle_lln(params: dict, seed: int, csv_dir) -> dict:
-    op = _require(params, "op")
+    op = _field(params, "op")
     if op == "tail":
-        n = int(_require(params, "n"))
-        delta = float(_require(params, "delta"))
-        p = float(_require(params, "p"))
+        n = _field(params, "n", int)
+        delta = _field(params, "delta", float)
+        p = _field(params, "p", float)
         value = lln_tail(n, delta, p)
         work = tail_work(n, delta, p)
         return {
@@ -424,10 +422,10 @@ def _handle_lln(params: dict, seed: int, csv_dir) -> dict:
         }
     if op == "scan":
         report = lln_limit_scan(
-            float(_require(params, "p")),
-            float(_require(params, "delta")),
-            [int(n) for n in _require(params, "ns")],
-            threshold=float(params.get("threshold", 1e-3)),
+            _field(params, "p", float),
+            _field(params, "delta", float),
+            _field(params, "ns", _ints),
+            threshold=_field(params, "threshold", float, 1e-3),
         )
         return {
             "verdicts": {"converged": "PASS" if report.converged else "FAIL"},
@@ -440,10 +438,10 @@ def _handle_lln(params: dict, seed: int, csv_dir) -> dict:
         }
     if op == "audit":
         audit = frequency_audit(
-            [int(o) for o in _require(params, "outcomes")],
-            [float(w) for w in _require(params, "weights")],
+            _field(params, "outcomes", _ints),
+            _field(params, "weights", lambda ws: [float(w) for w in ws]),
         )
-        floor = float(params.get("surprise_floor", 0.0))
+        floor = _field(params, "surprise_floor", float, 0.0)
         ok = all(row.surprise >= floor for row in audit.rows)
         return {
             "verdicts": {"surprise_floor": "PASS" if ok else "FAIL"},
@@ -464,17 +462,20 @@ def _handle_lln(params: dict, seed: int, csv_dir) -> dict:
     raise ScenarioError(f"unknown lln op {op!r}")
 
 
+def _pm_assignment(doc) -> FrameAssignment:
+    assignment = FrameAssignment()
+    for name, value in dict(doc).items():
+        assignment.set({"P1": 0, "P2": 1, "P+": 2, "P-": 3}[name], float(value))
+    return assignment
+
+
 def _handle_nogo(params: dict, seed: int, csv_dir) -> dict:
-    check = _require(params, "check")
+    check = _field(params, "check")
     if check == "pm":
         system = PMSystem.from_generators(
-            parse_vector(_require(params, "chi1")), parse_vector(_require(params, "chi2"))
+            _field(params, "chi1", parse_vector), _field(params, "chi2", parse_vector)
         )
-        names = {"P1": 0, "P2": 1, "P+": 2, "P-": 3}
-        assignment = FrameAssignment()
-        for name, value in _require(params, "assignment").items():
-            assignment.set(names[name], float(value))
-        result = propagate_pm_constraint(system, assignment)
+        result = propagate_pm_constraint(system, _field(params, "assignment", _pm_assignment))
         expect = params.get("expect", "consistent")
         actual = "consistent" if result.consistent else "contradiction"
         return {
@@ -489,7 +490,7 @@ def _handle_nogo(params: dict, seed: int, csv_dir) -> dict:
         }
     if check == "separation":
         result = separation_check(
-            parse_vector(_require(params, "chi")), parse_vector(_require(params, "phi"))
+            _field(params, "chi", parse_vector), _field(params, "phi", parse_vector)
         )
         expect = params.get("expect")
         verdict = "PASS" if expect is None or result.verdict.value == expect else "FAIL"
@@ -503,9 +504,9 @@ def _handle_nogo(params: dict, seed: int, csv_dir) -> dict:
         }
     if check == "rotation":
         report = rotation_jump_demo(
-            parse_vector(_require(params, "chi")),
-            parse_vector(_require(params, "phi")),
-            int(_require(params, "steps")),
+            _field(params, "chi", parse_vector),
+            _field(params, "phi", parse_vector),
+            _field(params, "steps", int),
         )
         expect = params.get("expect", "contradiction")
         return {
@@ -520,7 +521,7 @@ def _handle_nogo(params: dict, seed: int, csv_dir) -> dict:
             },
         }
     if check == "search":
-        rays = RaySet([parse_vector(r) for r in _require(params, "rays")])
+        rays = RaySet(_field(params, "rays", lambda rs: [parse_vector(r) for r in rs]))
         result = dispersion_free_search(rays)
         metrics = {
             "satisfiable": result.satisfiable,
@@ -536,7 +537,7 @@ def _handle_nogo(params: dict, seed: int, csv_dir) -> dict:
             )
         if "expect_count" in params:
             verdicts["count"] = (
-                "PASS" if len(result.assignments) == int(params["expect_count"]) else "FAIL"
+                "PASS" if len(result.assignments) == _field(params, "expect_count", int) else "FAIL"
             )
         if not verdicts:
             verdicts["computed"] = "PASS"
@@ -588,7 +589,7 @@ def run_scenario(
     params = doc.get("parameters", {})
     if not isinstance(params, dict):
         raise ScenarioError(f"'parameters' must be an object, not {type(params).__name__}")
-    seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
+    seed = int(seed_override) if seed_override is not None else _field(doc, "seed", int, 0)
     csv_dir = None
     if write_csv:
         csv_dir = Path(out_path).parent if out_path else Path.cwd()

@@ -94,7 +94,7 @@ class CollapseModel:
         if gamma < 0:
             raise InvalidStateError("gamma must be nonnegative")
         if norm_mode not in ("mean-preserving", "literal"):
-            raise ValueError(f"unknown norm mode {norm_mode!r}")
+            raise PreconditionError(f"unknown norm mode {norm_mode!r}")
         ham.setflags(write=False)
         for a in obs:
             a.setflags(write=False)
@@ -178,35 +178,6 @@ def _joint_eigenblocks(observables, *, cluster_tol=1e-8):
     )
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """One step's Gaussian increments, one per observable.
-
-    Each component has mean zero and variance ``gamma * dt``; independent
-    across components and steps (ensemble statements, checked on streams,
-    not per draw).
-    """
-
-    values: np.ndarray
-    variance: float
-
-    def __init__(self, values, variance: float):
-        arr = np.asarray(values, dtype=float).reshape(-1)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "variance", float(variance))
-
-
-def noise_stream(model: CollapseModel, dt: float, seed: int):
-    """Infinite iterator of NoiseIncrements from one seeded stream."""
-    rng = np.random.default_rng(int(seed))
-    scale = np.sqrt(model.gamma * dt)
-    variance = model.gamma * dt
-    while True:
-        yield NoiseIncrement(rng.standard_normal(model.n_observables) * scale, variance)
-
-
 def _require_normalized(psi: np.ndarray) -> None:
     norm2 = float(np.real(np.vdot(psi, psi)))
     if abs(norm2 - 1.0) > 1e-9:
@@ -239,15 +210,16 @@ def drift_diffusion(model: CollapseModel, psi) -> tuple[np.ndarray, list[np.ndar
 def em_step(model: CollapseModel, psi, dt: float, noise) -> np.ndarray:
     """One explicit Euler-Maruyama step, renormalized.
 
-    Deterministic in (psi, dt, noise).  Raises
-    :class:`IntegrationFailureError` on overflow or a vanishing norm.
+    ``noise`` holds one increment per observable; the step is deterministic
+    in (psi, dt, noise).  Raises :class:`IntegrationFailureError` on
+    overflow or a vanishing norm.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if isinstance(psi, StateVector):
         psi = psi.amplitudes
     psi = np.asarray(psi, dtype=complex)
-    values = noise.values if isinstance(noise, NoiseIncrement) else np.asarray(noise, float)
+    values = np.asarray(noise, float)
     if values.shape[0] != model.n_observables:
         raise DimensionMismatchError("one noise component per observable required")
     drift, diffusion = drift_diffusion(model, psi)

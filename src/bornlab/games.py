@@ -26,7 +26,14 @@ from .errors import (
     RelabelingError,
     UnitarityError,
 )
-from .hilbert import Projector, StateVector, SymmetryUnitary, born_weight
+from .hilbert import (
+    Projector,
+    SeparatingSet,
+    StateVector,
+    SymmetryUnitary,
+    born_weight,
+    permutation_unitary,
+)
 from .trace import GAME_RULES, DerivationTrace
 
 SPECTRUM_TOL = 1e-10
@@ -178,6 +185,16 @@ def _round_key(values) -> tuple:
     return tuple(complex(v) for v in arr.ravel())
 
 
+def _unit_state(state) -> np.ndarray:
+    if isinstance(state, StateVector):
+        state = state.amplitudes
+    state = np.asarray(state, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(state)
+    if norm == 0.0:
+        raise PreconditionError("game needs a nonzero prepared state")
+    return state / norm
+
+
 @dataclass(frozen=True)
 class Game:
     """Prepared state, spectral observable, payoff.
@@ -192,13 +209,7 @@ class Game:
     payoff: object
 
     def __init__(self, state, spectral, payoff):
-        if isinstance(state, StateVector):
-            state = state.amplitudes
-        state = np.asarray(state, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(state)
-        if norm == 0.0:
-            raise PreconditionError("game needs a nonzero prepared state")
-        state = state / norm
+        state = _unit_state(state)
         state.setflags(write=False)
         spectral = tuple(
             (float(lam), proj) for lam, proj in sorted(spectral, key=lambda p: -p[0])
@@ -220,25 +231,6 @@ class Game:
         object.__setattr__(self, "payoff", payoff)
 
     @classmethod
-    def from_observable(cls, state, observable, payoff, *, tol: float = 1e-8) -> "Game":
-        obs = np.asarray(observable, dtype=complex)
-        if np.max(np.abs(obs - obs.conj().T)) > 1e-10:
-            raise PreconditionError("observable must be Hermitian")
-        eigvals, eigvecs = np.linalg.eigh(obs)
-        spectral = []
-        start = 0
-        while start < len(eigvals):
-            stop = start + 1
-            while stop < len(eigvals) and abs(eigvals[stop] - eigvals[start]) <= tol:
-                stop += 1
-            cols = eigvecs[:, start:stop]
-            spectral.append(
-                (float(eigvals[start]), Projector.from_matrix(cols @ cols.conj().T, tol=1e-9))
-            )
-            start = stop
-        return cls(state, spectral, payoff)
-
-    @classmethod
     def projector_game(cls, state, proj: Projector, payoff) -> "Game":
         """Game measuring a single projector: labels 1 on it, 0 on the rest."""
         return cls(state, [(1.0, proj), (0.0, proj.complement())], payoff)
@@ -250,9 +242,6 @@ class Game:
     @property
     def spectrum(self) -> tuple[float, ...]:
         return tuple(lam for lam, _ in self.spectral)
-
-    def observable_matrix(self) -> np.ndarray:
-        return sum(lam * proj.as_matrix() for lam, proj in self.spectral)
 
     def outcome_weights(self) -> tuple[float, ...]:
         psi = StateVector(self.state)
@@ -297,13 +286,11 @@ def relabel_game(game: Game, f: Relabeling) -> Game:
 
 def transform_game(game: Game, unitary) -> Game:
     """Conjugated presentation: state and observable moved by one unitary."""
-    if isinstance(unitary, SymmetryUnitary):
-        matrix = unitary.matrix
-    else:
-        matrix = np.asarray(unitary, dtype=complex)
-        dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
-        if matrix.shape != (game.dim, game.dim) or dev > 1e-10:
+    if not isinstance(unitary, SymmetryUnitary):
+        if np.shape(unitary) != (game.dim, game.dim):
             raise UnitarityError("transformation must be unitary on the game's space")
+        unitary = SymmetryUnitary(unitary, tol=1e-10)
+    matrix = unitary.matrix
     spectral = []
     for lam, proj in game.spectral:
         moved = matrix @ proj.as_matrix() @ matrix.conj().T
@@ -377,47 +364,32 @@ class ValueSolveResult:
         return float(self._solution[ia] - self._solution[ib])
 
 
-def _swap_unitary(game: Game, j: int, k: int) -> np.ndarray | None:
-    """State-preserving unitary exchanging the j-th and k-th eigenspaces.
+def projector_swap(state, p1: Projector, p2: Projector) -> np.ndarray | None:
+    """State-preserving unitary exchanging the ranges of two orthogonal projectors.
 
-    Exists when the two projectors have equal rank and the state's
-    components in them have equal norm: the components map onto each other
-    and the remaining range directions pair off arbitrarily.
+    Exists when the projectors have equal rank and the state's components
+    in them have equal norm: the normalised components map onto each other,
+    the remaining range directions pair off, and everything outside the two
+    ranges stays fixed (``permutation_unitary`` on the pair).  A component
+    with no weight is replaced by a unit vector of its range.
     """
-    _, pj = game.spectral[j]
-    _, pk = game.spectral[k]
-    if pj.rank != pk.rank:
+    state = _unit_state(state)
+    if p1.rank != p2.rank:
         return None
-    vj = pj.apply(game.state)
-    vk = pk.apply(game.state)
-    nj, nk = np.linalg.norm(vj), np.linalg.norm(vk)
-    if abs(nj - nk) > WEIGHT_TOL:
+    comps = [p1.apply(state), p2.apply(state)]
+    norms = [np.linalg.norm(comp) for comp in comps]
+    if abs(norms[0] - norms[1]) > WEIGHT_TOL:
         return None
-
-    def range_basis(proj, lead):
-        mat = proj.as_matrix()
-        eigvals, eigvecs = np.linalg.eigh(mat)
-        cols = [c for c in eigvecs[:, eigvals > 0.5].T]
-        if lead is not None:
-            ordered = [lead]
-            for c in cols:
-                r = c - sum(np.vdot(b, c) * b for b in ordered)
-                norm = np.linalg.norm(r)
-                if norm > 1e-9:
-                    ordered.append(r / norm)
-            return ordered[: proj.rank]
-        return cols[: proj.rank]
-
-    lead_j = vj / nj if nj > WEIGHT_TOL else None
-    lead_k = vk / nk if nk > WEIGHT_TOL else None
-    basis_j = range_basis(pj, lead_j)
-    basis_k = range_basis(pk, lead_k)
-    dim = game.dim
-    u = np.eye(dim, dtype=complex)
-    u -= pj.as_matrix() + pk.as_matrix()
-    for bj, bk in zip(basis_j, basis_k):
-        u += np.outer(bk, bj.conj()) + np.outer(bj, bk.conj())
-    return u
+    if p1.rank == 0:
+        return np.eye(p1.dim, dtype=complex)
+    vectors = []
+    for proj, comp, norm in zip((p1, p2), comps, norms):
+        if norm <= WEIGHT_TOL:
+            mat = proj.as_matrix()
+            comp = mat[:, np.argmax(np.linalg.norm(mat, axis=0))]
+            norm = np.linalg.norm(comp)
+        vectors.append(comp / norm)
+    return permutation_unitary((1, 0), SeparatingSet(vectors, (p1, p2))).matrix
 
 
 class ValueSolver:
@@ -507,11 +479,11 @@ class ValueSolver:
             for k in range(j + 1, n):
                 if abs(weights[j] - weights[k]) > WEIGHT_TOL:
                     continue
-                u = _swap_unitary(game, j, k)
+                (lam_j, p_j), (lam_k, p_k) = game.spectral[j], game.spectral[k]
+                u = projector_swap(game.state, p_j, p_k)
                 if u is None:
                     continue
                 produced.append(self.transform(game, u))
-                lam_j, lam_k = game.spectral[j][0], game.spectral[k][0]
                 if n == 2:
                     swap = Relabeling.affine(-1.0, lam_j + lam_k)
                 else:
@@ -534,11 +506,6 @@ class ValueSolver:
             if game.payoff.is_linear:
                 produced.append(self.zero_sum(game))
         return produced
-
-    def expand(self, depth: int) -> None:
-        for _ in range(max(0, int(depth))):
-            for game in list(self.games.values()):
-                self.expand_game(game)
 
     def solve(self) -> ValueSolveResult:
         keys = list(self.games)
@@ -580,26 +547,6 @@ class ValueSolver:
             _null_basis=null_basis,
             _index=index,
         )
-
-
-def axiom_constraints(
-    game: Game, *, shifts: Sequence[float] = (), negate: bool = True
-) -> list[Constraint]:
-    """Constraints the two decision axioms impose on one game's value.
-
-    Shift constraints need a linear payoff; requesting them for a
-    nonlinear payoff raises :class:`LinearityError`.
-    """
-    solver = ValueSolver()
-    solver.register(game)
-    if shifts and not getattr(game.payoff, "is_linear", False):
-        raise LinearityError("shift constraints need a linear payoff")
-    for s in shifts:
-        solver.sure_thing(game, float(s))
-    if negate:
-        if isinstance(game.payoff, AffinePayoff):
-            solver.zero_sum(game)
-    return list(solver.constraints)
 
 
 def born_assignment(games: Iterable[Game]) -> dict:
@@ -690,7 +637,7 @@ def derive_pivotal(
     game = Game(state, spectral, payoff)
     solver.register(game)
 
-    u = _swap_unitary(game, 0, 1)
+    u = projector_swap(state, spectral[0][1], spectral[1][1])
     conjugated = solver.transform(game, u)
     _validate_step(trace, "measurement-equivalence", game, conjugated, 0.0)
 

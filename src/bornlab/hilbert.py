@@ -170,15 +170,6 @@ class Projector:
             return cls(dim=arr.shape[0], cells=_normalize_ranges(cells, arr.shape[0]))
         return cls(dim=arr.shape[0], matrix=arr)
 
-    @classmethod
-    def onto_vector(cls, vector) -> "Projector":
-        """Rank-1 projector onto the ray of ``vector``."""
-        v = _as_complex_vector(vector)
-        n2 = np.real(np.vdot(v, v))
-        if n2 == 0.0:
-            raise InvalidStateError("cannot project onto the zero vector")
-        return cls(dim=v.shape[0], matrix=np.outer(v, v.conj()) / n2)
-
     def __post_init__(self):
         if self.cells is None and self.matrix is None:
             raise InvalidStateError("projector needs a cell or matrix representation")
@@ -212,7 +203,7 @@ class Projector:
                 f"projector on {self.dim} cells applied to vector of length {amplitudes.shape[0]}"
             )
         if self.cells is not None:
-            out = np.zeros_like(amplitudes)
+            out = np.zeros(amplitudes.shape, dtype=amplitudes.dtype)
             for start, stop in self.cells:
                 out[start:stop] = amplitudes[start:stop]
             return out
@@ -279,12 +270,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def pure(cls, psi: StateVector) -> "DensityMatrix":
-        psi.require_nonzero()
-        v = psi.amplitudes
-        return cls(np.outer(v, v.conj()) / psi.norm2)
 
 
 @dataclass(frozen=True)
@@ -474,10 +459,6 @@ class SymmetryUnitary:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def conjugate_projector(self, proj: Projector) -> Projector:
-        mat = self.matrix @ proj.as_matrix() @ self.matrix.conj().T
-        return Projector.from_matrix(mat, tol=1e-9)
-
     def apply(self, psi: StateVector) -> StateVector:
         return StateVector(self.matrix @ psi.amplitudes)
 
@@ -504,21 +485,19 @@ class SeparatingSet:
         for v in vectors:
             if v.dim != dim:
                 raise DimensionMismatchError("vectors live on different grids")
-        gram = np.array(
-            [[np.vdot(a.amplitudes, b.amplitudes) for b in vectors] for a in vectors]
-        )
-        if np.max(np.abs(gram - np.eye(len(vectors)))) > tol:
+        columns = np.array([v.amplitudes for v in vectors]).T
+        if np.max(np.abs(columns.conj().T @ columns - np.eye(len(vectors)))) > tol:
             raise InvalidStateError("vectors are not orthonormal within tolerance")
         for j, proj in enumerate(projectors):
             if proj.dim != dim:
                 raise DimensionMismatchError("projector dimension mismatch")
-            for k, vec in enumerate(vectors):
-                image = proj.apply(vec.amplitudes)
-                target = vec.amplitudes if j == k else 0.0 * vec.amplitudes
-                if np.max(np.abs(image - target)) > tol:
-                    raise InvalidStateError(
-                        f"projector {j} does not separate vector {k} within tolerance"
-                    )
+            target = np.zeros_like(columns)
+            target[:, j] = columns[:, j]
+            misses = np.max(np.abs(proj.apply(columns) - target), axis=0) > tol
+            if misses.any():
+                raise InvalidStateError(
+                    f"projector {j} does not separate vector {np.argmax(misses)} within tolerance"
+                )
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "projectors", projectors)
 
@@ -585,13 +564,6 @@ class MeasureTable:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @classmethod
-    def born_table(cls, psi: StateVector, projectors: Iterable[Projector]) -> "MeasureTable":
-        table = cls()
-        for proj in projectors:
-            table.assign(proj, born_weight(psi, proj))
-        return table
 
 
 # ---------------------------------------------------------------------------
@@ -680,28 +652,22 @@ def permutation_unitary(
 
 
 def _range_basis(separating: SeparatingSet, k: int) -> np.ndarray:
-    """Orthonormal basis of ran(P_k) whose first column is vector k."""
+    """Orthonormal basis of ran(P_k) whose first column is vector k.
+
+    Vector k is completed by Gram-Schmidt over the unit cells of a
+    cell-form projector, or over the range eigenvectors of a matrix-form one.
+    """
     proj = separating.projectors[k]
     vec = separating.vectors[k].amplitudes
     if proj.cells is not None:
-        idx = sorted(proj.indices())
-        cols = [vec]
-        # complete with unit cells of the block, Gram-Schmidt against vec
-        for i in idx:
-            e = np.zeros(len(vec), dtype=complex)
-            e[i] = 1.0
-            for c in cols:
-                e = e - np.vdot(c, e) * c
-            norm = np.linalg.norm(e)
-            if norm > 1e-9:
-                cols.append(e / norm)
-        return np.array(cols[: proj.rank]).T
-    mat = proj.as_matrix()
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    basis = eigvecs[:, eigvals > 0.5]
+        candidates = np.eye(len(vec), dtype=complex)[sorted(proj.indices())]
+    else:
+        eigvals, eigvecs = np.linalg.eigh(proj.as_matrix())
+        candidates = eigvecs[:, eigvals > 0.5].T
     cols = [vec]
-    for j in range(basis.shape[1]):
-        e = basis[:, j]
+    for e in candidates:
+        if len(cols) >= proj.rank:
+            break
         for c in cols:
             e = e - np.vdot(c, e) * c
         norm = np.linalg.norm(e)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, HistoryCountError, InvalidStateError
-from .hilbert import Projector, StateVector
+from .hilbert import Projector, StateVector, SymmetryUnitary
 
 DEFAULT_EPSILON = 1e-8
 DEFAULT_HISTORY_CAP = 10**6
@@ -33,12 +33,9 @@ PAIR_BLOCK_ROWS = 512
 
 
 def _as_unitary(matrix, dim: int) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.shape != (dim, dim):
+    if np.shape(matrix) != (dim, dim):
         raise DimensionMismatchError(f"unitary must be {dim}x{dim}")
-    if np.max(np.abs(arr.conj().T @ arr - np.eye(dim))) > 1e-10:
-        raise InvalidStateError("inter-step evolution must be unitary")
-    return arr
+    return SymmetryUnitary(matrix, tol=1e-10).matrix
 
 
 @dataclass(frozen=True)

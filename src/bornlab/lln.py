@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import PreconditionError
+
 EXACT_N_LIMIT = 1000
 
 
@@ -30,11 +32,11 @@ class LlnQuery:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("trial count must be at least 1")
-        if not self.delta > 0:
-            raise ValueError("deviation threshold must be positive")
+            raise PreconditionError(f"trial count n must be at least 1, got {self.n}")
+        if not 0 < self.delta < math.inf:
+            raise PreconditionError(f"threshold delta must be positive and finite: {self.delta}")
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError("per-trial chance must lie in [0, 1]")
+            raise PreconditionError(f"per-trial chance p must lie in [0, 1], got {self.p}")
 
 
 def _tail_cut(n: int, delta: Fraction, p: Fraction) -> tuple[int, int]:

@@ -108,19 +108,6 @@ class PMSystem:
         minus = _normalize_ray(a - b)
         return cls(RaySet([a, b, plus, minus]))
 
-    @classmethod
-    def from_rays(cls, chi1, chi2, plus, minus, *, tol: float = 1e-9) -> "PMSystem":
-        a = _normalize_ray(chi1)
-        b = _normalize_ray(chi2)
-        if abs(np.vdot(a, b)) > ORTHO_TOL:
-            raise GeometryError("generator rays must be orthogonal")
-        for candidate in (plus, minus):
-            c = _normalize_ray(candidate)
-            residual = c - np.vdot(a, c) * a - np.vdot(b, c) * b
-            if np.linalg.norm(residual) > tol:
-                raise GeometryError("sum/difference rays must lie in the generator plane")
-        return cls(RaySet([a, b, plus, minus]))
-
 
 @dataclass(frozen=True)
 class PMPropagation:

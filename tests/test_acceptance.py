@@ -29,10 +29,10 @@ from bornlab.games import (
     ValueSolver,
     derive_pivotal,
     linear_payoff,
+    projector_swap,
     value_solve,
     verify_soundness,
 )
-from bornlab.games import _swap_unitary
 from bornlab.hilbert import (
     CoarseGraining,
     GrainingFamily,
@@ -221,12 +221,7 @@ def test_criterion_06_special_equivalence():
         payoff = linear_payoff(float(rng.uniform(0.5, 3.0)))
         game_a = Game.projector_game(state, p1, payoff)
         game_b = Game.projector_game(state, p2, payoff)
-        rest = p1.union(p2).complement()
-        spectral = [(1.0, p1), (0.0, p2)]
-        if rest.rank:
-            spectral.append((-1.0, rest))
-        helper = Game(state, spectral, linear_payoff(1.0))
-        swap = _swap_unitary(helper, 0, 1)
+        swap = projector_swap(state, p1, p2)
         assert swap is not None
         solved = value_solve([game_a, game_b], 2, unitaries=[swap])
         diff = solved.difference(game_a, game_b)

@@ -10,6 +10,8 @@ from bornlab.cli import (
     EXIT_USAGE,
     ScenarioError,
     main,
+    parse_matrix,
+    parse_vector,
     render_report,
     run_scenario,
 )
@@ -28,6 +30,17 @@ def lln_scan_doc(seed=3):
         "seed": seed,
         "parameters": {"op": "scan", "p": 0.5, "delta": 0.1, "ns": [10, 100, 1000]},
     }
+
+
+SIMULATE_PARAMS = {
+    "model": {"observables": [[[1, 0], [0, -1]]], "gamma": 1.0},
+    "psi0": [0.6, 0.8],
+    "t_max": 0.01,
+    "dt": 0.001,
+    "n_trajectories": 2,
+}
+
+PM_PARAMS = {"check": "pm", "chi1": [1, 0, 0], "chi2": [0, 1, 0]}
 
 
 class TestRunScenario:
@@ -142,6 +155,22 @@ class TestDeterminism:
         assert reports[0] == reports[1]
 
 
+class TestParsing:
+    @pytest.mark.parametrize("value", [5, "ab", {"a": 1}, None])
+    def test_vector_must_be_a_list(self, value):
+        with pytest.raises(ScenarioError, match="list"):
+            parse_vector(value)
+
+    @pytest.mark.parametrize("value", [5, "ab", [5], [[1, 0], "ab"]])
+    def test_matrix_must_be_a_list_of_lists(self, value):
+        with pytest.raises(ScenarioError, match="list"):
+            parse_matrix(value)
+
+    def test_parsed_values(self):
+        assert parse_vector([1, [0, 2]]).tolist() == [1, 2j]
+        assert parse_matrix([[1, 0], [0, [0, -1]]]).tolist() == [[1, 0], [0, -1j]]
+
+
 class TestMain:
     def test_usage_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "missing.json"
@@ -206,6 +235,61 @@ class TestMain:
         params = {"psi0": [0.6, 0.8], "steps": [{"resolution": [[0], [1]]}], **change}
         scenario = write_scenario(tmp_path, {"kind": "histories", "parameters": params})
         assert main(["histories", "--scenario", str(scenario)]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, params, field",
+        [
+            ("histories", {"psi0": 5, "steps": [{"resolution": [[0], [1]]}]}, "'psi0'"),
+            (
+                "histories",
+                {"psi0": [0.6, 0.8], "steps": [{"resolution": [[0], [1]], "unitary": 5}]},
+                "'unitary'",
+            ),
+            ("simulate", {**SIMULATE_PARAMS, "psi0": 5}, "'psi0'"),
+            ("simulate", {**SIMULATE_PARAMS, "n_trajectories": "abc"}, "'n_trajectories'"),
+            ("nogo", {"check": "separation", "chi": 7, "phi": [1, 0]}, "'chi'"),
+            ("lln", {"op": "tail", "n": 10, "delta": "x", "p": 0.5}, "'delta'"),
+            ("solve-measure", {"masses": ["1/0", 1], "grainings": [[1, 1]]}, "'masses'"),
+            ("nogo", {**PM_PARAMS, "assignment": {"P3": 0.5}}, "'assignment'"),
+            ("nogo", {**PM_PARAMS, "assignment": {"P1": 1.5}}, "'assignment'"),
+        ],
+    )
+    def test_unconvertible_field_exit_usage(self, tmp_path, capsys, kind, params, field):
+        scenario = write_scenario(tmp_path, {"kind": kind, "parameters": params})
+        assert main([kind, "--scenario", str(scenario)]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, params, field",
+        [
+            ("lln", {"op": "tail", "n": 10, "delta": 0.1, "p": 1.5}, "chance p"),
+            ("lln", {"op": "tail", "n": -3, "delta": 0.1, "p": 0.5}, "count n"),
+            (
+                "simulate",
+                {**SIMULATE_PARAMS, "model": {**SIMULATE_PARAMS["model"], "norm_mode": "x"}},
+                "norm mode",
+            ),
+            (
+                "histories",
+                {"psi0": [0.6, 0.8], "steps": [{"resolution": [[0], [1]]}], "expect": 3},
+                "'expect'",
+            ),
+            (
+                "games",
+                {
+                    "mode": "special-equivalence",
+                    "state": [1, 0, 1],
+                    "p1_cells": [0, 1],
+                    "p2_cells": [1, 2],
+                },
+                "'p1_cells'",
+            ),
+        ],
+    )
+    def test_out_of_range_field_exit_usage(self, tmp_path, capsys, kind, params, field):
+        scenario = write_scenario(tmp_path, {"kind": kind, "parameters": params})
+        assert main([kind, "--scenario", str(scenario)]) == EXIT_USAGE
         assert field in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, recwarn):

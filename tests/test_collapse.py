@@ -5,14 +5,12 @@ import pytest
 
 from bornlab.collapse import (
     CollapseModel,
-    NoiseIncrement,
     _eigen_frame,
     _run_batch,
     drift_diffusion,
     em_step,
     ensemble_outcomes,
     martingale_check,
-    noise_stream,
     simulate,
     trajectory_to_csv,
 )
@@ -243,33 +241,6 @@ class TestSimulate:
         assert len(lines) == len(traj.times) + 1
         first = [float(x) for x in lines[1].split(",")]
         assert first[5] + first[6] == pytest.approx(1.0)
-
-
-class TestNoise:
-    def test_stream_moments(self, qubit_model):
-        stream = noise_stream(qubit_model, 1e-3, seed=123)
-        draws = np.array([next(stream).values[0] for _ in range(40_000)])
-        var = qubit_model.gamma * 1e-3
-        # sample mean within 4 sigma of 0; sample variance within 4 sigma
-        assert abs(draws.mean()) < 4 * np.sqrt(var / draws.size)
-        var_sigma = var * np.sqrt(2.0 / (draws.size - 1))
-        assert abs(draws.var(ddof=1) - var) < 4 * var_sigma
-
-    def test_increment_immutable(self):
-        inc = NoiseIncrement([0.1], 1e-3)
-        with pytest.raises(ValueError):
-            inc.values[0] = 2.0
-
-    def test_two_component_covariance(self):
-        model = CollapseModel(
-            np.zeros((2, 2)), [np.diag([1.0, -1.0]), np.diag([2.0, 0.0])], gamma=0.5
-        )
-        stream = noise_stream(model, 1e-2, seed=7)
-        draws = np.array([next(stream).values for _ in range(30_000)])
-        var = model.gamma * 1e-2
-        cov = np.cov(draws.T)
-        assert abs(cov[0, 0] - var) < 4 * var * np.sqrt(2 / draws.shape[0])
-        assert abs(cov[0, 1]) < 4 * var / np.sqrt(draws.shape[0])
 
 
 class TestEnsemble:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab.errors import (
     LinearityError,
@@ -15,16 +17,15 @@ from bornlab.games import (
     Relabeling,
     TabularPayoff,
     ValueSolver,
-    axiom_constraints,
     born_assignment,
     derive_pivotal,
     linear_payoff,
+    projector_swap,
     relabel_game,
     transform_game,
     value_solve,
     verify_soundness,
 )
-from bornlab.games import _swap_unitary
 from bornlab.hilbert import Projector, StateVector, born_weight
 
 
@@ -56,17 +57,6 @@ class TestGameConstruction:
                 ],
                 linear_payoff(),
             )
-
-    def test_from_observable_groups_eigenvalues(self):
-        obs = np.diag([3.0, 3.0, -1.0])
-        game = Game.from_observable(np.array([1, 1, 1]), obs, linear_payoff())
-        assert game.spectrum == (3.0, -1.0)
-        assert game.spectral[0][1].rank == 2
-
-    def test_observable_matrix_roundtrip(self):
-        game = two_outcome_game(2.0, -1.0)
-        rebuilt = Game.from_observable(game.state, game.observable_matrix(), game.payoff)
-        assert rebuilt.key() == game.key()
 
     def test_born_value(self):
         game = two_outcome_game(0.0, 10.0, amplitudes=(np.sqrt(0.3), np.sqrt(0.7)))
@@ -151,8 +141,9 @@ class TestTransformGame:
 class TestAxiomConstraints:
     def test_zero_shift_is_tautology(self):
         game = two_outcome_game()
-        constraints = axiom_constraints(game, shifts=[0.0], negate=False)
-        assert constraints == []
+        solver = ValueSolver()
+        assert solver.sure_thing(game, 0.0).key() == game.key()
+        assert solver.constraints == []
 
     def test_double_negation_involution(self):
         game = two_outcome_game()
@@ -170,7 +161,7 @@ class TestAxiomConstraints:
             TabularPayoff({1.0: 1.0, 2.0: 4.0}),
         )
         with pytest.raises(LinearityError):
-            axiom_constraints(game, shifts=[1.0])
+            ValueSolver().sure_thing(game, 1.0)
 
     def test_axioms_reject_offset_payoffs(self):
         # shift/negation relations hold only for odd payoffs; an offset
@@ -218,6 +209,14 @@ class TestDerivePivotal:
         assert result.relation_only
         assert result.value.value is None
         # the symmetry relation is still recorded and sound
+        assert verify_soundness(
+            result.solver.constraints, result.solver.games.values()
+        ) < 1e-10
+
+    def test_spectator_with_negative_label(self):
+        # the swap pairs the two labelled outcomes, not the first two by label order
+        result = derive_pivotal(-1.0, 5.0, linear_payoff(1.0), spectator_amplitude=0.5)
+        assert result.relation_only
         assert verify_soundness(
             result.solver.constraints, result.solver.games.values()
         ) < 1e-10
@@ -280,28 +279,77 @@ class TestValueSolve:
             p2 = Projector.from_cells([1], 3)
             game_a = Game.projector_game(state, p1, linear_payoff(2.0))
             game_b = Game.projector_game(state, p2, linear_payoff(2.0))
-            helper = Game(
-                state,
-                [(1.0, p1), (0.0, p2), (-1.0, Projector.from_cells([2], 3))],
-                linear_payoff(1.0),
-            )
-            swap = _swap_unitary(helper, 0, 1)
+            swap = projector_swap(state, p1, p2)
             result = value_solve([game_a, game_b], 2, unitaries=[swap])
             diff = result.difference(game_a, game_b)
             assert diff is not None and abs(diff) < 1e-9
 
     def test_equivalence_requires_equal_weights(self):
         state = np.array([1.0, 2.0, 1.0])
-        helper = Game(
-            state,
-            [
-                (1.0, Projector.from_cells([0], 3)),
-                (0.0, Projector.from_cells([1], 3)),
-                (-1.0, Projector.from_cells([2], 3)),
-            ],
-            linear_payoff(1.0),
-        )
-        assert _swap_unitary(helper, 0, 1) is None
+        p0, p1 = Projector.from_cells([0], 3), Projector.from_cells([1], 3)
+        assert projector_swap(state, p0, p1) is None
+
+
+def swap_case(seed, d, rotated, zero_weight):
+    """Two orthogonal projectors of equal rank and a state with equal weight in each."""
+    rng = np.random.default_rng(seed)
+    rank = 1 + seed % (d // 2)
+    if zero_weight and 2 * rank == d:
+        rank -= 1  # leave room outside the two ranges for the state
+    if rank == 0:
+        rank, zero_weight = 1, False
+    basis = haar_unitary(rng, d) if rotated else np.eye(d, dtype=complex)
+    cols = rng.permutation(d)
+    ranges = [basis[:, cols[:rank]], basis[:, cols[rank : 2 * rank]]]
+    if rotated:
+        p1, p2 = (Projector.from_matrix(b @ b.conj().T, tol=1e-9) for b in ranges)
+    else:
+        p1, p2 = (Projector.from_cells(cols[i * rank : (i + 1) * rank], d) for i in (0, 1))
+    weight = 0.0 if zero_weight else rng.uniform(0.05, 0.5)
+    blocks = [(weight, ranges[0]), (weight, ranges[1])]
+    if 2 * rank < d:
+        blocks.append((1 - 2 * weight, basis[:, cols[2 * rank :]]))
+    state = np.zeros(d, dtype=complex)
+    for share, block in blocks:
+        coeffs = rng.normal(size=block.shape[1]) + 1j * rng.normal(size=block.shape[1])
+        state += np.sqrt(share) * block @ coeffs / np.linalg.norm(coeffs)
+    return 3.0 * state, p1, p2
+
+
+class TestProjectorSwap:
+    @given(st.integers(0, 10_000), st.integers(2, 5), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_swap_properties(self, seed, d, rotated, zero_weight):
+        state, p1, p2 = swap_case(seed, d, rotated, zero_weight)
+        u = projector_swap(state, p1, p2)
+        assert u is not None
+        eye = np.eye(d)
+        assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10
+        psi = state / np.linalg.norm(state)
+        assert np.max(np.abs(u @ psi - psi)) <= 1e-10
+        m1, m2 = p1.as_matrix(), p2.as_matrix()
+        assert np.max(np.abs(u @ m1 @ u.conj().T - m2)) <= 1e-9
+        outside = eye - m1 - m2
+        assert np.max(np.abs(u @ outside - outside)) <= 1e-10
+
+    @given(st.integers(0, 10_000), st.integers(3, 5), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_no_swap_without_equal_rank_and_weight(self, seed, d, rotated):
+        state, p1, p2 = swap_case(seed, d, rotated, False)
+        tilted = state + 0.5 * p1.apply(state)
+        assert projector_swap(tilted, p1, p2) is None
+        wider = Projector.from_cells(range(1, d), d)
+        assert projector_swap(state, Projector.from_cells([0], d), wider) is None
+
+    def test_empty_ranges_swap_to_identity(self):
+        empty = Projector.from_cells([], 3)
+        assert np.array_equal(projector_swap([1.0, 2.0, 3.0], empty, empty), np.eye(3))
+
+    def test_no_swap_between_ranks_of_equal_weight(self):
+        state = np.array([1.0, np.sqrt(0.5), np.sqrt(0.5)])
+        p0, p12 = Projector.from_cells([0], 3), Projector.from_cells([1, 2], 3)
+        assert born_weight(StateVector(state), p0) == pytest.approx(0.5)
+        assert projector_swap(state, p0, p12) is None
 
 
 class TestGeneralEquivalence:

@@ -141,7 +141,8 @@ class TestTraceWeight:
     def test_pure_density_matches_vector_rule(self, d, seed):
         rng = np.random.default_rng(seed)
         psi = random_state(rng, d)
-        rho = DensityMatrix.pure(psi)
+        v = psi.amplitudes
+        rho = DensityMatrix(np.outer(v, v.conj()) / psi.norm2)
         proj = Projector.from_cells([0], d)
         assert trace_weight(rho, proj) == pytest.approx(
             born_weight(psi, proj), abs=1e-10
@@ -161,11 +162,6 @@ class TestProjector:
         proj = Projector.from_cells([0, 2], 4)
         assert proj.rank == 2
         assert proj.complement().index_set() == {1, 3}
-
-    def test_onto_vector(self):
-        proj = Projector.onto_vector([1, 1])
-        assert proj.rank == 1
-        assert born_weight(StateVector([1, -1]), proj) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestGraining:
@@ -277,7 +273,8 @@ class TestPhaseUnitary:
         u = phase_unitary(thetas, sep)
         moved = StateVector(u.matrix @ psi.amplitudes)
         for proj in sep.projectors:
-            conj = u.conjugate_projector(proj)
+            mat = u.matrix @ proj.as_matrix() @ u.matrix.conj().T
+            conj = Projector.from_matrix(mat, tol=1e-9)
             assert conj == proj
             assert born_weight(moved, proj) == pytest.approx(
                 born_weight(psi, proj), abs=1e-10
@@ -291,6 +288,13 @@ class TestSymmetryUnitary:
 
 
 class TestSeparatingSet:
+    def test_rejects_non_unit_vector(self):
+        with pytest.raises(InvalidStateError, match="orthonormal"):
+            SeparatingSet(
+                [[2, 0], [0, 1]],
+                [Projector.from_cells([0], 2), Projector.from_cells([1], 2)],
+            )
+
     def test_rejects_nonorthonormal(self):
         with pytest.raises(InvalidStateError):
             SeparatingSet(
@@ -310,7 +314,7 @@ class TestCheckAdditivity:
     def test_born_table_is_additive(self):
         lattice = sublattice_from_graining(CoarseGraining.unit_cells(3))
         psi = StateVector([1, 2, 3])
-        table = MeasureTable.born_table(psi, lattice.elements())
+        table = MeasureTable({proj: born_weight(psi, proj) for proj in lattice.elements()})
         report = check_additivity(table, lattice)
         assert report.ok
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import histories as histories_module
-from bornlab.errors import DimensionMismatchError, HistoryCountError
+from bornlab.errors import DimensionMismatchError, HistoryCountError, UnitarityError
 from bornlab.hilbert import Projector, StateVector
 from bornlab.histories import (
     EventDiscrepancy,
@@ -118,6 +118,13 @@ class TestCollapsedProbability:
         steps = (HistoryStep(z_resolution()),)
         with pytest.raises(DimensionMismatchError):
             collapsed_probability(History(steps, (0,)), StateVector([1, 0, 0]))
+
+
+    def test_nonunitary_step_rejected(self):
+        with pytest.raises(UnitarityError):
+            HistoryStep(z_resolution(), np.diag([1.0, 2.0]))
+        with pytest.raises(DimensionMismatchError):
+            HistoryStep(z_resolution(), np.eye(3))
 
 
 class TestUncollapsedProbability:

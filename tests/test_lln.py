@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bornlab.errors import PreconditionError
 from bornlab.lln import (
     LlnQuery,
     frequency_audit,
@@ -86,6 +87,18 @@ class TestLlnTail:
             LlnQuery(10, 0.0, 0.5)
         with pytest.raises(ValueError):
             LlnQuery(10, 0.1, 1.5)
+
+    @pytest.mark.parametrize(
+        "n, delta, p, field",
+        [
+            (-3, 0.1, 0.5, "count n"),
+            (10, math.inf, 0.5, "threshold delta"),
+            (10, 0.1, 1.5, "chance p"),
+        ],
+    )
+    def test_invalid_queries_name_the_field(self, n, delta, p, field):
+        with pytest.raises(PreconditionError, match=field):
+            LlnQuery(n, delta, p)
 
     def test_matches_brute_force_up_to_thirty(self):
         for n in range(1, 31):
