@@ -159,6 +159,8 @@ def _table_to_dict(table: MeasureTable) -> dict:
 def _handle_simulate(params: dict, seed: int, csv_dir: Path | None) -> dict:
     model_doc = _field(params, "model", dict)
     observables = _field(model_doc, "observables", lambda ms: [parse_matrix(m) for m in ms])
+    if not observables:
+        raise ScenarioError("'observables' must list at least one matrix")
     dim = observables[0].shape[0]
     model = CollapseModel(
         _field(model_doc, "hamiltonian", parse_matrix, np.zeros((dim, dim))),
@@ -171,6 +173,7 @@ def _handle_simulate(params: dict, seed: int, csv_dir: Path | None) -> dict:
     dt = _field(params, "dt", float)
     n = _field(params, "n_trajectories", int)
     eps = _field(params, "eps_collapse", float, 1e-6)
+    _field(params, "workers", int, 1)  # accepted; one batch runs every trajectory
     report = ensemble_outcomes(
         model,
         psi0,
@@ -180,7 +183,6 @@ def _handle_simulate(params: dict, seed: int, csv_dir: Path | None) -> dict:
         seed=seed,
         eps_collapse=eps,
         band_multiplier=_field(params, "band_multiplier", float, 1.0),
-        workers=_field(params, "workers", int, 1),
         martingale_checkpoints=params.get("martingale_checkpoints"),
         martingale_trajectories=_field(params, "martingale_trajectories", int, min(n, 2000)),
     )
@@ -301,11 +303,9 @@ def _handle_games(params: dict, seed: int, csv_dir) -> dict:
             ],
             payoff,
         ) if abs(x1 - x2) > 1e-10 else None
-        solve_ok = True
-        rank = None
+        solve_ok, solved = True, None
         if game is not None:
             solved = value_solve([game], _field(params, "depth", int, 4))
-            rank = solved.rank
             solve_ok = (
                 solved.value_of(game) is not None
                 and abs(solved.value_of(game) - expected) < 1e-9
@@ -321,7 +321,9 @@ def _handle_games(params: dict, seed: int, csv_dir) -> dict:
             "metrics": {
                 "value": result.value.value,
                 "expected": expected,
-                "solver_rank": rank,
+                "solver_rank": solved and solved.rank,
+                "n_unknowns": solved and solved.n_unknowns,
+                "constraints": solved and len(solved.constraints),
                 "soundness_residual": sound,
             },
             "traces": [result.trace.to_dict()],
@@ -350,6 +352,7 @@ def _handle_games(params: dict, seed: int, csv_dir) -> dict:
                 "value_difference": diff,
                 "rank": solved.rank,
                 "n_unknowns": solved.n_unknowns,
+                "constraints": len(solved.constraints),
                 "general_equivalence": [
                     {
                         "pair": list(row["pair"]),

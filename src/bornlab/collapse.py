@@ -31,12 +31,13 @@ from .errors import (
     InvalidStateError,
     PreconditionError,
 )
-from .hilbert import Projector, StateVector
+from .hilbert import StateVector
 
 COMMUTE_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 NORM_TOL = 1e-12
 DEFAULT_COLLAPSE_EPS = 1e-6
+UNRESOLVED_FLAG_FRACTION = 0.01
 STEP_WARN_THRESHOLD = 0.1
 _CHUNK_STEPS = 1024
 
@@ -122,11 +123,6 @@ class CollapseModel:
     def damping_coefficient(self) -> float:
         """Coefficient of the quadratic drift term (gamma/2 or literal 1)."""
         return self.gamma / 2.0 if self.norm_mode == "mean-preserving" else 1.0
-
-    def eigenprojector(self, k: int) -> Projector:
-        """Matrix projector onto joint eigenspace ``k``."""
-        cols = self.eigenbasis[:, list(self.blocks[k].indices)]
-        return Projector.from_matrix(cols @ cols.conj().T, tol=1e-9)
 
     def block_weights(self, psi: np.ndarray) -> np.ndarray:
         """Expectation of each joint eigenprojector in a normalized state."""
@@ -571,8 +567,6 @@ def ensemble_outcomes(
     seed: int,
     eps_collapse: float = DEFAULT_COLLAPSE_EPS,
     band_multiplier: float = 1.0,
-    workers: int = 1,
-    unresolved_flag_fraction: float = 0.01,
     martingale_checkpoints: Sequence[float] | None = None,
     martingale_trajectories: int | None = None,
 ) -> EnsembleReport:
@@ -580,11 +574,11 @@ def ensemble_outcomes(
 
     Per-outcome frequencies must sit within ``band_multiplier`` times the
     three-sigma binomial band around the state's projector weights for the
-    report to pass.  ``workers`` is accepted and ignored: one batch runs
-    every trajectory, each on its own seeded stream.  Given
-    ``martingale_checkpoints``, the same pass also runs the martingale
-    check of :func:`martingale_check` over the first
-    ``martingale_trajectories`` seeds (default ``n``).
+    report to pass; it is flagged when more than ``UNRESOLVED_FLAG_FRACTION``
+    of the trajectories stay unresolved.  One batch runs every trajectory,
+    each on its own seeded stream.  Given ``martingale_checkpoints``, the
+    same pass also runs the martingale check of :func:`martingale_check`
+    over the first ``martingale_trajectories`` seeds (default ``n``).
     """
     if n < 1:
         raise ValueError("need at least one trajectory")
@@ -638,7 +632,7 @@ def ensemble_outcomes(
         n_resolved=n_resolved,
         rows=tuple(rows),
         unresolved_fraction=unresolved_fraction,
-        unresolved_flagged=unresolved_fraction > unresolved_flag_fraction,
+        unresolved_flagged=unresolved_fraction > UNRESOLVED_FLAG_FRACTION,
         band_multiplier=band_multiplier,
         base_seed=int(seed),
         passed=all(row.deviation <= row.band for row in rows),

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InconsistentSystemError,
     LinearityError,
     PreconditionError,
     RelabelingError,
@@ -39,6 +41,7 @@ from .trace import GAME_RULES, DerivationTrace
 SPECTRUM_TOL = 1e-10
 WEIGHT_TOL = 1e-10
 KEY_DECIMALS = 10
+CLOSURE_TOL = 1e-9  # relative; cycles close only to the rounding of game keys
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +339,7 @@ class ValueSolveResult:
     n_unknowns: int
     freedom: int
     constraints: tuple[Constraint, ...]
-    _solution: np.ndarray | None = None
-    _null_basis: np.ndarray | None = None
-    _index: dict | None = None
+    _index: dict | None = None  # key -> (root, sign, offset, exact value or None)
 
     @property
     def full_rank(self) -> bool:
@@ -354,14 +355,13 @@ class ValueSolveResult:
         A difference can be forced (e.g. by a recorded equivalence) even
         when the individual values float freely.
         """
-        ia, ib = self._index.get(a.key()), self._index.get(b.key())
-        if ia is None or ib is None:
+        pa, pb = self._index.get(a.key()), self._index.get(b.key())
+        if pa is None or pb is None:
             return None
-        if self._null_basis is not None and self._null_basis.size:
-            drift = self._null_basis[:, ia] - self._null_basis[:, ib]
-            if np.max(np.abs(drift)) > 1e-9:
-                return None
-        return float(self._solution[ia] - self._solution[ib])
+        (ra, sa, oa, xa), (rb, sb, ob, xb) = pa, pb
+        if xa is not None and xb is not None:
+            return float(xa - xb)
+        return float(oa - ob) if (ra, sa) == (rb, sb) else None
 
 
 def projector_swap(state, p1: Projector, p2: Projector) -> np.ndarray | None:
@@ -508,43 +508,62 @@ class ValueSolver:
         return produced
 
     def solve(self) -> ValueSolveResult:
-        keys = list(self.games)
-        index = {k: i for i, k in enumerate(keys)}
-        if not self.constraints:
-            values = {k: GameValue(None, k) for k in keys}
-            return ValueSolveResult(
-                values=values,
-                rank=0,
-                n_unknowns=len(keys),
-                freedom=len(keys),
-                constraints=(),
-                _solution=np.zeros(len(keys)),
-                _null_basis=np.eye(len(keys)),
-                _index=index,
-            )
-        rows = np.zeros((len(self.constraints), len(keys)))
-        rhs = np.zeros(len(self.constraints))
-        for r, con in enumerate(self.constraints):
-            for key, coeff in con.terms:
-                rows[r, index[key]] += coeff
-            rhs[r] = con.const
-        solution = np.linalg.lstsq(rows, rhs, rcond=None)[0]
-        _, singular, vh = np.linalg.svd(rows)
-        cutoff = max(rows.shape) * np.finfo(float).eps * (singular[0] if singular.size else 0.0)
-        rank = int(np.sum(singular > max(cutoff, 1e-12)))
-        null_basis = vh[rank:]
-        values = {}
-        for key, i in index.items():
-            free = null_basis.size and np.max(np.abs(null_basis[:, i])) > 1e-9
-            values[key] = GameValue(None if free else float(solution[i]), key)
+        """Exact values from the signed constraint graph.
+
+        Every row reads sa*V(a) + sb*V(b) = c with sa, sb = +-1.  Each
+        component is walked from its first game, writing every value as
+        sign*root + offset in fractions: a same-sign cycle must close its
+        constant and an opposite-sign cycle pins the root, both to
+        ``CLOSURE_TOL`` (relative), since game keys are rounded.
+        """
+        edges = {key: [] for key in self.games}
+        for i, con in enumerate(self.constraints):
+            (ka, ca), (kb, cb) = con.terms
+            edges[ka].append((i, int(ca), kb, int(cb)))
+            edges[kb].append((i, int(cb), ka, int(ca)))
+        place, pins, done = {}, {}, set()
+        for root in edges:
+            if root in place:
+                continue
+            place[root] = (root, 1, Fraction(0))
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                _, su, ou = place[u]
+                for i, cu, v, cv in edges[u]:
+                    if i in done:  # each row is placed or checked once
+                        continue
+                    done.add(i)
+                    con = self.constraints[i]
+                    const = Fraction(con.const)
+                    if v not in place:
+                        place[v] = (root, -cv * cu * su, cv * (const - cu * ou))
+                        stack.append(v)
+                        continue
+                    k = cu * su + cv * place[v][1]
+                    want, got = const, cu * ou + cv * place[v][2]
+                    if k:  # opposite-sign cycle: pins the root
+                        got = (const - got) / k
+                        want = pins.setdefault(root, got)
+                    if abs(want - got) > CLOSURE_TOL * max(1, abs(want), abs(got)):
+                        raise InconsistentSystemError(
+                            f"{con.kind} row {i} ({con.note}) does not close: "
+                            f"{float(got)} against {float(want)}",
+                            conflict=(f"{con.kind}[{i}]",),
+                        )
+        index, values = {}, {}
+        for key in edges:
+            root, s, o = place[key]
+            exact = s * pins[root] + o if root in pins else None
+            index[key] = (root, s, o, exact)
+            values[key] = GameValue(None if exact is None else float(exact), key)
+        freedom = len({root for root, *_ in place.values()} - pins.keys())
         return ValueSolveResult(
             values=values,
-            rank=rank,
-            n_unknowns=len(keys),
-            freedom=len(keys) - rank,
+            rank=len(place) - freedom,
+            n_unknowns=len(place),
+            freedom=freedom,
             constraints=tuple(self.constraints),
-            _solution=solution,
-            _null_basis=null_basis,
             _index=index,
         )
 
@@ -793,8 +812,10 @@ def value_solve(
     solver = ValueSolver()
     for game in games:
         solver.register(game)
+    frontier = list(solver.games.values())
     for _ in range(max(0, int(closure_depth))):
-        for game in list(solver.games.values()):
+        seen = len(solver.games)
+        for game in frontier:
             solver.expand_game(game)
             for f in relabelings:
                 try:
@@ -804,4 +825,6 @@ def value_solve(
             for u in unitaries:
                 if np.asarray(u).shape == (game.dim, game.dim):
                     solver.transform(game, u)
+        # re-expanding a game re-emits only rows already present
+        frontier = list(solver.games.values())[seen:]
     return solver.solve()

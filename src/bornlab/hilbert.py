@@ -223,10 +223,6 @@ class Projector:
             list(self.cells) + list(other.cells), self.dim
         )
 
-    def contains(self, other: "Projector") -> bool:
-        self._require_cells_pair(other)
-        return other.index_set() <= self.index_set()
-
     def _require_cells_pair(self, other: "Projector") -> None:
         if self.cells is None or other.cells is None:
             raise InvalidStateError("lattice operations need cell-form projectors")
@@ -423,19 +419,6 @@ class BooleanSublattice:
         """All lattice elements, from the empty projector to the identity."""
         for mask in range(self.element_count):
             yield self.element(i for i in range(self.n_generators) if mask >> i & 1)
-
-    def contains(self, proj: Projector) -> bool:
-        if proj.cells is None:
-            return False
-        idx = proj.index_set()
-        chosen: set[int] = set()
-        for gen in self.generators:
-            gidx = gen.index_set()
-            if gidx <= idx:
-                chosen |= gidx
-            elif gidx & idx:
-                return False
-        return chosen == idx
 
 
 @dataclass(frozen=True)

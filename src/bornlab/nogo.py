@@ -72,9 +72,6 @@ class FrameAssignment:
     def get(self, index: int) -> float | None:
         return self.values.get(int(index))
 
-    def defined(self) -> frozenset[int]:
-        return frozenset(self.values)
-
     def copy(self) -> "FrameAssignment":
         return FrameAssignment(dict(self.values))
 

@@ -253,6 +253,7 @@ class TestMain:
             ("solve-measure", {"masses": ["1/0", 1], "grainings": [[1, 1]]}, "'masses'"),
             ("nogo", {**PM_PARAMS, "assignment": {"P3": 0.5}}, "'assignment'"),
             ("nogo", {**PM_PARAMS, "assignment": {"P1": 1.5}}, "'assignment'"),
+            ("simulate", {**SIMULATE_PARAMS, "workers": "two"}, "'workers'"),
         ],
     )
     def test_unconvertible_field_exit_usage(self, tmp_path, capsys, kind, params, field):
@@ -284,6 +285,11 @@ class TestMain:
                     "p2_cells": [1, 2],
                 },
                 "'p1_cells'",
+            ),
+            (
+                "simulate",
+                {**SIMULATE_PARAMS, "model": {**SIMULATE_PARAMS["model"], "observables": []}},
+                "'observables'",
             ),
         ],
     )
@@ -384,6 +390,26 @@ class TestScenarioKinds:
         report, code = run_scenario(write_scenario(tmp_path, doc))
         assert code == EXIT_OK
         assert report["metrics"]["value"] == pytest.approx(5.0)
+        # the depth-4 closure expands each of its 8 games once
+        assert report["metrics"]["solver_rank"] == report["metrics"]["n_unknowns"] == 8
+        assert report["metrics"]["constraints"] == 24
+
+    def test_games_special_equivalence_counters(self, tmp_path):
+        doc = {
+            "kind": "games",
+            "parameters": {
+                "mode": "special-equivalence",
+                "state": [1, 1, 1],
+                "p1_cells": [0],
+                "p2_cells": [1],
+            },
+        }
+        report, code = run_scenario(write_scenario(tmp_path, doc))
+        assert code == EXIT_OK
+        # the two projector games and their negations form one free component
+        assert report["metrics"]["value_difference"] == 0.0
+        assert (report["metrics"]["rank"], report["metrics"]["n_unknowns"]) == (3, 4)
+        assert report["metrics"]["constraints"] == 8
 
     def test_histories_interference(self, tmp_path):
         h = 0.7071067811865476

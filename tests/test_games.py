@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab.errors import (
+    InconsistentSystemError,
     LinearityError,
     PreconditionError,
     RelabelingError,
@@ -13,10 +16,12 @@ from bornlab.errors import (
 )
 from bornlab.games import (
     AffinePayoff,
+    Constraint,
     Game,
     Relabeling,
     TabularPayoff,
     ValueSolver,
+    ValueSolveResult,
     born_assignment,
     derive_pivotal,
     linear_payoff,
@@ -26,6 +31,7 @@ from bornlab.games import (
     value_solve,
     verify_soundness,
 )
+from bornlab.exactlin import solve_exact
 from bornlab.hilbert import Projector, StateVector, born_weight
 
 
@@ -288,6 +294,167 @@ class TestValueSolve:
         state = np.array([1.0, 2.0, 1.0])
         p0, p1 = Projector.from_cells([0], 3), Projector.from_cells([1], 3)
         assert projector_swap(state, p0, p1) is None
+
+
+def lstsq_oracle(solver: ValueSolver):
+    """The former float solve: least squares with an SVD rank.
+
+    Returns the rank, each game's value (None when the null space moves
+    it) and a difference function on game indices.
+    """
+    keys = list(solver.games)
+    rows = np.zeros((len(solver.constraints), len(keys)))
+    rhs = np.zeros(len(solver.constraints))
+    for r, con in enumerate(solver.constraints):
+        for key, coeff in con.terms:
+            rows[r, keys.index(key)] += coeff
+        rhs[r] = con.const
+    if solver.constraints:
+        solution = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+        _, singular, vh = np.linalg.svd(rows)
+        cutoff = max(rows.shape) * np.finfo(float).eps * singular[0]
+        rank = int(np.sum(singular > max(cutoff, 1e-12)))
+        null_basis = vh[rank:]
+    else:
+        solution, null_basis, rank = np.zeros(len(keys)), np.eye(len(keys)), 0
+    values = {
+        key: None
+        if null_basis.size and np.max(np.abs(null_basis[:, i])) > 1e-9
+        else float(solution[i])
+        for i, key in enumerate(keys)
+    }
+
+    def difference(i, j):
+        if null_basis.size and np.max(np.abs(null_basis[:, i] - null_basis[:, j])) > 1e-9:
+            return None
+        return float(solution[i] - solution[j])
+
+    return rank, values, difference
+
+
+@st.composite
+def signed_systems(draw):
+    """Distinct games and two-term +-1 rows that their Born values satisfy.
+
+    Rows may join a game to itself or repeat; constants are perturbed by
+    up to 1e-15 relative, as float products are.
+    """
+    n = draw(st.integers(1, 6))
+    games = [
+        two_outcome_game(
+            float(i),
+            float(i) + 10.0,
+            amplitudes=(1.0, draw(st.floats(0.1, 3.0))),
+            slope=draw(st.floats(0.2, 3.0)),
+        )
+        for i in range(n)
+    ]
+    solver = ValueSolver()
+    for game in games:
+        solver.register(game)
+    sign = st.sampled_from((1.0, -1.0))
+    index = st.integers(0, n - 1)
+    jitter = st.floats(-1e-15, 1e-15)
+    rows = draw(st.lists(st.tuples(index, index, sign, sign, jitter), max_size=3 * n))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    for a, b, sa, sb, jitter in rows:
+        const = (sa * games[a].born_value() + sb * games[b].born_value()) * (1.0 + jitter)
+        terms = ((games[a].key(), sa), (games[b].key(), sb))
+        solver.constraints.append(Constraint(terms, const, kind="equivalence"))
+    return games, solver
+
+
+def reexpanding_solve(games, depth, *, relabelings=(), unitaries=()) -> ValueSolveResult:
+    """The former closure loop: every registered game expanded at every depth."""
+    solver = ValueSolver()
+    for game in games:
+        solver.register(game)
+    for _ in range(depth):
+        for game in list(solver.games.values()):
+            solver.expand_game(game)
+            for f in relabelings:
+                try:
+                    solver.relabel(game, f)
+                except RelabelingError:
+                    continue
+            for u in unitaries:
+                if np.asarray(u).shape == (game.dim, game.dim):
+                    solver.transform(game, u)
+    return solver.solve()
+
+
+def special_case():
+    state = np.array([1.0, 1.0j, 0.5])
+    p1, p2 = Projector.from_cells([0], 3), Projector.from_cells([1], 3)
+    games = [Game.projector_game(state, p, linear_payoff(2.0)) for p in (p1, p2)]
+    return games, 3, {"unitaries": [projector_swap(state, p1, p2)]}
+
+
+class TestExactSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(signed_systems())
+    def test_matches_float_oracle(self, system):
+        games, solver = system
+        result = solver.solve()
+        rank, values, difference = lstsq_oracle(solver)
+        assert (result.rank, result.freedom) == (rank, len(games) - rank)
+        forced = {key for key, value in values.items() if value is not None}
+        assert {key for key, gv in result.values.items() if gv.known} == forced
+        for key in forced:
+            assert result.values[key].value == pytest.approx(values[key], abs=1e-9)
+        for i, j in itertools.product(range(len(games)), repeat=2):
+            want, got = difference(i, j), result.difference(games[i], games[j])
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got == pytest.approx(want, abs=1e-9)
+
+    def test_same_sign_cycle_must_close(self):
+        game = two_outcome_game()
+        solver = ValueSolver()
+        shifted = solver.sure_thing(game, 1.0)
+        terms = ((shifted.key(), 1.0), (game.key(), -1.0))
+        solver.constraints.append(Constraint(terms, 1.0 + 1e-6, kind="sure-thing"))
+        with pytest.raises(InconsistentSystemError, match="sure-thing row 1") as err:
+            solver.solve()
+        assert err.value.conflict == ("sure-thing[1]",)
+
+    def test_extreme_range_pivotal_closure(self):
+        # a sure-thing row carries a stray shift of -2.3e-13, so the rows
+        # as exact binary fractions are infeasible; cycles close to tolerance
+        x1, x2, slope = -64.89728701564388, -1465.7272602194046, 15.622688098359621
+        game = two_outcome_game(x1, x2, slope=slope)
+        result = value_solve([game], 5)
+        assert (result.rank, result.n_unknowns) == (12, 12)
+        assert result.value_of(game) == pytest.approx(0.5 * slope * (x1 + x2), rel=1e-15)
+        keys = list(result.values)
+        rows = [
+            [sum(c for k, c in con.terms if k == key) for key in keys]
+            for con in result.constraints
+        ]
+        rhs = [con.const for con in result.constraints]
+        assert solve_exact(rows, rhs).status == "infeasible"
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: ([two_outcome_game(0.0, 10.0)], 4, {}),
+            lambda: (
+                [two_outcome_game(-3.0, 7.5, slope=1.7)],
+                3,
+                {"relabelings": [Relabeling.shift(1.5)]},
+            ),
+            special_case,
+        ],
+        ids=["pivotal", "shift-relabeling", "special-equivalence"],
+    )
+    def test_frontier_closure_matches_reexpansion(self, case):
+        games, depth, moves = case()
+        old = reexpanding_solve(games, depth, **moves)
+        new = value_solve(games, depth, **moves)
+        assert new.n_unknowns == old.n_unknowns
+        assert list(dict.fromkeys(new.constraints)) == list(dict.fromkeys(old.constraints))
+        assert new.values == old.values
+        assert len(new.constraints) < len(old.constraints)
 
 
 def swap_case(seed, d, rotated, zero_weight):

@@ -203,11 +203,6 @@ class TestSublattice:
         gen = lattice.elements()
         assert next(gen).rank == 0
 
-    def test_contains(self):
-        lattice = sublattice_from_graining(CoarseGraining(4, [(0, 2), (2, 3), (3, 4)]))
-        assert lattice.contains(Projector.from_cells([(0, 2), (3, 4)], 4))
-        assert not lattice.contains(Projector.from_cells([0], 4))
-
 
 class TestPermutationUnitary:
     def test_identity(self):

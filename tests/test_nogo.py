@@ -58,7 +58,7 @@ class TestPMPropagation:
     def test_never_shrinks_domain_and_idempotent(self, pm_system):
         f = FrameAssignment({0: 0.25, 1: 0.25})
         first = propagate_pm_constraint(pm_system, f)
-        assert f.defined() <= first.assignment.defined()
+        assert f.values.keys() <= first.assignment.values.keys()
         second = propagate_pm_constraint(pm_system, first.assignment)
         assert second.assignment.values == first.assignment.values
         assert second.derived == ()
