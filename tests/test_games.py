@@ -14,6 +14,7 @@ from bornlab.errors import (
     RelabelingError,
     UnitarityError,
 )
+from bornlab.exactlin import solve_exact
 from bornlab.games import (
     AffinePayoff,
     Constraint,
@@ -31,7 +32,6 @@ from bornlab.games import (
     value_solve,
     verify_soundness,
 )
-from bornlab.exactlin import solve_exact
 from bornlab.hilbert import Projector, StateVector, born_weight
 
 
