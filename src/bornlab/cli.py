@@ -141,6 +141,17 @@ def _ints(values) -> list[int]:
     return [int(v) for v in values]
 
 
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+def _at_least_one(value) -> int:
+    count = int(value)
+    if count < 1:
+        raise ValueError(f"must be at least 1, got {count}")
+    return count
+
+
 def _table_to_dict(table: MeasureTable) -> dict:
     out = {}
     for key, value in table.items():
@@ -171,9 +182,13 @@ def _handle_simulate(params: dict, seed: int, csv_dir: Path | None) -> dict:
     psi0 = StateVector(_field(params, "psi0", parse_vector))
     t_max = _field(params, "t_max", float)
     dt = _field(params, "dt", float)
-    n = _field(params, "n_trajectories", int)
+    n = _field(params, "n_trajectories", _at_least_one)
     eps = _field(params, "eps_collapse", float, 1e-6)
     _field(params, "workers", int, 1)  # accepted; one batch runs every trajectory
+    checkpoints = _field(params, "martingale_checkpoints", _floats, None)
+    martingale_n = _field(params, "martingale_trajectories", _at_least_one, min(n, 2000))
+    record_every = _field(params, "csv_record_every", _at_least_one, 1)
+    csv_trajectories = _field(params, "csv_trajectories", _ints, [0])
     report = ensemble_outcomes(
         model,
         psi0,
@@ -183,8 +198,8 @@ def _handle_simulate(params: dict, seed: int, csv_dir: Path | None) -> dict:
         seed=seed,
         eps_collapse=eps,
         band_multiplier=_field(params, "band_multiplier", float, 1.0),
-        martingale_checkpoints=params.get("martingale_checkpoints"),
-        martingale_trajectories=_field(params, "martingale_trajectories", int, min(n, 2000)),
+        martingale_checkpoints=checkpoints,
+        martingale_trajectories=martingale_n,
     )
     verdicts = {
         "born_frequencies": "PASS" if report.passed else "FAIL",
@@ -201,8 +216,7 @@ def _handle_simulate(params: dict, seed: int, csv_dir: Path | None) -> dict:
         verdicts["martingale"] = "PASS" if report.martingale.passed else "FAIL"
         metrics["martingale"] = [asdict(r) for r in report.martingale.rows]
     if csv_dir is not None:
-        record_every = _field(params, "csv_record_every", int, 1)
-        for idx in _field(params, "csv_trajectories", _ints, [0]):
+        for idx in csv_trajectories:
             traj = simulate(model, psi0, t_max, dt, seed + idx, eps, record_every=record_every)
             path = csv_dir / f"trajectory_{idx}.csv"
             trajectory_to_csv(traj, model, path)
@@ -424,12 +438,10 @@ def _handle_lln(params: dict, seed: int, csv_dir) -> dict:
             "metrics": {"tail": value, "tail_path": work.path, "terms": work.terms},
         }
     if op == "scan":
-        report = lln_limit_scan(
-            _field(params, "p", float),
-            _field(params, "delta", float),
-            _field(params, "ns", _ints),
-            threshold=_field(params, "threshold", float, 1e-3),
-        )
+        p, delta = _field(params, "p", float), _field(params, "delta", float)
+        ns = _field(params, "ns", _ints)
+        report = lln_limit_scan(p, delta, ns, threshold=_field(params, "threshold", float, 1e-3))
+        work = [tail_work(n, delta, p) for n in report.ns]
         return {
             "verdicts": {"converged": "PASS" if report.converged else "FAIL"},
             "metrics": {
@@ -437,6 +449,8 @@ def _handle_lln(params: dict, seed: int, csv_dir) -> dict:
                 "values": list(report.values),
                 "final_is_minimum": report.final_is_minimum,
                 "strictly_decreasing": report.strictly_decreasing,
+                "tail_paths": [w.path for w in work],
+                "terms": [w.terms for w in work],
             },
         }
     if op == "audit":

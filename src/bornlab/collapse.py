@@ -19,6 +19,7 @@ to O(dt^2) per step); ``norm_mode="literal"`` keeps the unscaled reading.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -39,6 +40,7 @@ NORM_TOL = 1e-12
 DEFAULT_COLLAPSE_EPS = 1e-6
 UNRESOLVED_FLAG_FRACTION = 0.01
 STEP_WARN_THRESHOLD = 0.1
+EIGEN_CLUSTER_TOL = 1e-8  # eigenvalues this close share an eigenspace
 _CHUNK_STEPS = 1024
 
 
@@ -135,7 +137,7 @@ class CollapseModel:
         return self.block_weights(psi)
 
 
-def _joint_eigenblocks(observables, *, cluster_tol=1e-8):
+def _joint_eigenblocks(observables):
     """Shared eigenbasis plus joint-eigenvalue blocks, deterministically ordered.
 
     Eigenspaces are refined observable by observable; blocks are ordered by
@@ -155,7 +157,10 @@ def _joint_eigenblocks(observables, *, cluster_tol=1e-8):
             start = 0
             while start < len(group):
                 stop = start + 1
-                while stop < len(group) and abs(eigvals[stop] - eigvals[start]) <= cluster_tol:
+                while (
+                    stop < len(group)
+                    and abs(eigvals[stop] - eigvals[start]) <= EIGEN_CLUSTER_TOL
+                ):
                     stop += 1
                 new_partition.append(group[start:stop])
                 start = stop
@@ -248,7 +253,14 @@ class Trajectory:
         return self.outcome is not None
 
 
-def _check_step_size(model: CollapseModel, dt: float) -> None:
+def _check_run(model: CollapseModel, t_max: float, dt: float, eps_collapse: float) -> None:
+    """Reject a run that cannot be integrated; warn when steps look coarse."""
+    if not 0 <= t_max < math.inf:
+        raise PreconditionError(f"horizon t_max must be finite and >= 0, got {t_max}")
+    if not 0 < dt < math.inf:
+        raise PreconditionError(f"step size dt must be finite and > 0, got {dt}")
+    if not 0 <= eps_collapse < 1:
+        raise PreconditionError(f"eps_collapse must lie in [0, 1), got {eps_collapse}")
     if dt * model.gamma > STEP_WARN_THRESHOLD:
         warnings.warn(
             f"dt * gamma = {dt * model.gamma:.3g} exceeds {STEP_WARN_THRESHOLD}; "
@@ -463,14 +475,14 @@ def simulate(
     States are recorded every ``record_every`` steps, at the resolution
     step and at ``t_max``.
     """
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("dt and t_max must be positive")
+    if not t_max > 0:
+        raise PreconditionError(f"horizon t_max must be > 0, got {t_max}")
     if record_every < 1:
-        raise ValueError("record_every must be at least 1")
+        raise PreconditionError(f"record_every must be at least 1, got {record_every}")
     psi0.require_nonzero()
     if psi0.dim != model.dim:
         raise DimensionMismatchError("state and model dimensions differ")
-    _check_step_size(model, dt)
+    _check_run(model, t_max, dt, eps_collapse)
     n_steps = int(round(t_max / dt))
     psi = psi0.normalized().amplitudes
     run = _run_batch(
@@ -581,16 +593,20 @@ def ensemble_outcomes(
     over the first ``martingale_trajectories`` seeds (default ``n``).
     """
     if n < 1:
-        raise ValueError("need at least one trajectory")
+        raise PreconditionError(f"trajectory count n must be at least 1, got {n}")
     psi0.require_nonzero()
-    _check_step_size(model, dt)
+    _check_run(model, t_max, dt, eps_collapse)
     n_steps = int(round(t_max / dt))
     m, times = 0, []
     if martingale_checkpoints is not None:
         m = n if martingale_trajectories is None else int(martingale_trajectories)
         times = sorted(float(t) for t in martingale_checkpoints)
         if m < 1 or not times:
-            raise ValueError("a martingale check needs a trajectory and a checkpoint")
+            raise PreconditionError("a martingale check needs a trajectory and a checkpoint")
+        if not all(0 <= t < math.inf for t in times):
+            raise PreconditionError(
+                f"martingale checkpoints must be finite and >= 0, got {times}"
+            )
     cp_steps = [int(round(t / dt)) for t in times]
     horizons = np.zeros(max(n, m), dtype=int)
     horizons[:n] = n_steps

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .exactlin import LinearSolveResult, require_feasible, solve_exact
 from .hilbert import (
+    DERIVED_TOL,
     CoarseGraining,
     GrainingFamily,
     MeasureTable,
@@ -44,6 +45,10 @@ from .trace import DERIVATION_RULES, DerivationTrace
 
 DEFAULT_SUBDIVISION_CAP = 2**40
 DEFAULT_DENOMINATOR_CAP = 10**6
+# relative accuracy of each piece mass when float masses are split
+FLOAT_MASS_TOL = 1e-10
+# first denominator cap of the continuity-limit sweep
+START_DENOMINATOR = 64
 
 
 def hypercube_split_count(n: int) -> int:
@@ -122,6 +127,15 @@ class MassProfile:
         return tuple(Fraction(m) for m in self.masses)
 
 
+def _as_profile(state_or_masses) -> MassProfile:
+    """A state vector's, a profile's or a mass sequence's mass profile."""
+    if isinstance(state_or_masses, StateVector):
+        return MassProfile.from_state(state_or_masses)
+    if isinstance(state_or_masses, MassProfile):
+        return state_or_masses
+    return MassProfile(state_or_masses)
+
+
 @dataclass(frozen=True)
 class RationalState:
     """A state whose block masses are proportional to integers.
@@ -198,10 +212,6 @@ class EqualMassRefinement:
     cuts: tuple
     exact: bool
 
-    @property
-    def block_mass(self):
-        return sum(self.piece_masses)
-
 
 def _resolve_block(graining: CoarseGraining, block) -> int:
     if isinstance(block, int):
@@ -226,10 +236,18 @@ def _span_mass_fractional(masses, lo: Fraction, hi: Fraction) -> Fraction:
     return total
 
 
-def _exact_cuts(masses, start, stop, m):
-    """Cut positions (Fractions, original cell coordinates) splitting
-    masses[start:stop] into m equal-mass runs."""
+def _exact_cuts(masses, start, stop, m) -> list[Fraction]:
+    """Cut positions (Fractions, original cell coordinates) splitting the
+    rational masses[start:stop] into m equal-mass runs.
+
+    A block without mass is cut into m equal widths.  Otherwise every
+    target j/m (j < m) of the block mass is reached by the block's last
+    cell with mass at the latest, so the walk never leaves the block.
+    """
     total = sum(masses[start:stop])
+    if total == 0:
+        width = Fraction(stop - start, m)
+        return [start + width * j for j in range(1, m)]
     cuts = []
     cum = Fraction(0)
     cell = start
@@ -238,12 +256,24 @@ def _exact_cuts(masses, start, stop, m):
         while cum + masses[cell] < target or masses[cell] == 0:
             cum += masses[cell]
             cell += 1
-            if cell >= stop:  # numerical safety; cannot trigger with exact sums
-                cell = stop - 1
-                break
-        q = (target - cum) / masses[cell]
-        cuts.append(cell + q)
+        cuts.append(cell + (target - cum) / masses[cell])
     return cuts
+
+
+def _subdivision(cuts, max_subdivision: int, what: str) -> int:
+    """Sub-cells per cell that put every cut on a sub-cell boundary: the lcm
+    of the cut denominators.
+
+    Raises :class:`ResolutionError` when it exceeds ``max_subdivision``.
+    """
+    denom = math.lcm(*(c.denominator for c in cuts))
+    if denom > max_subdivision:
+        raise ResolutionError(
+            f"{what} needs {denom} sub-cells per cell ({halving_depth(denom)} "
+            f"halving steps; cap {max_subdivision})",
+            required_subcells=denom,
+        )
+    return denom
 
 
 def equal_mass_refine(
@@ -253,7 +283,6 @@ def equal_mass_refine(
     m: int,
     *,
     max_subdivision: int = DEFAULT_SUBDIVISION_CAP,
-    mass_tol: float = 1e-10,
 ) -> EqualMassRefinement:
     """Split one block of a graining into ``m`` disjoint equal-mass pieces.
 
@@ -261,40 +290,27 @@ def equal_mass_refine(
     equal-mass targets (each cell's mass spreads uniformly across the
     cell), and the grid is subdivided just enough for every cut to land on
     a sub-cell boundary.  Rational masses give an exact split; float masses
-    are quantized to relative accuracy ``mass_tol``.  A zero-mass block is
-    split into m equal-width pieces.
+    are quantized to relative accuracy ``FLOAT_MASS_TOL``.  A zero-mass
+    block is split into m equal-width pieces.
 
     Raises :class:`ResolutionError` when the required subdivision exceeds
     ``max_subdivision``.
     """
     if m < 1:
         raise ValueError("piece count m must be >= 1")
-    if isinstance(state_or_masses, StateVector):
-        profile = MassProfile.from_state(state_or_masses)
-    elif isinstance(state_or_masses, MassProfile):
-        profile = state_or_masses
-    else:
-        profile = MassProfile(state_or_masses)
+    profile = _as_profile(state_or_masses)
     if profile.dim != graining.dim:
         raise DimensionMismatchError("mass profile and graining disagree on grid size")
     index = _resolve_block(graining, block)
     start, stop = graining.blocks[index]
-    block_mass = profile.block_mass(start, stop)
-
-    if block_mass == 0:
-        # zero restriction: any split will do; use equal widths
-        width = Fraction(stop - start, m)
-        cuts = [start + width * j for j in range(1, m)]
-        exact = True
-    elif profile.exact:
-        cuts = _exact_cuts(profile.masses, start, stop, m)
-        exact = True
-    else:
-        masses = profile.as_fractions()
-        raw_cuts = _exact_cuts(masses, start, stop, m)
+    masses = profile.as_fractions()
+    cuts = _exact_cuts(masses, start, stop, m)
+    # a zero-mass block's equal widths are exact whatever the masses' type
+    exact = profile.exact or profile.block_mass(start, stop) == 0
+    if not exact:
         max_cell = max(masses[start:stop])
         exact_block = sum(masses[start:stop])
-        allowed = Fraction(mass_tol) * exact_block
+        allowed = Fraction(FLOAT_MASS_TOL) * exact_block
 
         def mass_deviation(candidate) -> Fraction:
             bounds = [Fraction(start)] + list(candidate) + [Fraction(stop)]
@@ -305,15 +321,15 @@ def equal_mass_refine(
             return worst
 
         # best small-denominator cuts first (recovers exactly rational
-        # float inputs); fall back to one power-of-two grid meeting mass_tol
+        # float inputs); fall back to one power-of-two grid meeting
+        # FLOAT_MASS_TOL
+        raw_cuts = cuts
         cuts = [c.limit_denominator(max_subdivision) for c in raw_cuts]
-        if (
+        if not (
             cuts
             and math.lcm(*(c.denominator for c in cuts)) <= max_subdivision
             and mass_deviation(cuts) <= allowed
         ):
-            pass
-        else:
             needed = float(2 * max_cell / allowed) if allowed > 0 else math.inf
             grid = 1
             while grid < needed:
@@ -325,23 +341,12 @@ def equal_mass_refine(
                         required_subcells=grid,
                     )
             cuts = [Fraction(round(c * grid), grid) for c in raw_cuts]
-        exact = False
 
-    denom = math.lcm(*(Fraction(c).denominator for c in cuts)) if cuts else 1
-    if denom > max_subdivision:
-        raise ResolutionError(
-            f"splitting block {index} into {m} equal-mass pieces needs "
-            f"{denom} sub-cells per cell ({halving_depth(denom)} halving "
-            f"steps; cap {max_subdivision})",
-            required_subcells=denom,
-        )
-    L = denom
+    L = _subdivision(
+        cuts, max_subdivision, f"splitting block {index} into {m} equal-mass pieces"
+    )
     fine_dim = graining.dim * L
-
-    def scaled(x) -> int:
-        return int(x * L)
-
-    cut_positions = [scaled(Fraction(c)) for c in cuts]
+    cut_positions = [int(c * L) for c in cuts]
     if any(
         not (start * L < pos < stop * L) for pos in cut_positions
     ) or sorted(set(cut_positions)) != cut_positions:
@@ -357,19 +362,11 @@ def equal_mass_refine(
         for j in range(m)
     )
 
-    fine_masses = profile.as_fractions()
-
-    def span_mass(lo: int, hi: int) -> Fraction:
-        total = Fraction(0)
-        first_cell, last_cell = lo // L, (hi - 1) // L
-        for cell in range(first_cell, last_cell + 1):
-            cell_lo, cell_hi = cell * L, (cell + 1) * L
-            overlap = min(hi, cell_hi) - max(lo, cell_lo)
-            total += fine_masses[cell] * Fraction(overlap, L)
-        return total
-
     piece_masses = tuple(
-        span_mass(piece_bounds[j], piece_bounds[j + 1]) for j in range(m)
+        _span_mass_fractional(
+            masses, Fraction(piece_bounds[j], L), Fraction(piece_bounds[j + 1], L)
+        )
+        for j in range(m)
     )
 
     blocks = []
@@ -455,14 +452,14 @@ def equal_mass_grid(profile: MassProfile) -> EqualMassGrid:
 # ---------------------------------------------------------------------------
 
 
-def _component_coefficients(psi: StateVector, separating: SeparatingSet, tol: float):
+def _component_coefficients(psi: StateVector, separating: SeparatingSet):
     coeffs = [
         complex(np.vdot(vec.amplitudes, psi.amplitudes)) for vec in separating.vectors
     ]
     residual = psi.amplitudes.copy()
     for c, vec in zip(coeffs, separating.vectors):
         residual = residual - c * vec.amplitudes
-    if np.linalg.norm(residual) > tol * math.sqrt(psi.norm2):
+    if np.linalg.norm(residual) > DERIVED_TOL * math.sqrt(psi.norm2):
         raise PreconditionError(
             "state has components outside the separating family's span"
         )
@@ -473,8 +470,6 @@ def equiprobable_values(
     psi: StateVector,
     separating: SeparatingSet,
     lattice=None,
-    *,
-    tol: float = 1e-10,
 ) -> tuple[MeasureTable, DerivationTrace]:
     """Weight table forced for a state with equal-modulus coefficients.
 
@@ -490,12 +485,12 @@ def equiprobable_values(
     """
     psi.require_nonzero()
     d = separating.size
-    coeffs = _component_coefficients(psi, separating, tol)
+    coeffs = _component_coefficients(psi, separating)
     norm2 = psi.norm2
     moduli = [abs(c) ** 2 / norm2 for c in coeffs]
     for j in range(d):
         for k in range(j + 1, d):
-            if abs(moduli[j] - moduli[k]) > tol:
+            if abs(moduli[j] - moduli[k]) > DERIVED_TOL:
                 raise PreconditionError(
                     f"|c_{j}|^2 = {moduli[j]:.12g} and |c_{k}|^2 = {moduli[k]:.12g} "
                     f"differ; the equiprobable construction needs a constant modulus"
@@ -513,7 +508,7 @@ def equiprobable_values(
     )
 
     if d == 1:
-        return _eigenvector_rule(psi, separating, lattice, trace, s_phase, tol, table)
+        return _eigenvector_rule(psi, separating, lattice, trace, s_phase, table)
 
     witnessed = _permutation_witnessed(separating)
     s_perm = trace.add(
@@ -572,10 +567,10 @@ def _permutation_witnessed(separating: SeparatingSet) -> bool:
         return False
 
 
-def _eigenvector_rule(psi, separating, lattice, trace, s_phase, tol, table):
+def _eigenvector_rule(psi, separating, lattice, trace, s_phase, table):
     proj = separating.projectors[0]
     inside = born_weight(psi, proj)
-    if abs(inside - 1.0) > tol:
+    if abs(inside - 1.0) > DERIVED_TOL:
         raise PreconditionError(
             "the single-projector rule needs the state inside the projector's range"
         )
@@ -627,76 +622,31 @@ def _eigenvector_rule(psi, separating, lattice, trace, s_phase, tol, table):
 
 def rational_born_values(
     rational: RationalState,
-    graining: CoarseGraining | None = None,
-    family: GrainingFamily | None = None,
     *,
     max_subdivision: int = DEFAULT_SUBDIVISION_CAP,
 ) -> tuple[MeasureTable, DerivationTrace]:
     """Weight table forced for integer-weight states: m_j / sum(m_k).
 
-    Each block with weight m_k is split into m_k equal-mass pieces (via
-    :func:`equal_mass_refine` on a common subdivided grid), the
-    equiprobable argument runs on the refined family of sum(m_k) pieces,
-    and additivity reassembles the block weights.  Exact rational
-    arithmetic throughout.
+    Each block with weight m_k is cut into m_k equal-mass pieces by the
+    cuts of :func:`equal_mass_refine`, on one grid subdivided by the lcm of
+    every cut's denominator; the equiprobable argument runs on the
+    sum(m_k) pieces, and additivity reassembles the block weights.  Exact
+    rational arithmetic throughout.
 
-    ``family`` (when given and not generated-closed) must already contain
-    a fine-enough refinement; otherwise the refinement is generated.
+    Raises :class:`ResolutionError` when that subdivision exceeds
+    ``max_subdivision``.
     """
-    graining = graining or rational.graining
-    if graining.blocks != rational.graining.blocks:
-        raise InvalidGrainingError("graining must match the rational state's blocks")
+    graining = rational.graining
     weights = rational.weights
     total = rational.total_weight
-    profile = rational.cell_masses()
-
-    # common subdivided grid: collect cuts per block, then take one lcm
-    per_block_cuts: dict[int, list[Fraction]] = {}
-    denominators = [1]
-    for k, weight in enumerate(weights):
-        if weight == 0:
-            continue
-        start, stop = graining.blocks[k]
-        block_mass = profile.block_mass(start, stop)
-        if block_mass == 0:
-            width = Fraction(stop - start, weight)
-            cuts = [start + width * j for j in range(1, weight)]
-        else:
-            cuts = _exact_cuts(profile.masses, start, stop, weight)
-        per_block_cuts[k] = cuts
-        denominators.extend(Fraction(c).denominator for c in cuts)
-    subdivision = math.lcm(*denominators)
-    if subdivision > max_subdivision:
-        raise ResolutionError(
-            f"equal-mass refinement needs {subdivision} sub-cells per cell "
-            f"({halving_depth(subdivision)} halving steps; cap {max_subdivision})",
-            required_subcells=subdivision,
-        )
-    L = subdivision
-    fine_dim = graining.dim * L
-    fine_blocks: list[tuple[int, int]] = []
-    piece_owner: list[int] = []
-    for k, (start, stop) in enumerate(graining.blocks):
-        if k in per_block_cuts:
-            bounds = (
-                [start * L]
-                + [int(c * L) for c in per_block_cuts[k]]
-                + [stop * L]
-            )
-            for j in range(len(bounds) - 1):
-                fine_blocks.append((bounds[j], bounds[j + 1]))
-                piece_owner.append(k)
-        else:
-            fine_blocks.append((start * L, stop * L))
-            piece_owner.append(k)
-    refined = CoarseGraining(fine_dim, fine_blocks)
-
-    if family is not None and not family.allow_generated:
-        if not _family_contains_refinement(family, graining, weights, profile):
-            raise PreconditionError(
-                "the graining family holds no refinement splitting every block "
-                "into its weight's worth of equal-mass pieces"
-            )
+    masses = rational.cell_masses().masses
+    cuts = [
+        cut
+        for k, weight in enumerate(weights)
+        if weight
+        for cut in _exact_cuts(masses, *graining.blocks[k], weight)
+    ]
+    L = _subdivision(cuts, max_subdivision, "equal-mass refinement")
 
     trace = DerivationTrace(rules=DERIVATION_RULES)
     s_refine = trace.add(
@@ -724,8 +674,7 @@ def rational_born_values(
 
     table = MeasureTable()
     for k, weight in enumerate(weights):
-        value = Fraction(weight, total)
-        table.assign(graining.block_projector(k), value)
+        table.assign(graining.block_projector(k), Fraction(weight, total))
     trace.add(
         "additivity",
         "block weights reassemble as (pieces in block)/(total pieces)",
@@ -734,32 +683,7 @@ def rational_born_values(
             "weights": {str(k): f"{weights[k]}/{total}" for k in range(len(weights))}
         },
     )
-    # zero weight on refined-lattice projectors disjoint from the support
-    for k, weight in enumerate(weights):
-        if weight == 0:
-            table.assign(graining.block_projector(k), Fraction(0))
     return table, trace
-
-
-def _family_contains_refinement(family, graining, weights, profile) -> bool:
-    for member in family.members:
-        if member.dim != graining.dim or not member.refines(graining):
-            continue
-        ok = True
-        for k, (start, stop) in enumerate(graining.blocks):
-            if weights[k] == 0:
-                continue
-            inner = [b for b in member.blocks if start <= b[0] and b[1] <= stop]
-            if len(inner) != weights[k]:
-                ok = False
-                break
-            masses = [profile.block_mass(a, b) for a, b in inner]
-            if len(set(masses)) > 1:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +713,6 @@ def born_limit(
     proj: Projector,
     tol: float,
     *,
-    start_denominator: int = 64,
     denominator_cap: int = DEFAULT_DENOMINATOR_CAP,
 ) -> BornLimitResult:
     """Approach an arbitrary state through integer-weight states.
@@ -809,7 +732,7 @@ def born_limit(
     target = born_weight(psi, proj)
     exact_target = Fraction(target)
     record: list[Approximant] = []
-    cap = max(1, int(start_denominator))
+    cap = START_DENOMINATOR
     converged = False
     best: Fraction | None = None
     while True:
@@ -885,10 +808,7 @@ class UniquenessResult:
 
 
 def measure_uniqueness_solve(
-    state_or_profile,
-    family: GrainingFamily,
-    *,
-    tol: float = 1e-10,
+    state_or_profile, family: GrainingFamily
 ) -> UniquenessResult:
     """Decide whether additivity, invariance, and stability pin the weights.
 
@@ -899,12 +819,7 @@ def measure_uniqueness_solve(
     permutation (the constructible invariance unitaries).  The system is
     assembled and solved in exact rational arithmetic.
     """
-    if isinstance(state_or_profile, StateVector):
-        profile = MassProfile.from_state(state_or_profile)
-    elif isinstance(state_or_profile, MassProfile):
-        profile = state_or_profile
-    else:
-        profile = MassProfile(state_or_profile)
+    profile = _as_profile(state_or_profile)
     masses = profile.as_fractions()
     total = sum(masses)
     if total == 0:

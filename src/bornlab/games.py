@@ -42,6 +42,7 @@ SPECTRUM_TOL = 1e-10
 WEIGHT_TOL = 1e-10
 KEY_DECIMALS = 10
 CLOSURE_TOL = 1e-9  # relative; cycles close only to the rounding of game keys
+EQUIVALENCE_TOL = 1e-9  # solved values closer than this count as equal
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +573,12 @@ def born_assignment(games: Iterable[Game]) -> dict:
     return {g.key(): g.born_value() for g in games}
 
 
-def verify_soundness(
-    constraints: Iterable[Constraint], games: Iterable[Game], *, tol: float = 1e-10
-) -> float:
+def verify_soundness(constraints: Iterable[Constraint], games: Iterable[Game]) -> float:
     """Largest residual of the weight-consistent value assignment.
 
     The assignment V(g) = sum of projector weights times payoffs satisfies
     every recorded equivalence and axiom; the return value is the worst
-    residual (should be below ``tol``; callers assert).
+    residual, which callers compare with their own bound.
     """
     assignment = born_assignment(games)
     worst = 0.0
@@ -758,9 +757,7 @@ def _validate_step(trace, rule, left: Game, right: Game, offset: float | None) -
     )
 
 
-def general_equivalence_check(
-    result: ValueSolveResult, games: Sequence[Game], *, tol: float = 1e-9
-) -> list[dict]:
+def general_equivalence_check(result: ValueSolveResult, games: Sequence[Game]) -> list[dict]:
     """Check solved values across games with matching outcome statistics.
 
     Two games whose (weight, payoff) outcome profiles coincide — possibly
@@ -788,7 +785,7 @@ def general_equivalence_check(
                 {
                     "pair": (i, j),
                     "difference": diff,
-                    "equal": diff is not None and abs(diff) <= tol,
+                    "equal": diff is not None and abs(diff) <= EQUIVALENCE_TOL,
                     "determined": diff is not None,
                 }
             )

@@ -9,7 +9,9 @@ form) or a dense Hermitian idempotent matrix (general form).
 All types are immutable values after construction and safe to share across
 threads.  Tolerances follow a two-level policy: structural identities are
 checked at ``STRUCT_TOL`` (1e-12), derived numerical identities at
-``DERIVED_TOL`` (1e-10).  Both can be overridden per call.
+``DERIVED_TOL`` (1e-10).  Only ``Projector.from_matrix`` and
+``SymmetryUnitary`` take a ``tol`` of their own, for matrices that were
+rotated or assembled in floating point.
 """
 
 from __future__ import annotations
@@ -252,14 +254,14 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
-    def __init__(self, matrix, *, tol: float = STRUCT_TOL):
+    def __init__(self, matrix):
         arr = _as_complex_matrix(matrix)
-        if np.max(np.abs(arr - arr.conj().T)) > tol:
+        if np.max(np.abs(arr - arr.conj().T)) > STRUCT_TOL:
             raise InvalidDensityError("density matrix is not Hermitian within tolerance")
-        if abs(np.real(np.trace(arr)) - 1.0) > tol:
+        if abs(np.real(np.trace(arr)) - 1.0) > STRUCT_TOL:
             raise InvalidDensityError("density matrix trace differs from one")
         eigvals = np.linalg.eigvalsh(arr)
-        if np.min(eigvals) < -tol:
+        if np.min(eigvals) < -STRUCT_TOL:
             raise InvalidDensityError(f"density matrix has negative eigenvalue {np.min(eigvals)}")
         object.__setattr__(self, "matrix", arr)
 
@@ -272,16 +274,13 @@ class DensityMatrix:
 class CoarseGraining:
     """Partition of the grid ``{0..dim-1}`` into contiguous blocks.
 
-    ``volumes`` optionally attaches a physical volume per block; it is
-    carried as metadata only (amplitudes are assumed to already include any
-    cell-volume weighting).
+    Amplitudes are assumed to already include any cell-volume weighting.
     """
 
     dim: int
     blocks: tuple[tuple[int, int], ...]
-    volumes: tuple[float, ...] | None = None
 
-    def __init__(self, dim: int, blocks, volumes=None):
+    def __init__(self, dim: int, blocks):
         blocks = tuple((int(a), int(b)) for a, b in blocks)
         if not blocks:
             raise InvalidGrainingError("coarse-graining needs at least one block")
@@ -298,22 +297,17 @@ class CoarseGraining:
             raise InvalidGrainingError(
                 f"blocks cover [0,{expected}) but the grid has {dim} cells"
             )
-        if volumes is not None:
-            volumes = tuple(float(v) for v in volumes)
-            if len(volumes) != len(blocks):
-                raise InvalidGrainingError("one volume per block required")
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "volumes", volumes)
 
     @classmethod
-    def from_sizes(cls, sizes: Sequence[int], volumes=None) -> "CoarseGraining":
+    def from_sizes(cls, sizes: Sequence[int]) -> "CoarseGraining":
         blocks = []
         start = 0
         for size in sizes:
             blocks.append((start, start + int(size)))
             start += int(size)
-        return cls(start, blocks, volumes)
+        return cls(start, blocks)
 
     @classmethod
     def unit_cells(cls, dim: int) -> "CoarseGraining":
@@ -340,23 +334,16 @@ class CoarseGraining:
 
 @dataclass(frozen=True)
 class GrainingFamily:
-    """A finite family of coarse-grainings ordered by refinement.
-
-    ``allow_generated`` lets operations extend the family with refinements
-    they construct (the desk-scale stand-in for arbitrarily fine
-    partitions); with it off, only the listed members may be used.
-    """
+    """A finite family of coarse-grainings of one grid, ordered by refinement."""
 
     members: tuple[CoarseGraining, ...]
-    allow_generated: bool = True
 
-    def __init__(self, members: Iterable[CoarseGraining], allow_generated: bool = True):
+    def __init__(self, members: Iterable[CoarseGraining]):
         members = tuple(members)
         dims = {g.dim for g in members}
         if len(dims) > 1:
             raise DimensionMismatchError("family members must share one grid")
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "allow_generated", bool(allow_generated))
 
 
 @dataclass(frozen=True)
@@ -457,7 +444,7 @@ class SeparatingSet:
     vectors: tuple[StateVector, ...]
     projectors: tuple[Projector, ...]
 
-    def __init__(self, vectors, projectors, *, tol: float = DERIVED_TOL):
+    def __init__(self, vectors, projectors):
         vectors = tuple(v if isinstance(v, StateVector) else StateVector(v) for v in vectors)
         projectors = tuple(projectors)
         if len(vectors) != len(projectors):
@@ -469,14 +456,14 @@ class SeparatingSet:
             if v.dim != dim:
                 raise DimensionMismatchError("vectors live on different grids")
         columns = np.array([v.amplitudes for v in vectors]).T
-        if np.max(np.abs(columns.conj().T @ columns - np.eye(len(vectors)))) > tol:
+        if np.max(np.abs(columns.conj().T @ columns - np.eye(len(vectors)))) > DERIVED_TOL:
             raise InvalidStateError("vectors are not orthonormal within tolerance")
         for j, proj in enumerate(projectors):
             if proj.dim != dim:
                 raise DimensionMismatchError("projector dimension mismatch")
             target = np.zeros_like(columns)
             target[:, j] = columns[:, j]
-            misses = np.max(np.abs(proj.apply(columns) - target), axis=0) > tol
+            misses = np.max(np.abs(proj.apply(columns) - target), axis=0) > DERIVED_TOL
             if misses.any():
                 raise InvalidStateError(
                     f"projector {j} does not separate vector {np.argmax(misses)} within tolerance"
@@ -601,7 +588,7 @@ def sublattice_from_graining(graining: CoarseGraining) -> BooleanSublattice:
 
 
 def permutation_unitary(
-    permutation: Sequence[int], separating: SeparatingSet, *, tol: float = DERIVED_TOL
+    permutation: Sequence[int], separating: SeparatingSet
 ) -> SymmetryUnitary:
     """Unitary sending vector ``k`` to vector ``pi(k)`` and conjugating the
     projector family accordingly.
@@ -631,7 +618,7 @@ def permutation_unitary(
             matrix += np.outer(col_dst, col_src.conj())
     total = sum(p.as_matrix() for p in separating.projectors)
     matrix += np.eye(dim, dtype=complex) - total
-    return SymmetryUnitary(matrix, "permutation", tol=max(tol, 1e-10))
+    return SymmetryUnitary(matrix, "permutation", tol=DERIVED_TOL)
 
 
 def _range_basis(separating: SeparatingSet, k: int) -> np.ndarray:
@@ -659,9 +646,7 @@ def _range_basis(separating: SeparatingSet, k: int) -> np.ndarray:
     return np.array(cols[: proj.rank]).T
 
 
-def phase_unitary(
-    thetas: Sequence[float], separating: SeparatingSet, *, tol: float = DERIVED_TOL
-) -> SymmetryUnitary:
+def phase_unitary(thetas: Sequence[float], separating: SeparatingSet) -> SymmetryUnitary:
     """Unitary multiplying the range of projector ``k`` by ``exp(-i theta_k)``.
 
     Leaves every projector of the set invariant under conjugation and acts
@@ -677,7 +662,7 @@ def phase_unitary(
     for theta, proj in zip(thetas, separating.projectors):
         pmat = proj.as_matrix()
         matrix = matrix + (np.exp(-1j * theta) - 1.0) * pmat
-    return SymmetryUnitary(matrix, "phase", tol=max(tol, 1e-10))
+    return SymmetryUnitary(matrix, "phase", tol=DERIVED_TOL)
 
 
 @dataclass(frozen=True)
@@ -705,9 +690,7 @@ class AdditivityReport:
         return self.normalization_ok and not self.violations
 
 
-def check_additivity(
-    table: MeasureTable, lattice: BooleanSublattice, *, tol: float = DERIVED_TOL
-) -> AdditivityReport:
+def check_additivity(table: MeasureTable, lattice: BooleanSublattice) -> AdditivityReport:
     """Check pairwise additivity of a measure table on a Boolean sublattice.
 
     The table must cover all generators and every queried union; it is
@@ -741,7 +724,7 @@ def check_additivity(
                 continue
             expected = lattice_value(left) + lattice_value(right)
             actual = lattice_value(left | right)
-            if abs(expected - actual) > tol:
+            if abs(expected - actual) > DERIVED_TOL:
                 violations.append(
                     AdditivityViolation(
                         left=tuple(sorted(left)),
@@ -752,5 +735,5 @@ def check_additivity(
                     )
                 )
     total = lattice_value(frozenset(range(n)))
-    normalization_ok = abs(total - 1.0) <= tol
+    normalization_ok = abs(total - 1.0) <= DERIVED_TOL
     return AdditivityReport(tuple(violations), normalization_ok)

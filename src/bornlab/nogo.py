@@ -18,6 +18,7 @@ from .errors import DimensionMismatchError, GeometryError, InvalidStateError
 from .hilbert import StateVector
 
 ORTHO_TOL = 1e-10
+PM_TOL = 1e-12  # slack of the unit interval and of a zero pair sum
 SEPARATION_THRESHOLD = 0.5
 
 
@@ -50,8 +51,8 @@ class RaySet:
     def __len__(self) -> int:
         return len(self.rays)
 
-    def orthogonal(self, i: int, j: int, *, tol: float = ORTHO_TOL) -> bool:
-        return abs(np.vdot(self.rays[i], self.rays[j])) < tol
+    def orthogonal(self, i: int, j: int) -> bool:
+        return abs(np.vdot(self.rays[i], self.rays[j])) < ORTHO_TOL
 
 
 @dataclass
@@ -96,10 +97,10 @@ class PMSystem:
     rays: RaySet
 
     @classmethod
-    def from_generators(cls, chi1, chi2, *, tol: float = ORTHO_TOL) -> "PMSystem":
+    def from_generators(cls, chi1, chi2) -> "PMSystem":
         a = _normalize_ray(chi1)
         b = _normalize_ray(chi2)
-        if abs(np.vdot(a, b)) > tol:
+        if abs(np.vdot(a, b)) > ORTHO_TOL:
             raise GeometryError("generator rays must be orthogonal")
         plus = _normalize_ray(a + b)
         minus = _normalize_ray(a - b)
@@ -123,9 +124,7 @@ class PMPropagation:
         return self.contradiction is None
 
 
-def propagate_pm_constraint(
-    system: PMSystem, f: FrameAssignment, *, tol: float = 1e-12
-) -> PMPropagation:
+def propagate_pm_constraint(system: PMSystem, f: FrameAssignment) -> PMPropagation:
     """Propagate additivity between the two sublattices of a PMSystem.
 
     The projector sums P1 + P2 and P+ + P- coincide, so any frame function
@@ -142,7 +141,7 @@ def propagate_pm_constraint(
         return None if a is None or b is None else a + b
 
     def force(idx: int, value: float, reason: str) -> str | None:
-        if value < -tol or value > 1.0 + tol:
+        if value < -PM_TOL or value > 1.0 + PM_TOL:
             return (
                 f"{_PM_NAMES[idx]} forced to {value:.6g}, outside [0,1] ({reason})"
             )
@@ -179,14 +178,14 @@ def propagate_pm_constraint(
             if total is None:
                 continue
             reason = f"f({_PM_NAMES[a]})+f({_PM_NAMES[b]}) = {total:.6g}"
-            if total <= tol:
+            if total <= PM_TOL:
                 # positivity: a zero sum forces both members of the other pair
                 for idx in (c, d):
                     msg = force(idx, 0.0, reason + " and positivity")
                     if msg:
                         return PMPropagation(out, tuple(derived), contradiction=msg)
             else:
-                if total > 2.0 + tol:
+                if total > 2.0 + PM_TOL:
                     return PMPropagation(
                         out,
                         tuple(derived),
@@ -282,11 +281,11 @@ class SearchResult:
         return bool(self.assignments)
 
 
-def _orthogonality_contexts(rays: RaySet, *, tol: float = ORTHO_TOL):
+def _orthogonality_contexts(rays: RaySet):
     """Maximal cliques of mutually orthogonal rays (Bron-Kerbosch), sorted."""
     n = len(rays)
     adjacency = [
-        {j for j in range(n) if j != i and rays.orthogonal(i, j, tol=tol)}
+        {j for j in range(n) if j != i and rays.orthogonal(i, j)}
         for i in range(n)
     ]
     cliques: set[tuple[int, ...]] = set()

@@ -291,6 +291,23 @@ class TestMain:
                 {**SIMULATE_PARAMS, "model": {**SIMULATE_PARAMS["model"], "observables": []}},
                 "'observables'",
             ),
+            ("simulate", {**SIMULATE_PARAMS, "dt": 0.0}, "step size dt"),
+            ("simulate", {**SIMULATE_PARAMS, "dt": -0.001}, "step size dt"),
+            ("simulate", {**SIMULATE_PARAMS, "t_max": -1.0}, "horizon t_max"),
+            ("simulate", {**SIMULATE_PARAMS, "n_trajectories": 0}, "'n_trajectories'"),
+            ("simulate", {**SIMULATE_PARAMS, "csv_record_every": 0}, "'csv_record_every'"),
+            ("simulate", {**SIMULATE_PARAMS, "eps_collapse": 2}, "eps_collapse"),
+            ("simulate", {**SIMULATE_PARAMS, "eps_collapse": -0.1}, "eps_collapse"),
+            (
+                "simulate",
+                {**SIMULATE_PARAMS, "martingale_checkpoints": 5},
+                "'martingale_checkpoints'",
+            ),
+            (
+                "simulate",
+                {**SIMULATE_PARAMS, "martingale_checkpoints": [-1.0]},
+                "martingale checkpoints",
+            ),
         ],
     )
     def test_out_of_range_field_exit_usage(self, tmp_path, capsys, kind, params, field):
@@ -381,6 +398,16 @@ class TestScenarioKinds:
         assert code == EXIT_OK
         assert report["metrics"]["tail_path"] == path
         assert report["metrics"]["terms"] == terms
+
+    def test_lln_scan_counters(self, tmp_path):
+        doc = {
+            "kind": "lln",
+            "parameters": {"op": "scan", "p": 0.5, "delta": 0.2, "ns": [10, 1000, 1001]},
+        }
+        report, code = run_scenario(write_scenario(tmp_path, doc))
+        assert code == EXIT_OK
+        assert report["metrics"]["tail_paths"] == ["exact", "exact", "log"]
+        assert report["metrics"]["terms"] == [6, 600, 602]
 
     def test_games_pivotal(self, tmp_path):
         doc = {

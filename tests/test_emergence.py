@@ -229,12 +229,41 @@ class TestRationalBornValues:
         lattice = sublattice_from_graining(state.graining)
         assert check_additivity(table, lattice).ok
 
-    def test_family_without_refinement_rejected(self):
-        graining = CoarseGraining.from_sizes([1, 1])
-        family = GrainingFamily([graining], allow_generated=False)
-        state = RationalState([2, 1], graining)
-        with pytest.raises(PreconditionError):
-            rational_born_values(state, graining, family)
+    def test_subdivision_is_lcm_of_block_refinements(self):
+        # profiles with zero cells inside blocks, and blocks of weight zero
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n_blocks = int(rng.integers(1, 5))
+            weights = [int(rng.integers(0, 7)) for _ in range(n_blocks)]
+            if not any(weights):
+                weights[-1] = 1
+            sizes = [int(rng.integers(1, 5)) for _ in range(n_blocks)]
+            profiles = []
+            for size in sizes:
+                raw = [int(rng.integers(0, 4)) for _ in range(size)]
+                raw[int(rng.integers(0, size))] += 1
+                profiles.append([Fraction(r, sum(raw)) for r in raw])
+            graining = CoarseGraining.from_sizes(sizes)
+            state = RationalState(weights, graining, profiles)
+            _, trace = rational_born_values(state)
+            (refine,) = (step for step in trace.steps if step.rule == "refinement")
+            per_block = [
+                equal_mass_refine(state.cell_masses(), graining, k, w).subdivision
+                for k, w in enumerate(weights)
+                if w
+            ]
+            assert refine.payload["subdivision"] == math.lcm(*per_block)
+
+    def test_resolution_cap(self):
+        # cuts at 11/9 and 29/18 need 18 sub-cells per cell
+        state = RationalState(
+            [3], CoarseGraining.from_sizes([2]), [[Fraction(1, 7), Fraction(6, 7)]]
+        )
+        _, trace = rational_born_values(state, max_subdivision=18)
+        assert trace.steps[0].payload["subdivision"] == 18
+        with pytest.raises(ResolutionError) as err:
+            rational_born_values(state, max_subdivision=17)
+        assert err.value.required_subcells == 18
 
 
 class TestBornLimit:
