@@ -152,6 +152,14 @@ def _at_least_one(value) -> int:
     return count
 
 
+def _choice(params: dict, key: str, *allowed):
+    """``params[key]``, which must be one of ``allowed``; the first is the default."""
+    value = params.get(key, allowed[0])
+    if value not in allowed:
+        raise ScenarioError(f"{key!r} must be one of {', '.join(map(repr, allowed))}: {value!r}")
+    return value
+
+
 def _table_to_dict(table: MeasureTable) -> dict:
     out = {}
     for key, value in table.items():
@@ -268,6 +276,7 @@ def _handle_derive(params: dict, seed: int, csv_dir) -> dict:
 
 
 def _handle_solve_measure(params: dict, seed: int, csv_dir) -> dict:
+    expect = _choice(params, "expect", "unique", "underdetermined")
     masses = _field(params, "masses", lambda ms: [parse_rational(m) for m in ms])
     dim = len(masses)
     grainings = _field(params, "grainings", lambda gs: [CoarseGraining.from_sizes(g) for g in gs])
@@ -276,7 +285,6 @@ def _handle_solve_measure(params: dict, seed: int, csv_dir) -> dict:
     family = GrainingFamily(grainings)
     profile = MassProfile(masses)
     result = measure_uniqueness_solve(profile, family)
-    expect = params.get("expect", "unique")
     verdict = "PASS" if result.status == expect else "FAIL"
     metrics = {
         "status": result.status,
@@ -382,6 +390,7 @@ def _handle_games(params: dict, seed: int, csv_dir) -> dict:
 
 
 def _handle_histories(params: dict, seed: int, csv_dir) -> dict:
+    expect = _choice(params, "expect", "CONSISTENT", "INCONSISTENT")
     psi0 = StateVector(_field(params, "psi0", parse_vector))
     dim = psi0.dim
     docs = _field(params, "steps")
@@ -399,9 +408,6 @@ def _handle_histories(params: dict, seed: int, csv_dir) -> dict:
     epsilon = params.get("epsilon", 1e-8)
     if type(epsilon) not in (int, float) or not 0 <= epsilon <= sys.float_info.max:
         raise ScenarioError(f"histories 'epsilon' must be a finite number >= 0, got {epsilon!r}")
-    expect = params.get("expect", "CONSISTENT")
-    if expect not in ("CONSISTENT", "INCONSISTENT"):
-        raise ScenarioError(f"histories 'expect' must be CONSISTENT or INCONSISTENT: {expect!r}")
     history_set = HistorySet(steps, float(epsilon))
     report = consistency_check(history_set, psi0)
     sums_ok = abs(report.collapsed_sum - 1.0) <= 1e-9
@@ -489,11 +495,11 @@ def _pm_assignment(doc) -> FrameAssignment:
 def _handle_nogo(params: dict, seed: int, csv_dir) -> dict:
     check = _field(params, "check")
     if check == "pm":
+        expect = _choice(params, "expect", "consistent", "contradiction")
         system = PMSystem.from_generators(
             _field(params, "chi1", parse_vector), _field(params, "chi2", parse_vector)
         )
         result = propagate_pm_constraint(system, _field(params, "assignment", _pm_assignment))
-        expect = params.get("expect", "consistent")
         actual = "consistent" if result.consistent else "contradiction"
         return {
             "verdicts": {"expectation": "PASS" if actual == expect else "FAIL"},
@@ -506,10 +512,10 @@ def _handle_nogo(params: dict, seed: int, csv_dir) -> dict:
             },
         }
     if check == "separation":
+        expect = _choice(params, "expect", None, "allowed", "forbidden")
         result = separation_check(
             _field(params, "chi", parse_vector), _field(params, "phi", parse_vector)
         )
-        expect = params.get("expect")
         verdict = "PASS" if expect is None or result.verdict.value == expect else "FAIL"
         return {
             "verdicts": {"expectation": verdict},
@@ -520,12 +526,12 @@ def _handle_nogo(params: dict, seed: int, csv_dir) -> dict:
             },
         }
     if check == "rotation":
+        expect = _choice(params, "expect", "contradiction", "inconclusive", "degenerate")
         report = rotation_jump_demo(
             _field(params, "chi", parse_vector),
             _field(params, "phi", parse_vector),
-            _field(params, "steps", int),
+            _field(params, "steps"),
         )
-        expect = params.get("expect", "contradiction")
         return {
             "verdicts": {
                 "expectation": "PASS" if report.status == expect else "FAIL",
@@ -534,7 +540,7 @@ def _handle_nogo(params: dict, seed: int, csv_dir) -> dict:
                 "status": report.status,
                 "max_consecutive_distance": report.max_consecutive_distance,
                 "flip_allowed_at": report.flip_allowed_at,
-                "n_pairs": len(report.steps),
+                "n_pairs": len(report.distances),
             },
         }
     if check == "search":

@@ -219,18 +219,6 @@ class Projector:
             )
         return Projector(dim=self.dim, matrix=np.eye(self.dim, dtype=complex) - self.matrix)
 
-    def union(self, other: "Projector") -> "Projector":
-        self._require_cells_pair(other)
-        return Projector.from_cells(
-            list(self.cells) + list(other.cells), self.dim
-        )
-
-    def _require_cells_pair(self, other: "Projector") -> None:
-        if self.cells is None or other.cells is None:
-            raise InvalidStateError("lattice operations need cell-form projectors")
-        if self.dim != other.dim:
-            raise DimensionMismatchError("projectors live on different grids")
-
     def key(self):
         """Canonical hashable identity used by measure tables.
 
@@ -389,9 +377,6 @@ class BooleanSublattice:
     @property
     def element_count(self) -> int:
         return 2 ** self.n_generators
-
-    def zero(self) -> Projector:
-        return Projector.from_cells([], self.dim)
 
     def identity(self) -> Projector:
         return Projector.from_cells([(0, self.dim)], self.dim)

@@ -76,10 +76,6 @@ class History:
     def projectors(self):
         return tuple(step.resolution[c] for step, c in zip(self.steps, self.choices))
 
-    @property
-    def times(self) -> tuple[int, ...]:
-        return tuple(range(1, len(self.steps) + 1))
-
 
 @dataclass(frozen=True)
 class HistorySet:
@@ -123,8 +119,8 @@ class HistorySet:
             yield History(self.steps, tuple(choices))
 
 
-def _chain_vector(history: History, psi0: StateVector) -> np.ndarray:
-    psi = psi0.normalized().amplitudes
+def _chain_vector(history: History, psi: np.ndarray) -> np.ndarray:
+    """The history's operator string applied to the normalized amplitudes ``psi``."""
     for step, choice in zip(history.steps, history.choices):
         if step.dim != psi.shape[0]:
             raise DimensionMismatchError("history and state dimensions differ")
@@ -138,7 +134,10 @@ def collapsed_probability(history: History, psi0: StateVector) -> float:
     Evolve, project, record the projection's weight, renormalize, repeat;
     a projection that annihilates the state ends the product at zero.
     """
-    psi = psi0.normalized().amplitudes
+    return _collapsed_product(history, psi0.normalized().amplitudes)
+
+
+def _collapsed_product(history: History, psi: np.ndarray) -> float:
     product = 1.0
     for step, choice in zip(history.steps, history.choices):
         if step.dim != psi.shape[0]:
@@ -155,7 +154,7 @@ def collapsed_probability(history: History, psi0: StateVector) -> float:
 
 def uncollapsed_probability(history: History, psi0: StateVector) -> float:
     """Squared norm of the full chained vector applied to the initial state."""
-    chained = _chain_vector(history, psi0)
+    chained = _chain_vector(history, psi0.normalized().amplitudes)
     return float(np.real(np.vdot(chained, chained)))
 
 
@@ -241,8 +240,9 @@ def consistency_check(
             "coarsen the resolutions"
         )
     histories = list(history_set.histories())
-    chains = np.array([_chain_vector(h, psi0) for h in histories])
-    collapsed = np.array([collapsed_probability(h, psi0) for h in histories])
+    psi = psi0.normalized().amplitudes
+    chains = np.array([_chain_vector(h, psi) for h in histories])
+    collapsed = np.array([_collapsed_product(h, psi) for h in histories])
     chained = np.real(np.einsum("nd,nd->n", chains.conj(), chains))
     rows = [
         EventDiscrepancy("history", str(h.choices), float(p_add), float(p_chain))
@@ -251,7 +251,6 @@ def consistency_check(
     pair_rows, pairs_over = _worst_pair(histories, chains, collapsed, chained, history_set.epsilon)
 
     # final-time marginals: evolve without any projection, then project once
-    psi = psi0.normalized().amplitudes
     for step in history_set.steps:
         psi = step.unitary @ psi
     marginals = []

@@ -162,8 +162,8 @@ def lln_limit_scan(
     the sequence decreases strictly.
     """
     ns = tuple(int(n) for n in ns)
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("trial counts must be strictly increasing")
+    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise PreconditionError(f"trial counts 'ns' must be non-empty and strictly increasing: {ns}")
     values = tuple(lln_tail(n, delta, p) for n in ns)
     final_is_minimum = values[-1] == min(values)
     strictly_decreasing = all(b < a for a, b in zip(values, values[1:])) or len(values) == 1

@@ -14,20 +14,36 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GeometryError, InvalidStateError
-from .hilbert import StateVector
+from .errors import DimensionMismatchError, GeometryError, InvalidStateError, PreconditionError
 
 ORTHO_TOL = 1e-10
 PM_TOL = 1e-12  # slack of the unit interval and of a zero pair sum
 SEPARATION_THRESHOLD = 0.5
+MAX_ROTATION_STEPS = 10**6  # the sweep holds all steps + 1 rays at once
 
 
-def _normalize_ray(vector) -> np.ndarray:
-    arr = np.asarray(vector, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(arr)
-    if norm == 0.0:
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_k, b_k> for every row k, one BLAS dot per row.
+
+    ``np.vdot`` and ``np.linalg.norm`` make the same BLAS call on one vector,
+    so a row rounds as that vector would there; numpy sums would not, as
+    OpenBLAS fuses multiply-adds.
+    """
+    return np.matmul(a.conj()[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    norms = np.sqrt(_row_dots(rows.real, rows.real) + _row_dots(rows.imag, rows.imag))
+    if not norms.all():
         raise InvalidStateError("a ray representative cannot be the zero vector")
-    return arr / norm
+    return rows / norms[:, None]
+
+
+def _ray_pair(chi, phi) -> np.ndarray:
+    a, b = (np.asarray(getattr(v, "amplitudes", v), dtype=complex).reshape(-1) for v in (chi, phi))
+    if a.shape != b.shape:
+        raise DimensionMismatchError("rays live in different dimensions")
+    return np.stack([a, b])
 
 
 @dataclass(frozen=True)
@@ -38,15 +54,13 @@ class RaySet:
     dim: int
 
     def __init__(self, rays):
-        normalized = tuple(_normalize_ray(r) for r in rays)
-        if not normalized:
+        rays = [np.asarray(r, dtype=complex).reshape(-1) for r in rays]
+        if not rays:
             raise InvalidStateError("ray set cannot be empty")
-        dim = normalized[0].shape[0]
-        for ray in normalized:
-            if ray.shape[0] != dim:
-                raise DimensionMismatchError("rays live in different dimensions")
-        object.__setattr__(self, "rays", normalized)
-        object.__setattr__(self, "dim", dim)
+        if any(ray.shape != rays[0].shape for ray in rays):
+            raise DimensionMismatchError("rays live in different dimensions")
+        object.__setattr__(self, "rays", tuple(_unit_rows(np.stack(rays))))
+        object.__setattr__(self, "dim", rays[0].shape[0])
 
     def __len__(self) -> int:
         return len(self.rays)
@@ -98,13 +112,10 @@ class PMSystem:
 
     @classmethod
     def from_generators(cls, chi1, chi2) -> "PMSystem":
-        a = _normalize_ray(chi1)
-        b = _normalize_ray(chi2)
+        a, b = _unit_rows(_ray_pair(chi1, chi2))
         if abs(np.vdot(a, b)) > ORTHO_TOL:
             raise GeometryError("generator rays must be orthogonal")
-        plus = _normalize_ray(a + b)
-        minus = _normalize_ray(a - b)
-        return cls(RaySet([a, b, plus, minus]))
+        return cls(RaySet([a, b, a + b, a - b]))
 
 
 @dataclass(frozen=True)
@@ -224,13 +235,28 @@ class SeparationVerdict(Enum):
 
 @dataclass(frozen=True)
 class SeparationResult:
-    verdict: SeparationVerdict
     distance: float
     threshold: float = SEPARATION_THRESHOLD
 
     @property
     def forbidden(self) -> bool:
-        return self.verdict is SeparationVerdict.FORBIDDEN
+        return self.distance <= self.threshold
+
+    @property
+    def verdict(self) -> SeparationVerdict:
+        return SeparationVerdict.FORBIDDEN if self.forbidden else SeparationVerdict.ALLOWED
+
+
+def _ray_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise distance between the rays of the nonzero rows a[k] and b[k].
+
+    Both rows are normalized and the relative phase is chosen to minimize
+    |a_k - b_k|, which leaves sqrt(2 - 2|<a_k, b_k>|).
+    """
+    dots = _row_dots(_unit_rows(a), _unit_rows(b))
+    # np.hypot rounds as abs() of one complex does; np.abs of a complex array may not
+    overlap = np.hypot(dots.real, dots.imag)
+    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlap))
 
 
 def separation_check(chi, phi) -> SeparationResult:
@@ -241,18 +267,8 @@ def separation_check(chi, phi) -> SeparationResult:
     |phi|.  FORBIDDEN means the pair is too close for the value to drop
     from 1 to 0 under additivity.
     """
-    a = _normalize_ray(chi if not isinstance(chi, StateVector) else chi.amplitudes)
-    b = _normalize_ray(phi if not isinstance(phi, StateVector) else phi.amplitudes)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError("rays live in different dimensions")
-    overlap = abs(np.vdot(a, b))
-    distance = float(np.sqrt(max(0.0, 2.0 - 2.0 * overlap)))
-    verdict = (
-        SeparationVerdict.FORBIDDEN
-        if distance <= SEPARATION_THRESHOLD
-        else SeparationVerdict.ALLOWED
-    )
-    return SeparationResult(verdict, distance)
+    pair = _ray_pair(chi, phi)
+    return SeparationResult(float(_ray_distances(pair[:1], pair[1:])[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +297,8 @@ class SearchResult:
         return bool(self.assignments)
 
 
-def _orthogonality_contexts(rays: RaySet):
+def _orthogonality_contexts(adjacency: list[set[int]]):
     """Maximal cliques of mutually orthogonal rays (Bron-Kerbosch), sorted."""
-    n = len(rays)
-    adjacency = [
-        {j for j in range(n) if j != i and rays.orthogonal(i, j)}
-        for i in range(n)
-    ]
     cliques: set[tuple[int, ...]] = set()
 
     def expand(clique: set[int], candidates: set[int], excluded: set[int]) -> None:
@@ -299,7 +310,7 @@ def _orthogonality_contexts(rays: RaySet):
             candidates = candidates - {v}
             excluded = excluded | {v}
 
-    expand(set(), set(range(n)), set())
+    expand(set(), set(range(len(adjacency))), set())
     return sorted(cliques)
 
 
@@ -321,11 +332,9 @@ def dispersion_free_search(
         raise DimensionMismatchError("dispersion-free search needs dimension >= 2")
     n = len(rays)
     pinned = {int(k): int(v) for k, v in (pinned or {}).items()}
-    contexts = _orthogonality_contexts(rays)
+    adjacency = [{j for j in range(n) if j != i and rays.orthogonal(i, j)} for i in range(n)]
+    contexts = _orthogonality_contexts(adjacency)
     complete = [c for c in contexts if len(c) == rays.dim]
-    ortho_pairs = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if rays.orthogonal(i, j)
-    ]
 
     solutions: list[tuple[int, ...]] = []
     best_chain: tuple[str, ...] | None = None
@@ -333,9 +342,8 @@ def dispersion_free_search(
 
     def conflict(idx: int, value: int) -> str | None:
         if value == 1:
-            for i, j in ortho_pairs:
-                other = j if i == idx else i if j == idx else None
-                if other is not None and assignment.get(other) == 1:
+            for other in sorted(adjacency[idx]):
+                if assignment.get(other) == 1:
                     return f"rays {idx} and {other} are orthogonal but both valued 1"
         for ctx in complete:
             if idx not in ctx:
@@ -388,76 +396,78 @@ def dispersion_free_search(
 
 
 @dataclass(frozen=True)
-class RotationStep:
-    index: int
-    distance: float
-    forbidden: bool
-
-
-@dataclass(frozen=True)
 class RotationJumpReport:
     """Outcome of sweeping a ray continuously from chi to phi.
 
     With endpoint values fixed at f(chi) = 1 and f(phi) = 0, a {0,1} frame
-    function must flip somewhere along the sweep.  ``contradiction`` holds
-    when every consecutive pair is within the separation bound, so no legal
-    flip position exists.
+    function must flip somewhere along the sweep.  ``distances`` holds the
+    read-only distance of each consecutive pair of rays.  ``contradiction``
+    holds when every pair is within the separation bound, so no legal flip
+    position exists; the sweep between identical rays is empty.
     """
 
-    status: str  # "contradiction" | "inconclusive" | "degenerate"
-    steps: tuple[RotationStep, ...]
-    max_consecutive_distance: float
-    flip_allowed_at: int | None
+    distances: np.ndarray
+
+    def __post_init__(self):
+        self.distances.flags.writeable = False
+
+    @property
+    def forbidden(self) -> np.ndarray:
+        return self.distances <= SEPARATION_THRESHOLD
+
+    @property
+    def steps(self) -> range:
+        """Index of each consecutive pair; the benchmark counts pairs as ``len(steps)``."""
+        return range(len(self.distances))
+
+    @property
+    def empty(self) -> bool:
+        return not self.distances.size
+
+    @property
+    def flip_allowed_at(self) -> int | None:
+        allowed = np.flatnonzero(~self.forbidden)
+        return int(allowed[0]) if allowed.size else None
+
+    @property
+    def max_consecutive_distance(self) -> float:
+        return float(self.distances.max(initial=0.0))
+
+    @property
+    def status(self) -> str:  # "contradiction" | "inconclusive" | "degenerate"
+        if self.empty:
+            return "degenerate"
+        return "contradiction" if self.flip_allowed_at is None else "inconclusive"
 
     @property
     def contradiction(self) -> bool:
         return self.status == "contradiction"
 
-    @property
-    def empty(self) -> bool:
-        return not self.steps
-
 
 def rotation_jump_demo(chi, phi, steps: int) -> RotationJumpReport:
     """Interpolate chi into phi and test every consecutive pair.
 
-    ``steps`` counts interpolation intervals (so the sweep has steps + 1
-    rays).  If some consecutive pair is far enough apart the flip can sit
-    there and the report is inconclusive; if every pair is forbidden the
-    report certifies that no dispersion-free assignment survives the sweep.
-    Identical rays produce a degenerate empty report.
+    ``steps`` counts interpolation intervals, an integer in
+    [2, ``MAX_ROTATION_STEPS``]; the steps + 1 rays are built and compared
+    as one array, and each distance is the one ``separation_check`` gives
+    for that pair of rays, bit for bit.  If some pair is far enough apart
+    the flip can sit there and the report is inconclusive; if every pair is
+    forbidden the report certifies that no dispersion-free assignment
+    survives the sweep.  Identical rays give a degenerate empty report.
     """
-    if steps < 2:
-        raise ValueError("need at least 2 interpolation steps")
-    a = _normalize_ray(chi if not isinstance(chi, StateVector) else chi.amplitudes)
-    b = _normalize_ray(phi if not isinstance(phi, StateVector) else phi.amplitudes)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError("rays live in different dimensions")
-
+    if not isinstance(steps, (int, np.integer)) or not 2 <= steps <= MAX_ROTATION_STEPS:
+        raise PreconditionError(
+            f"rotation 'steps' must be an integer in [2, {MAX_ROTATION_STEPS}], got {steps!r}"
+        )
+    a, b = _unit_rows(_ray_pair(chi, phi))
     overlap = np.vdot(a, b)
     if abs(overlap) > 1.0 - 1e-14:
-        return RotationJumpReport("degenerate", (), 0.0, None)
+        return RotationJumpReport(np.zeros(0))
     # align phase so the geodesic stays real in the (a, b) plane
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
     b_aligned = b / phase
     angle = float(np.arccos(min(1.0, abs(overlap))))
 
-    rays = []
-    for k in range(steps + 1):
-        t = k / steps
-        ray = (
-            np.sin((1 - t) * angle) * a + np.sin(t * angle) * b_aligned
-        ) / np.sin(angle)
-        rays.append(_normalize_ray(ray))
-
-    records = []
-    flip_at = None
-    worst = 0.0
-    for k in range(steps):
-        result = separation_check(rays[k], rays[k + 1])
-        worst = max(worst, result.distance)
-        records.append(RotationStep(k, result.distance, result.forbidden))
-        if not result.forbidden and flip_at is None:
-            flip_at = k
-    status = "inconclusive" if flip_at is not None else "contradiction"
-    return RotationJumpReport(status, tuple(records), worst, flip_at)
+    t = (np.arange(steps + 1) / steps)[:, None]
+    rays = _unit_rows((np.sin((1 - t) * angle) * a + np.sin(t * angle) * b_aligned) / np.sin(angle))
+    return RotationJumpReport(_ray_distances(rays[:-1], rays[1:]))

@@ -15,6 +15,7 @@ from bornlab.cli import (
     render_report,
     run_scenario,
 )
+from bornlab.nogo import MAX_ROTATION_STEPS
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -41,6 +42,8 @@ SIMULATE_PARAMS = {
 }
 
 PM_PARAMS = {"check": "pm", "chi1": [1, 0, 0], "chi2": [0, 1, 0]}
+SEPARATION_PARAMS = {"check": "separation", "chi": [1, 0], "phi": [0.6, 0.8]}
+ROTATION_PARAMS = {"check": "rotation", "chi": [1, 0], "phi": [0, 1], "steps": 8}
 
 
 class TestRunScenario:
@@ -308,6 +311,19 @@ class TestMain:
                 {**SIMULATE_PARAMS, "martingale_checkpoints": [-1.0]},
                 "martingale checkpoints",
             ),
+            ("nogo", {**PM_PARAMS, "assignment": {}, "expect": "contradicton"}, "'expect'"),
+            ("nogo", {**SEPARATION_PARAMS, "expect": "forbiden"}, "'expect'"),
+            ("nogo", {**ROTATION_PARAMS, "expect": "consistant"}, "'expect'"),
+            (
+                "solve-measure",
+                {"masses": [1, 1], "grainings": [[1, 1]], "expect": "Underdetermined"},
+                "'expect'",
+            ),
+            ("nogo", {**ROTATION_PARAMS, "steps": 1}, "'steps'"),
+            ("nogo", {**ROTATION_PARAMS, "steps": 2.5}, "'steps'"),
+            ("nogo", {**ROTATION_PARAMS, "steps": MAX_ROTATION_STEPS + 1}, "'steps'"),
+            ("lln", {"op": "scan", "p": 0.5, "delta": 0.1, "ns": []}, "'ns'"),
+            ("lln", {"op": "scan", "p": 0.5, "delta": 0.1, "ns": [100, 10]}, "'ns'"),
         ],
     )
     def test_out_of_range_field_exit_usage(self, tmp_path, capsys, kind, params, field):

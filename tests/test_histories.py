@@ -36,7 +36,7 @@ def plus():
 def oracle_check(history_set, psi0):
     """The full event loop: one row per history, per pair union and per marginal."""
     histories = list(history_set.histories())
-    chains = np.array([_chain_vector(h, psi0) for h in histories])
+    chains = np.array([_chain_vector(h, psi0.normalized().amplitudes) for h in histories])
     collapsed = np.array([collapsed_probability(h, psi0) for h in histories])
     chained = np.real(np.einsum("nd,nd->n", chains.conj(), chains))
     discrepancies = [

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab.errors import DimensionMismatchError, GeometryError, InvalidStateError
+from bornlab.errors import (
+    DimensionMismatchError,
+    GeometryError,
+    InvalidStateError,
+    PreconditionError,
+)
 from bornlab.hilbert import Projector, StateVector, born_weight
 from bornlab.nogo import (
+    MAX_ROTATION_STEPS,
     FrameAssignment,
     PMSystem,
     RaySet,
@@ -17,6 +25,30 @@ from bornlab.nogo import (
     rotation_jump_demo,
     separation_check,
 )
+
+
+def per_pair_sweep(chi, phi, steps):
+    """The sweep one pair at a time: per-ray slerp, then separation_check on each pair."""
+    a = np.asarray(chi, dtype=complex) / np.linalg.norm(chi)
+    b = np.asarray(phi, dtype=complex) / np.linalg.norm(phi)
+    overlap = np.vdot(a, b)
+    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
+    angle = float(np.arccos(min(1.0, abs(overlap))))
+    rays = []
+    for k in range(steps + 1):
+        t = k / steps
+        ray = (np.sin((1 - t) * angle) * a + np.sin(t * angle) * (b / phase)) / np.sin(angle)
+        rays.append(ray / np.linalg.norm(ray))
+    return [separation_check(rays[k], rays[k + 1]) for k in range(steps)]
+
+
+def ray_at(theta):
+    """The unit ray at angle theta from e_0 in the plane."""
+    return [math.cos(theta), math.sin(theta)]
+
+
+# 2 sin(theta / (2 steps)) = 1/2 at steps = 3
+BOUNDARY_ANGLE = 6 * math.asin(0.25)
 
 
 @pytest.fixture
@@ -101,6 +133,16 @@ class TestSeparation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             separation_check([1, 0], [1, 0, 0])
+
+    @given(st.integers(0, 10_000), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_single_vector_formula(self, seed, d):
+        rng = np.random.default_rng(seed)
+        chi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        a, b = chi / np.linalg.norm(chi), phi / np.linalg.norm(phi)
+        distance = float(np.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(a, b)))))
+        assert separation_check(chi, phi).distance == distance
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -197,8 +239,55 @@ class TestRotationJump:
         report = rotation_jump_demo([1, 0], [0, 1], 8)
         assert report.contradiction
         assert report.max_consecutive_distance < 0.5
-        assert len(report.steps) == 8
-        assert all(s.forbidden for s in report.steps)
+        assert len(report.distances) == len(report.steps) == 8
+        assert report.forbidden.all()
+        with pytest.raises(ValueError):
+            report.distances[0] = 1.0
+
+    @given(
+        st.integers(2, 4),
+        st.integers(2, 400),
+        st.floats(0.5, math.pi / 2),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_pair_sweep(self, d, steps, theta, seed):
+        rng = np.random.default_rng(seed)
+        chi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        other = rng.normal(size=d) + 1j * rng.normal(size=d)
+        unit = chi / np.linalg.norm(chi)
+        other -= np.vdot(unit, other) * unit
+        phi = math.cos(theta) * unit + math.sin(theta) * other / np.linalg.norm(other)
+        phi *= rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+
+        report = rotation_jump_demo(chi, phi, steps)
+        pairs = per_pair_sweep(chi, phi, steps)
+        want = np.array([p.distance for p in pairs])
+        assert np.array_equal(report.distances, want)
+        assert report.forbidden.tolist() == [p.forbidden for p in pairs]
+        flips = [k for k, p in enumerate(pairs) if not p.forbidden]
+        assert report.flip_allowed_at == (flips[0] if flips else None)
+        assert report.status == ("inconclusive" if flips else "contradiction")
+        assert report.max_consecutive_distance == want.max()
+        closed_form = 2 * math.sin(theta / (2 * steps))
+        assert np.abs(report.distances - closed_form).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "theta, steps, status, flip_at",
+        [
+            (math.pi / 2, 3, "inconclusive", 0),
+            (math.pi / 2, 4, "contradiction", None),
+            (BOUNDARY_ANGLE - 2e-6, 3, "contradiction", None),
+            (BOUNDARY_ANGLE + 2e-6, 3, "inconclusive", 0),
+        ],
+    )
+    def test_verdict_boundary(self, theta, steps, status, flip_at):
+        report = rotation_jump_demo(ray_at(0.0), ray_at(theta), steps)
+        closed_form = 2 * math.sin(theta / (2 * steps))
+        assert report.distances == pytest.approx([closed_form] * steps, abs=1e-12)
+        assert report.status == status
+        assert report.flip_allowed_at == flip_at
+        assert report.forbidden.all() == (status == "contradiction")
 
     def test_two_steps_inconclusive(self):
         report = rotation_jump_demo([1, 0], [0, 1], 2)
@@ -213,6 +302,11 @@ class TestRotationJump:
     def test_step_minimum(self):
         with pytest.raises(ValueError):
             rotation_jump_demo([1, 0], [0, 1], 1)
+
+    @pytest.mark.parametrize("steps", [0, 1, 2.5, 3.0, "8", True, MAX_ROTATION_STEPS + 1])
+    def test_steps_must_be_integer_in_range(self, steps):
+        with pytest.raises(PreconditionError, match="'steps'"):
+            rotation_jump_demo([1, 0], [0, 1], steps)
 
     def test_phase_of_endpoint_handled(self):
         report = rotation_jump_demo([1, 0], [0, 1j], 8)
