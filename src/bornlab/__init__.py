@@ -57,9 +57,7 @@ from .hilbert import (  # noqa: F401
 from .histories import (  # noqa: F401
     HistorySet,
     HistoryStep,
-    collapsed_probability,
     consistency_check,
-    uncollapsed_probability,
 )
 from .lln import (  # noqa: F401
     frequency_audit,

@@ -137,8 +137,23 @@ def _field(params: dict, key: str, convert=lambda value: value, default=_REQUIRE
         raise ScenarioError(f"cannot read {key!r}: {err}") from err
 
 
+def _int(value) -> int:
+    """A JSON integer, or a float with an integral value; never a boolean or a string."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _bool(value) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _ints(values) -> list[int]:
-    return [int(v) for v in values]
+    return [_int(v) for v in values]
 
 
 def _floats(values) -> list[float]:
@@ -146,7 +161,7 @@ def _floats(values) -> list[float]:
 
 
 def _at_least_one(value) -> int:
-    count = int(value)
+    count = _int(value)
     if count < 1:
         raise ValueError(f"must be at least 1, got {count}")
     return count
@@ -192,7 +207,7 @@ def _handle_simulate(params: dict, seed: int, csv_dir: Path | None) -> dict:
     dt = _field(params, "dt", float)
     n = _field(params, "n_trajectories", _at_least_one)
     eps = _field(params, "eps_collapse", float, 1e-6)
-    _field(params, "workers", int, 1)  # accepted; one batch runs every trajectory
+    _field(params, "workers", _int, 1)  # accepted; one batch runs every trajectory
     checkpoints = _field(params, "martingale_checkpoints", _floats, None)
     martingale_n = _field(params, "martingale_trajectories", _at_least_one, min(n, 2000))
     record_every = _field(params, "csv_record_every", _at_least_one, 1)
@@ -261,7 +276,8 @@ def _handle_derive(params: dict, seed: int, csv_dir) -> dict:
         graining = CoarseGraining.from_sizes(sizes)
         psi = StateVector(amplitudes)
         separating = SeparatingSet.from_graining(psi, graining)
-        lattice = sublattice_from_graining(graining) if params.get("lattice", False) else None
+        with_lattice = _field(params, "lattice", _bool, False)
+        lattice = sublattice_from_graining(graining) if with_lattice else None
         table, trace = equiprobable_values(psi, separating, lattice)
         d = separating.size
         ok = all(
@@ -279,7 +295,9 @@ def _handle_solve_measure(params: dict, seed: int, csv_dir) -> dict:
     expect = _choice(params, "expect", "unique", "underdetermined")
     masses = _field(params, "masses", lambda ms: [parse_rational(m) for m in ms])
     dim = len(masses)
-    grainings = _field(params, "grainings", lambda gs: [CoarseGraining.from_sizes(g) for g in gs])
+    grainings = _field(
+        params, "grainings", lambda gs: [CoarseGraining.from_sizes(_ints(g)) for g in gs]
+    )
     if any(graining.dim != dim for graining in grainings):
         raise ScenarioError("graining sizes must cover the mass grid")
     family = GrainingFamily(grainings)
@@ -327,7 +345,7 @@ def _handle_games(params: dict, seed: int, csv_dir) -> dict:
         ) if abs(x1 - x2) > 1e-10 else None
         solve_ok, solved = True, None
         if game is not None:
-            solved = value_solve([game], _field(params, "depth", int, 4))
+            solved = value_solve([game], _field(params, "depth", _int, 4))
             solve_ok = (
                 solved.value_of(game) is not None
                 and abs(solved.value_of(game) - expected) < 1e-9
@@ -362,7 +380,8 @@ def _handle_games(params: dict, seed: int, csv_dir) -> dict:
         game_b = Game.projector_game(state, p2, payoff)
         swap = projector_swap(state, p1, p2)
         unitaries = [swap] if swap is not None else []
-        solved = value_solve([game_a, game_b], _field(params, "depth", int, 2), unitaries=unitaries)
+        depth = _field(params, "depth", _int, 2)
+        solved = value_solve([game_a, game_b], depth, unitaries=unitaries)
         diff = solved.difference(game_a, game_b)
         ok = abs(w1 - w2) < 1e-10 and diff is not None and abs(diff) < 1e-9
         general = general_equivalence_check(solved, [game_a, game_b])
@@ -398,11 +417,7 @@ def _handle_histories(params: dict, seed: int, csv_dir) -> dict:
         raise ScenarioError("histories 'steps' must be a non-empty list of objects")
     steps = []
     for doc in docs:
-        cells = _field(doc, "resolution")
-        if not isinstance(cells, list) or not all(
-            isinstance(c, list) and all(type(i) is int for i in c) for c in cells
-        ):
-            raise ScenarioError("histories 'resolution' must be a list of integer cell lists")
+        cells = _field(doc, "resolution", lambda cs: [_ints(c) for c in cs])
         unitary = _field(doc, "unitary", parse_matrix, None)
         steps.append(HistoryStep([Projector.from_cells(c, dim) for c in cells], unitary))
     epsilon = params.get("epsilon", 1e-8)
@@ -434,7 +449,7 @@ def _handle_histories(params: dict, seed: int, csv_dir) -> dict:
 def _handle_lln(params: dict, seed: int, csv_dir) -> dict:
     op = _field(params, "op")
     if op == "tail":
-        n = _field(params, "n", int)
+        n = _field(params, "n", _int)
         delta = _field(params, "delta", float)
         p = _field(params, "p", float)
         value = lln_tail(n, delta, p)
@@ -545,6 +560,8 @@ def _handle_nogo(params: dict, seed: int, csv_dir) -> dict:
         }
     if check == "search":
         rays = RaySet(_field(params, "rays", lambda rs: [parse_vector(r) for r in rs]))
+        expect_satisfiable = _field(params, "expect_satisfiable", _bool, None)
+        expect_count = _field(params, "expect_count", _int, None)
         result = dispersion_free_search(rays)
         metrics = {
             "satisfiable": result.satisfiable,
@@ -554,14 +571,10 @@ def _handle_nogo(params: dict, seed: int, csv_dir) -> dict:
         if result.certificate is not None:
             metrics["certificate"] = list(result.certificate.chain)
         verdicts = {}
-        if "expect_satisfiable" in params:
-            verdicts["satisfiable"] = (
-                "PASS" if result.satisfiable == bool(params["expect_satisfiable"]) else "FAIL"
-            )
-        if "expect_count" in params:
-            verdicts["count"] = (
-                "PASS" if len(result.assignments) == _field(params, "expect_count", int) else "FAIL"
-            )
+        if expect_satisfiable is not None:
+            verdicts["satisfiable"] = "PASS" if result.satisfiable == expect_satisfiable else "FAIL"
+        if expect_count is not None:
+            verdicts["count"] = "PASS" if len(result.assignments) == expect_count else "FAIL"
         if not verdicts:
             verdicts["computed"] = "PASS"
         return {"verdicts": verdicts, "metrics": metrics}
@@ -612,7 +625,7 @@ def run_scenario(
     params = doc.get("parameters", {})
     if not isinstance(params, dict):
         raise ScenarioError(f"'parameters' must be an object, not {type(params).__name__}")
-    seed = int(seed_override) if seed_override is not None else _field(doc, "seed", int, 0)
+    seed = int(seed_override) if seed_override is not None else _field(doc, "seed", _int, 0)
     csv_dir = None
     if write_csv:
         csv_dir = Path(out_path).parent if out_path else Path.cwd()

@@ -32,7 +32,7 @@ from .errors import (
     InvalidStateError,
     PreconditionError,
 )
-from .hilbert import StateVector
+from .hilbert import StateVector, row_apply
 
 COMMUTE_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
@@ -41,6 +41,7 @@ DEFAULT_COLLAPSE_EPS = 1e-6
 UNRESOLVED_FLAG_FRACTION = 0.01
 STEP_WARN_THRESHOLD = 0.1
 EIGEN_CLUSTER_TOL = 1e-8  # eigenvalues this close share an eigenspace
+MAX_STEPS = 10**7  # steps per trajectory, checked before a run allocates anything
 _CHUNK_STEPS = 1024
 
 
@@ -253,14 +254,23 @@ class Trajectory:
         return self.outcome is not None
 
 
-def _check_run(model: CollapseModel, t_max: float, dt: float, eps_collapse: float) -> None:
-    """Reject a run that cannot be integrated; warn when steps look coarse."""
+def _check_run(model: CollapseModel, t_max: float, dt: float, eps_collapse: float, times):
+    """Reject a run that cannot be integrated; warn when steps look coarse.
+
+    Returns the step counts of ``t_max`` and of each checkpoint in ``times``.
+    """
     if not 0 <= t_max < math.inf:
         raise PreconditionError(f"horizon t_max must be finite and >= 0, got {t_max}")
     if not 0 < dt < math.inf:
         raise PreconditionError(f"step size dt must be finite and > 0, got {dt}")
     if not 0 <= eps_collapse < 1:
         raise PreconditionError(f"eps_collapse must lie in [0, 1), got {eps_collapse}")
+    if not all(0 <= t < math.inf for t in times):
+        raise PreconditionError(f"martingale checkpoints must be finite and >= 0, got {times}")
+    steps = [round(min(t / dt, MAX_STEPS + 1)) for t in (t_max, *times)]
+    if max(steps) > MAX_STEPS:
+        what = "t_max" if steps[0] > MAX_STEPS else "a martingale checkpoint"
+        raise PreconditionError(f"{what} / dt exceeds MAX_STEPS = {MAX_STEPS} steps")
     if dt * model.gamma > STEP_WARN_THRESHOLD:
         warnings.warn(
             f"dt * gamma = {dt * model.gamma:.3g} exceeds {STEP_WARN_THRESHOLD}; "
@@ -268,6 +278,7 @@ def _check_run(model: CollapseModel, t_max: float, dt: float, eps_collapse: floa
             RuntimeWarning,
             stacklevel=3,
         )
+    return steps[0], steps[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +493,7 @@ def simulate(
     psi0.require_nonzero()
     if psi0.dim != model.dim:
         raise DimensionMismatchError("state and model dimensions differ")
-    _check_run(model, t_max, dt, eps_collapse)
-    n_steps = int(round(t_max / dt))
+    n_steps, _ = _check_run(model, t_max, dt, eps_collapse, ())
     psi = psi0.normalized().amplitudes
     run = _run_batch(
         model, psi, [int(seed)], [n_steps], dt, eps_collapse, record_every=record_every
@@ -595,19 +605,13 @@ def ensemble_outcomes(
     if n < 1:
         raise PreconditionError(f"trajectory count n must be at least 1, got {n}")
     psi0.require_nonzero()
-    _check_run(model, t_max, dt, eps_collapse)
-    n_steps = int(round(t_max / dt))
     m, times = 0, []
     if martingale_checkpoints is not None:
         m = n if martingale_trajectories is None else int(martingale_trajectories)
         times = sorted(float(t) for t in martingale_checkpoints)
         if m < 1 or not times:
             raise PreconditionError("a martingale check needs a trajectory and a checkpoint")
-        if not all(0 <= t < math.inf for t in times):
-            raise PreconditionError(
-                f"martingale checkpoints must be finite and >= 0, got {times}"
-            )
-    cp_steps = [int(round(t / dt)) for t in times]
+    n_steps, cp_steps = _check_run(model, t_max, dt, eps_collapse, times)
     horizons = np.zeros(max(n, m), dtype=int)
     horizons[:n] = n_steps
     horizons[:m] = np.maximum(horizons[:m], max(cp_steps, default=0))
@@ -693,20 +697,18 @@ def martingale_check(
 def trajectory_to_csv(trajectory: Trajectory, model: CollapseModel, path) -> None:
     """Write a trajectory as CSV: time, amplitudes, block expectations."""
     d = model.dim
+    mass = np.abs(row_apply(model.eigenbasis.conj().T, trajectory.states)) ** 2
+    # every row rounds as block_weights does; numpy sums 8 or more terms of a 1-D array
+    # pairwise, which a 2-D row sum does not reproduce
+    weights = np.column_stack([
+        mass[:, i].sum(axis=1) if len(i) < 8 else np.array([row.sum() for row in mass[:, i]])
+        for i in (list(b.indices) for b in model.blocks)
+    ])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = (
-            ["t"]
-            + [f"re_{i}" for i in range(d)]
-            + [f"im_{i}" for i in range(d)]
+        writer.writerow(
+            ["t"] + [f"re_{i}" for i in range(d)] + [f"im_{i}" for i in range(d)]
             + [f"p_{k}" for k in range(model.n_outcomes)]
         )
-        writer.writerow(header)
-        for t, state in zip(trajectory.times, trajectory.states):
-            weights = model.block_weights(state)
-            writer.writerow(
-                [repr(float(t))]
-                + [repr(float(x)) for x in state.real]
-                + [repr(float(x)) for x in state.imag]
-                + [repr(float(w)) for w in weights]
-            )
+        for t, state, row_weights in zip(trajectory.times, trajectory.states, weights):
+            writer.writerow([repr(float(x)) for x in (t, *state.real, *state.imag, *row_weights)])

@@ -307,7 +307,7 @@ def equal_mass_refine(
     cuts = _exact_cuts(masses, start, stop, m)
     # a zero-mass block's equal widths are exact whatever the masses' type
     exact = profile.exact or profile.block_mass(start, stop) == 0
-    if not exact:
+    if not exact and cuts:  # with no cut to place there is nothing to quantize
         max_cell = max(masses[start:stop])
         exact_block = sum(masses[start:stop])
         allowed = Fraction(FLOAT_MASS_TOL) * exact_block

@@ -55,6 +55,16 @@ def _as_complex_matrix(matrix) -> np.ndarray:
     return arr
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_k, b_k> for every row k, one BLAS dot each, so a row rounds as its ``np.vdot``."""
+    return np.matmul(a.conj()[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def row_apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix @ row`` for every row, one product each (``rows @ matrix.T`` rounds otherwise)."""
+    return (matrix[None] @ rows[:, :, None])[:, :, 0]
+
+
 def _normalize_ranges(cells: Iterable, dim: int) -> tuple[tuple[int, int], ...]:
     """Canonicalize a cell collection into sorted, merged, disjoint ranges.
 

@@ -10,18 +10,21 @@ disagreement appears on coarse-grained events, where the chained
 computation picks up interference cross-terms while the stepwise one is
 additive.  The consistency check therefore compares the two measures over
 the event algebra: per history, per two-history union, and per final-time
-marginal.
+marginal.  Both measures are built for every history in one pass, one step
+at a time over all prefixes, so a prefix that histories share is evolved
+and projected once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, HistoryCountError, InvalidStateError
-from .hilbert import Projector, StateVector, SymmetryUnitary
+from .hilbert import Projector, StateVector, SymmetryUnitary, row_apply, row_dots
 
 DEFAULT_EPSILON = 1e-8
 DEFAULT_HISTORY_CAP = 10**6
@@ -67,17 +70,6 @@ class HistoryStep:
 
 
 @dataclass(frozen=True)
-class History:
-    """An ordered choice of one projector per step."""
-
-    steps: tuple[HistoryStep, ...]
-    choices: tuple[int, ...]
-
-    def projectors(self):
-        return tuple(step.resolution[c] for step, c in zip(self.steps, self.choices))
-
-
-@dataclass(frozen=True)
 class HistorySet:
     """Every history over the chosen per-step resolutions."""
 
@@ -88,12 +80,10 @@ class HistorySet:
         steps = tuple(steps)
         if not steps:
             raise InvalidStateError("a history set needs at least one step")
-        dim = steps[0].dim
-        for step in steps:
-            if step.dim != dim:
-                raise DimensionMismatchError("steps live on different spaces")
         count = 1
         for step in steps:
+            if step.dim != steps[0].dim:
+                raise DimensionMismatchError("steps live on different spaces")
             count *= len(step.resolution)
             if count > cap:
                 raise HistoryCountError(
@@ -108,54 +98,49 @@ class HistorySet:
 
     @property
     def n_histories(self) -> int:
-        count = 1
-        for step in self.steps:
-            count *= len(step.resolution)
-        return count
+        return math.prod(len(step.resolution) for step in self.steps)
 
-    def histories(self):
-        ranges = [range(len(step.resolution)) for step in self.steps]
-        for choices in itertools.product(*ranges):
-            yield History(self.steps, tuple(choices))
+    def choices(self) -> list[tuple[int, ...]]:
+        """Every history's choice of one projector per step, in ``itertools.product`` order."""
+        return list(itertools.product(*(range(len(step.resolution)) for step in self.steps)))
 
 
-def _chain_vector(history: History, psi: np.ndarray) -> np.ndarray:
-    """The history's operator string applied to the normalized amplitudes ``psi``."""
-    for step, choice in zip(history.steps, history.choices):
-        if step.dim != psi.shape[0]:
-            raise DimensionMismatchError("history and state dimensions differ")
-        psi = step.resolution[choice].apply(step.unitary @ psi)
-    return psi
+def _project(proj: Projector, rows: np.ndarray) -> np.ndarray:
+    if proj.cells is None:
+        return row_apply(proj.matrix, rows)
+    out = np.zeros_like(rows)
+    for start, stop in proj.cells:
+        out[:, start:stop] = rows[:, start:stop]
+    return out
 
 
-def collapsed_probability(history: History, psi0: StateVector) -> float:
-    """Product of stepwise reduction weights.
+def _branches(history_set: HistorySet, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every history's chain vector and stepwise-collapse product, one step at a time.
 
-    Evolve, project, record the projection's weight, renormalize, repeat;
-    a projection that annihilates the state ends the product at zero.
+    Each step evolves all prefixes and projects them onto each of its r projectors; row
+    ``parent * r + k`` is child ``k``, which is ``itertools.product`` order.  Chains stay
+    unnormalized; a collapsed state is renormalized unless its product is zero, which then
+    stays zero.  Every row rounds as the walk of that one history would.
     """
-    return _collapsed_product(history, psi0.normalized().amplitudes)
-
-
-def _collapsed_product(history: History, psi: np.ndarray) -> float:
-    product = 1.0
-    for step, choice in zip(history.steps, history.choices):
-        if step.dim != psi.shape[0]:
-            raise DimensionMismatchError("history and state dimensions differ")
-        psi = step.unitary @ psi
-        projected = step.resolution[choice].apply(psi)
-        weight = float(np.real(np.vdot(projected, projected)))
-        product *= weight
-        if product == 0.0:
-            return 0.0
-        psi = projected / np.sqrt(weight)
-    return product
-
-
-def uncollapsed_probability(history: History, psi0: StateVector) -> float:
-    """Squared norm of the full chained vector applied to the initial state."""
-    chained = _chain_vector(history, psi0.normalized().amplitudes)
-    return float(np.real(np.vdot(chained, chained)))
+    if history_set.dim != psi.shape[0]:
+        raise DimensionMismatchError("history and state dimensions differ")
+    chains, states, products = psi[None], psi[None], np.ones(1)
+    for step in history_set.steps:
+        r = len(step.resolution)
+        evolved_chains = row_apply(step.unitary, chains)
+        evolved_states = row_apply(step.unitary, states)
+        chains = np.empty((len(chains) * r, psi.shape[0]), dtype=complex)
+        states = np.empty_like(chains)
+        products = np.repeat(products, r)
+        for k, proj in enumerate(step.resolution):
+            chains[k::r] = _project(proj, evolved_chains)
+            projected = _project(proj, evolved_states)
+            weights = row_dots(projected, projected).real
+            products[k::r] *= weights
+            live = products[k::r] > 0.0
+            norms = np.sqrt(np.where(live, weights, 1.0))
+            states[k::r] = np.where(live[:, None], projected / norms[:, None], 0.0)
+    return chains, products
 
 
 @dataclass(frozen=True)
@@ -190,7 +175,7 @@ class ConsistencyReport:
         return self.verdict == "CONSISTENT"
 
 
-def _worst_pair(histories, chains, collapsed, chained, epsilon: float):
+def _worst_pair(choices, chains, collapsed, chained, epsilon: float):
     """Reduce the pair unions i < j through the decoherence functional D.
 
     The chained measure of {h_i, h_j} is |C_i psi|^2 + |C_j psi|^2 + 2 Re D(h_i, h_j), taken
@@ -198,7 +183,7 @@ def _worst_pair(histories, chains, collapsed, chained, epsilon: float):
     Returns the pair row of the first largest gap in (i, j) order, as a list of at most one
     row, and the count of gaps over epsilon.
     """
-    n = len(histories)
+    n = len(choices)
     best, best_gap, over = [], -np.inf, 0
     for i0 in range(0, n - 1, PAIR_BLOCK_ROWS):
         i1 = min(i0 + PAIR_BLOCK_ROWS, n)
@@ -211,7 +196,7 @@ def _worst_pair(histories, chains, collapsed, chained, epsilon: float):
         r, j = divmod(int(np.argmax(gap)), n)
         if gap[r, j] > best_gap:  # a later block wins only when strictly larger
             best_gap = gap[r, j]
-            label = f"{histories[i0 + r].choices}+{histories[j].choices}"
+            label = f"{choices[i0 + r]}+{choices[j]}"
             best = [EventDiscrepancy("pair", label, float(additive[r, j]), float(chain[r, j]))]
     return best, over
 
@@ -239,16 +224,15 @@ def consistency_check(
             f"{n} histories exceed the pairwise-analysis cap of {pair_cap}; "
             "coarsen the resolutions"
         )
-    histories = list(history_set.histories())
     psi = psi0.normalized().amplitudes
-    chains = np.array([_chain_vector(h, psi) for h in histories])
-    collapsed = np.array([_collapsed_product(h, psi) for h in histories])
+    chains, collapsed = _branches(history_set, psi)
+    choices = history_set.choices()
     chained = np.real(np.einsum("nd,nd->n", chains.conj(), chains))
     rows = [
-        EventDiscrepancy("history", str(h.choices), float(p_add), float(p_chain))
-        for h, p_add, p_chain in zip(histories, collapsed, chained)
+        EventDiscrepancy("history", str(c), float(p_add), float(p_chain))
+        for c, p_add, p_chain in zip(choices, collapsed, chained)
     ]
-    pair_rows, pairs_over = _worst_pair(histories, chains, collapsed, chained, history_set.epsilon)
+    pair_rows, pairs_over = _worst_pair(choices, chains, collapsed, chained, history_set.epsilon)
 
     # final-time marginals: evolve without any projection, then project once
     for step in history_set.steps:
@@ -257,15 +241,14 @@ def consistency_check(
     for k, proj in enumerate(history_set.steps[-1].resolution):
         image = proj.apply(psi)
         chain = float(np.real(np.vdot(image, image)))
-        additive = float(sum(p for h, p in zip(histories, collapsed) if h.choices[-1] == k))
+        additive = float(sum(p for c, p in zip(choices, collapsed) if c[-1] == k))
         marginals.append(EventDiscrepancy("marginal", f"final={k}", additive, chain))
 
     worst = max(rows + pair_rows + marginals, key=lambda d: d.gap)
-    max_gap = worst.gap
-    verdict = "CONSISTENT" if max_gap <= history_set.epsilon else "INCONSISTENT"
+    verdict = "CONSISTENT" if worst.gap <= history_set.epsilon else "INCONSISTENT"
     return ConsistencyReport(
         verdict=verdict,
-        max_discrepancy=max_gap,
+        max_discrepancy=worst.gap,
         worst=worst,
         epsilon=history_set.epsilon,
         collapsed_sum=float(collapsed.sum()),

@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, GeometryError, InvalidStateError, PreconditionError
+from .hilbert import row_dots
 
 ORTHO_TOL = 1e-10
 PM_TOL = 1e-12  # slack of the unit interval and of a zero pair sum
@@ -22,18 +23,8 @@ SEPARATION_THRESHOLD = 0.5
 MAX_ROTATION_STEPS = 10**6  # the sweep holds all steps + 1 rays at once
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_k, b_k> for every row k, one BLAS dot per row.
-
-    ``np.vdot`` and ``np.linalg.norm`` make the same BLAS call on one vector,
-    so a row rounds as that vector would there; numpy sums would not, as
-    OpenBLAS fuses multiply-adds.
-    """
-    return np.matmul(a.conj()[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(_row_dots(rows.real, rows.real) + _row_dots(rows.imag, rows.imag))
+    norms = np.sqrt(row_dots(rows.real, rows.real) + row_dots(rows.imag, rows.imag))
     if not norms.all():
         raise InvalidStateError("a ray representative cannot be the zero vector")
     return rows / norms[:, None]
@@ -253,7 +244,7 @@ def _ray_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Both rows are normalized and the relative phase is chosen to minimize
     |a_k - b_k|, which leaves sqrt(2 - 2|<a_k, b_k>|).
     """
-    dots = _row_dots(_unit_rows(a), _unit_rows(b))
+    dots = row_dots(_unit_rows(a), _unit_rows(b))
     # np.hypot rounds as abs() of one complex does; np.abs of a complex array may not
     overlap = np.hypot(dots.real, dots.imag)
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlap))

@@ -44,6 +44,8 @@ SIMULATE_PARAMS = {
 PM_PARAMS = {"check": "pm", "chi1": [1, 0, 0], "chi2": [0, 1, 0]}
 SEPARATION_PARAMS = {"check": "separation", "chi": [1, 0], "phi": [0.6, 0.8]}
 ROTATION_PARAMS = {"check": "rotation", "chi": [1, 0], "phi": [0, 1], "steps": 8}
+SEARCH_PARAMS = {"check": "search", "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+PIVOTAL_PARAMS = {"mode": "pivotal", "x1": 0.0, "x2": 1.0}
 
 
 class TestRunScenario:
@@ -324,12 +326,75 @@ class TestMain:
             ("nogo", {**ROTATION_PARAMS, "steps": MAX_ROTATION_STEPS + 1}, "'steps'"),
             ("lln", {"op": "scan", "p": 0.5, "delta": 0.1, "ns": []}, "'ns'"),
             ("lln", {"op": "scan", "p": 0.5, "delta": 0.1, "ns": [100, 10]}, "'ns'"),
+            ("nogo", {**SEARCH_PARAMS, "expect_satisfiable": "no"}, "'expect_satisfiable'"),
+            ("nogo", {**SEARCH_PARAMS, "expect_satisfiable": 1}, "'expect_satisfiable'"),
+            ("nogo", {**SEARCH_PARAMS, "expect_count": 3.5}, "'expect_count'"),
+            ("nogo", {**SEARCH_PARAMS, "expect_count": True}, "'expect_count'"),
+            ("games", {**PIVOTAL_PARAMS, "depth": 2.5}, "'depth'"),
+            ("games", {**PIVOTAL_PARAMS, "depth": "3"}, "'depth'"),
+            ("lln", {"op": "tail", "n": 10.7, "delta": 0.1, "p": 0.5}, "'n'"),
+            ("lln", {"op": "tail", "n": True, "delta": 0.1, "p": 0.5}, "'n'"),
+            ("lln", {"op": "scan", "p": 0.5, "delta": 0.1, "ns": [10, 100.5]}, "'ns'"),
+            ("derive", {"construction": "rational", "weights": [1.5, 2]}, "'weights'"),
+            (
+                "derive",
+                {"construction": "rational", "weights": [1, 2], "block_sizes": [1, False]},
+                "'block_sizes'",
+            ),
+            (
+                "derive",
+                {"construction": "equiprobable", "amplitudes": [1, 1], "lattice": "no"},
+                "'lattice'",
+            ),
+            (
+                "solve-measure",
+                {"masses": [1, 1, 1], "grainings": [[1.5, 1.5]]},
+                "'grainings'",
+            ),
+            (
+                "games",
+                {
+                    "mode": "special-equivalence",
+                    "state": [1, 0, 1],
+                    "p1_cells": [0.5],
+                    "p2_cells": [2],
+                },
+                "'p1_cells'",
+            ),
+            ("simulate", {**SIMULATE_PARAMS, "n_trajectories": 2.5}, "'n_trajectories'"),
+            ("simulate", {**SIMULATE_PARAMS, "workers": 1.5}, "'workers'"),
+            ("simulate", {**SIMULATE_PARAMS, "csv_trajectories": ["0"]}, "'csv_trajectories'"),
+            ("simulate", {**SIMULATE_PARAMS, "t_max": 1e12, "dt": 1e-12}, "t_max"),
+            ("simulate", {**SIMULATE_PARAMS, "t_max": 1e9, "dt": 1e-9}, "MAX_STEPS"),
+            ("simulate", {**SIMULATE_PARAMS, "dt": 1e-320}, "t_max"),
+            (
+                "simulate",
+                {**SIMULATE_PARAMS, "martingale_checkpoints": [0.001, 1e5]},
+                "martingale checkpoint",
+            ),
         ],
     )
     def test_out_of_range_field_exit_usage(self, tmp_path, capsys, kind, params, field):
         scenario = write_scenario(tmp_path, {"kind": kind, "parameters": params})
         assert main([kind, "--scenario", str(scenario)]) == EXIT_USAGE
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7"])
+    def test_non_integer_seed_exit_usage(self, tmp_path, capsys, seed):
+        params = {"op": "tail", "n": 10, "delta": 0.1, "p": 0.5}
+        doc = {"kind": "lln", "seed": seed, "parameters": params}
+        assert main(["lln", "--scenario", str(write_scenario(tmp_path, doc))]) == EXIT_USAGE
+        assert "'seed'" in capsys.readouterr().err
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        doc = {
+            "kind": "nogo",
+            "seed": 4.0,
+            "parameters": {**SEARCH_PARAMS, "expect_satisfiable": True, "expect_count": 3.0},
+        }
+        report, code = run_scenario(write_scenario(tmp_path, doc))
+        assert code == EXIT_OK
+        assert report["seed"] == 4 and type(report["seed"]) is int
 
     def test_numerical_failure_exit_code(self, tmp_path, recwarn):
         # eigenvalues near the float ceiling overflow the quadratic drift

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from bornlab.collapse import (
+    MAX_STEPS,
     CollapseModel,
+    _check_run,
     _eigen_frame,
     _run_batch,
     drift_diffusion,
@@ -240,6 +242,34 @@ class TestSimulate:
         assert len(lines) == len(traj.times) + 1
         first = [float(x) for x in lines[1].split(",")]
         assert first[5] + first[6] == pytest.approx(1.0)
+
+    def test_csv_weights_match_block_weights(self, tmp_path):
+        # joint blocks of 1 to 9 coordinates in a random basis; 8 or more take numpy's
+        # pairwise sum, which a 2-D row sum does not reproduce
+        sizes = range(1, 10)
+        labels = np.repeat(np.arange(len(sizes), dtype=float), sizes)
+        rng = np.random.default_rng(5)
+        d = labels.size
+        basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        model = CollapseModel(np.zeros((d, d)), [basis @ np.diag(labels) @ basis.conj().T], 1.0)
+        assert sorted(len(b.indices) for b in model.blocks) == list(sizes)
+        psi0 = StateVector(rng.normal(size=d) + 1j * rng.normal(size=d))
+        traj = simulate(model, psi0, t_max=0.02, dt=1e-3, seed=3)
+        path = tmp_path / "traj.csv"
+        trajectory_to_csv(traj, model, path)
+        rows = [[float(x) for x in line.split(",")] for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == len(traj.states)
+        for row, state in zip(rows, traj.states):
+            assert row[1 + 2 * d :] == model.block_weights(state).tolist()
+
+    def test_step_bound_checked_before_the_run(self, qubit_model):
+        with pytest.raises(PreconditionError, match="t_max"):
+            simulate(qubit_model, plus_state(), t_max=1e12, dt=1e-12, seed=1)
+        with pytest.raises(PreconditionError, match="MAX_STEPS"):
+            ensemble_outcomes(qubit_model, plus_state(), 2, t_max=1.0, dt=1e-320, seed=1)
+        with pytest.raises(PreconditionError, match="martingale checkpoint"):
+            martingale_check(qubit_model, plus_state(), 2, [MAX_STEPS * 2e-3], dt=1e-3, seed=1)
+        assert _check_run(qubit_model, MAX_STEPS * 1e-3, 1e-3, 1e-6, [0.5]) == (MAX_STEPS, [500])
 
 
 class TestEnsemble:

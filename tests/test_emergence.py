@@ -117,6 +117,13 @@ class TestEqualMassRefine:
             equal_mass_refine(profile, graining, 0, 997, max_subdivision=10)
         assert err.value.required_subcells is not None
 
+    def test_single_float_piece_needs_no_subdivision(self):
+        # m = 1 places no cut, so a small cap cannot be too small for it
+        graining = CoarseGraining(2, [(0, 2)])
+        capped = equal_mass_refine([0.3, 0.7], graining, 0, 1, max_subdivision=1000)
+        assert capped == equal_mass_refine([0.3, 0.7], graining, 0, 1)
+        assert (capped.subdivision, capped.cuts, capped.exact) == (1, (), False)
+
 
 class TestEquiprobableValues:
     def test_two_equal_amplitudes(self):

@@ -27,6 +27,8 @@ from bornlab.hilbert import (
     check_additivity,
     permutation_unitary,
     phase_unitary,
+    row_apply,
+    row_dots,
     sublattice_from_graining,
     trace_weight,
 )
@@ -274,6 +276,24 @@ class TestPhaseUnitary:
             assert born_weight(moved, proj) == pytest.approx(
                 born_weight(psi, proj), abs=1e-10
             )
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_row_apply_bit_equal_to_matrix_vector(self, d, order):
+        rng = np.random.default_rng(d)
+        matrix = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        matrix = np.asarray(matrix, order=order)
+        rows = rng.normal(size=(9, d)) + 1j * rng.normal(size=(9, d))
+        for m in (matrix, matrix.conj().T):
+            assert np.array_equal(row_apply(m, rows), np.array([m @ row for row in rows]))
+
+    def test_row_dots_bit_equal_to_vdot(self):
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(20, 5)) + 1j * rng.normal(size=(20, 5))
+        b = rng.normal(size=(20, 5)) + 1j * rng.normal(size=(20, 5))
+        assert np.array_equal(row_dots(a, b), np.array([np.vdot(x, y) for x, y in zip(a, b)]))
 
 
 class TestSymmetryUnitary:

@@ -12,14 +12,11 @@ from bornlab.errors import DimensionMismatchError, HistoryCountError, UnitarityE
 from bornlab.hilbert import Projector, StateVector
 from bornlab.histories import (
     EventDiscrepancy,
-    History,
     HistorySet,
     HistoryStep,
-    _chain_vector,
+    _branches,
     _worst_pair,
-    collapsed_probability,
     consistency_check,
-    uncollapsed_probability,
 )
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -33,23 +30,52 @@ def plus():
     return StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
 
 
+def oracle_chain(steps, choices, psi):
+    """The history's operator string applied to the normalized amplitudes ``psi``."""
+    for step, choice in zip(steps, choices):
+        psi = step.resolution[choice].apply(step.unitary @ psi)
+    return psi
+
+
+def oracle_product(steps, choices, psi):
+    """Product of stepwise reduction weights; an annihilated state ends it at zero."""
+    product = 1.0
+    for step, choice in zip(steps, choices):
+        projected = step.resolution[choice].apply(step.unitary @ psi)
+        weight = float(np.real(np.vdot(projected, projected)))
+        product *= weight
+        if product == 0.0:
+            return 0.0
+        psi = projected / np.sqrt(weight)
+    return product
+
+
+def oracle_branches(history_set, psi0):
+    """Every history walked on its own from the start, in ``itertools.product`` order."""
+    psi = psi0.normalized().amplitudes
+    choices = list(
+        itertools.product(*(range(len(step.resolution)) for step in history_set.steps))
+    )
+    chains = np.array([oracle_chain(history_set.steps, c, psi) for c in choices])
+    collapsed = np.array([oracle_product(history_set.steps, c, psi) for c in choices])
+    return choices, chains, collapsed
+
+
 def oracle_check(history_set, psi0):
     """The full event loop: one row per history, per pair union and per marginal."""
-    histories = list(history_set.histories())
-    chains = np.array([_chain_vector(h, psi0.normalized().amplitudes) for h in histories])
-    collapsed = np.array([collapsed_probability(h, psi0) for h in histories])
+    choices, chains, collapsed = oracle_branches(history_set, psi0)
     chained = np.real(np.einsum("nd,nd->n", chains.conj(), chains))
     discrepancies = [
-        EventDiscrepancy("history", str(h.choices), float(p_add), float(p_chain))
-        for h, p_add, p_chain in zip(histories, collapsed, chained)
+        EventDiscrepancy("history", str(c), float(p_add), float(p_chain))
+        for c, p_add, p_chain in zip(choices, collapsed, chained)
     ]
     gram = chains.conj() @ chains.T
-    n = len(histories)
+    n = len(choices)
     for i in range(n):
         for j in range(i + 1, n):
             additive = float(collapsed[i] + collapsed[j])
             chained_pair = float(chained[i] + chained[j] + 2.0 * np.real(gram[i, j]))
-            label = f"{histories[i].choices}+{histories[j].choices}"
+            label = f"{choices[i]}+{choices[j]}"
             discrepancies.append(EventDiscrepancy("pair", label, additive, chained_pair))
     psi = psi0.normalized().amplitudes
     for step in history_set.steps:
@@ -57,9 +83,7 @@ def oracle_check(history_set, psi0):
     for k, proj in enumerate(history_set.steps[-1].resolution):
         image = proj.apply(psi)
         marginal_chain = float(np.real(np.vdot(image, image)))
-        marginal_additive = float(
-            sum(p for h, p in zip(histories, collapsed) if h.choices[-1] == k)
-        )
+        marginal_additive = float(sum(p for c, p in zip(choices, collapsed) if c[-1] == k))
         discrepancies.append(
             EventDiscrepancy("marginal", f"final={k}", marginal_additive, marginal_chain)
         )
@@ -67,58 +91,87 @@ def oracle_check(history_set, psi0):
     return worst, discrepancies, float(collapsed.sum()), float(chained.sum())
 
 
+def history_rows(history_set, psi0):
+    """History label -> (collapsed product, chained probability) from the checked report."""
+    report = consistency_check(history_set, psi0)
+    return {d.label: (d.additive, d.chained) for d in report.discrepancies if d.kind == "history"}
+
+
+def random_resolution(draw, rng, d):
+    """Cell projectors over a random labelling, or matrix projectors onto the same groups of
+    columns of a random unitary."""
+    n_cells = draw(st.integers(1, d))
+    labels = np.concatenate([np.arange(n_cells), rng.integers(0, n_cells, d - n_cells)])
+    rng.shuffle(labels)
+    groups = [[int(i) for i in np.flatnonzero(labels == c)] for c in range(n_cells)]
+    if not draw(st.booleans()):
+        return [Projector.from_cells(cells, d) for cells in groups]
+    basis = random_unitary(rng, d)
+    return [
+        Projector.from_matrix(basis[:, cells] @ basis[:, cells].conj().T) for cells in groups
+    ]
+
+
+def random_unitary(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
 @st.composite
 def history_problems(draw):
-    """Up to 64 histories over d in 2..4 with random unitaries and multi-cell resolutions."""
+    """Up to 64 histories over d in 2..4: identity, diagonal-phase or dense unitaries,
+    cell or matrix resolutions, and states that may have zero amplitudes."""
     d = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     steps, count = [], 1
-    for index in range(draw(st.integers(1, 4))):
-        n_cells = draw(st.integers(1, d))
-        if index and count * n_cells > 64:
+    for index in range(draw(st.integers(1, 5))):
+        resolution = random_resolution(draw, rng, d)
+        if index and count * len(resolution) > 64:
             break
-        labels = np.concatenate([np.arange(n_cells), rng.integers(0, n_cells, d - n_cells)])
-        rng.shuffle(labels)
-        resolution = [
-            Projector.from_cells([int(i) for i in np.flatnonzero(labels == c)], d)
-            for c in range(n_cells)
-        ]
-        unitary = None
-        if draw(st.booleans()):
-            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            unitary, _ = np.linalg.qr(z)
+        unitary = draw(st.sampled_from([None, "phase", "dense"]))
+        if unitary == "phase":
+            unitary = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d)))
+        elif unitary == "dense":
+            unitary = random_unitary(rng, d)
         steps.append(HistoryStep(resolution, unitary))
-        count *= n_cells
-    epsilon = draw(st.sampled_from([0.0, 1e-16, 1e-12, 1e-3]) | st.floats(0.0, 1.0))
-    psi0 = StateVector(rng.normal(size=d) + 1j * rng.normal(size=d))
-    return HistorySet(steps, epsilon), psi0
+        count *= len(resolution)
+    epsilon = draw(
+        st.sampled_from([0.0, 1e-17, 1e-16, 1e-12, 1e-3, 1e-1]) | st.floats(0.0, 1.0)
+    )
+    amplitudes = rng.normal(size=d) + 1j * rng.normal(size=d)
+    amplitudes[draw(st.lists(st.integers(0, d - 1), max_size=d - 1))] = 0.0  # one stays nonzero
+    return HistorySet(steps, epsilon), StateVector(amplitudes)
 
 
 class TestCollapsedProbability:
     def test_identity_projector_single_step(self):
         step = HistoryStep([Projector.from_cells([(0, 2)], 2)])
-        history = History((step,), (0,))
-        assert collapsed_probability(history, StateVector([0.6, 0.8])) == pytest.approx(1.0)
+        rows = history_rows(HistorySet([step]), StateVector([0.6, 0.8]))
+        assert rows["(0,)"][0] == pytest.approx(1.0)
 
     def test_repeated_projection(self):
-        steps = (HistoryStep(z_resolution()), HistoryStep(z_resolution()))
-        e0 = StateVector([1, 0])
-        assert collapsed_probability(History(steps, (0, 0)), e0) == pytest.approx(1.0)
-        assert collapsed_probability(History(steps, (0, 1)), e0) == 0.0
+        steps = [HistoryStep(z_resolution()), HistoryStep(z_resolution())]
+        rows = history_rows(HistorySet(steps), StateVector([1, 0]))
+        assert rows["(0, 0)"][0] == pytest.approx(1.0)
+        assert rows["(0, 1)"][0] == 0.0
 
     def test_hadamard_between_z_steps(self):
-        steps = (
-            HistoryStep(z_resolution()),
-            HistoryStep(z_resolution(), HADAMARD),
-        )
-        value = collapsed_probability(History(steps, (0, 0)), StateVector([1, 0]))
-        assert value == pytest.approx(0.5)
+        steps = [HistoryStep(z_resolution()), HistoryStep(z_resolution(), HADAMARD)]
+        rows = history_rows(HistorySet(steps), StateVector([1, 0]))
+        assert rows["(0, 0)"][0] == pytest.approx(0.5)
 
     def test_dimension_mismatch(self):
-        steps = (HistoryStep(z_resolution()),)
+        history_set = HistorySet([HistoryStep(z_resolution())])
         with pytest.raises(DimensionMismatchError):
-            collapsed_probability(History(steps, (0,)), StateVector([1, 0, 0]))
+            consistency_check(history_set, StateVector([1, 0, 0]))
 
+    def test_annihilated_branch_stays_zero(self):
+        # the z-basis state loses every branch through |1>, and no NaN appears
+        steps = [HistoryStep(z_resolution()) for _ in range(3)]
+        chains, products = _branches(HistorySet(steps), np.array([1.0, 0.0], dtype=complex))
+        assert products.tolist() == [1.0] + [0.0] * 7
+        assert np.isfinite(chains).all()
 
     def test_nonunitary_step_rejected(self):
         with pytest.raises(UnitarityError):
@@ -130,31 +183,25 @@ class TestCollapsedProbability:
 class TestUncollapsedProbability:
     def test_single_step_equals_collapsed(self):
         rng = np.random.default_rng(0)
-        step = HistoryStep(z_resolution(), HADAMARD)
+        history_set = HistorySet([HistoryStep(z_resolution(), HADAMARD)])
         for _ in range(10):
             psi = StateVector(rng.normal(size=2) + 1j * rng.normal(size=2))
-            for choice in (0, 1):
-                history = History((step,), (choice,))
-                assert uncollapsed_probability(history, psi) == pytest.approx(
-                    collapsed_probability(history, psi), abs=1e-12
-                )
+            for collapsed, chained in history_rows(history_set, psi).values():
+                assert chained == pytest.approx(collapsed, abs=1e-12)
 
     def test_single_step_equals_weight_of_evolved_state(self):
         psi = StateVector([0.8, 0.6j])
-        step = HistoryStep(z_resolution(), HADAMARD)
-        history = History((step,), (0,))
+        history_set = HistorySet([HistoryStep(z_resolution(), HADAMARD)])
         evolved = HADAMARD @ psi.normalized().amplitudes
         expected = abs(evolved[0]) ** 2
-        assert uncollapsed_probability(history, psi) == pytest.approx(expected)
+        assert history_rows(history_set, psi)["(0,)"][1] == pytest.approx(expected)
 
     def test_two_step_same_basis(self):
-        steps = (HistoryStep(z_resolution()), HistoryStep(z_resolution()))
-        psi = plus()
-        for choices in itertools.product((0, 1), repeat=2):
-            history = History(steps, choices)
-            assert uncollapsed_probability(history, psi) == pytest.approx(
-                collapsed_probability(history, psi), abs=1e-12
-            )
+        steps = [HistoryStep(z_resolution()), HistoryStep(z_resolution())]
+        rows = history_rows(HistorySet(steps), plus())
+        assert len(rows) == 4
+        for collapsed, chained in rows.values():
+            assert chained == pytest.approx(collapsed, abs=1e-12)
 
 
 class TestConsistencyCheck:
@@ -226,6 +273,11 @@ class TestPairReduction:
     @settings(max_examples=150, deadline=None)
     def test_matches_full_event_loop(self, problem, block_rows):
         history_set, psi0 = problem
+        chains, collapsed = _branches(history_set, psi0.normalized().amplitudes)
+        choices, oracle_chains, oracle_collapsed = oracle_branches(history_set, psi0)
+        assert history_set.choices() == choices
+        assert np.array_equal(chains, oracle_chains)
+        assert np.array_equal(collapsed, oracle_collapsed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(histories_module, "PAIR_BLOCK_ROWS", block_rows)
             report = consistency_check(history_set, psi0)
@@ -245,10 +297,10 @@ class TestPairReduction:
     def test_first_pair_wins_ties(self, block_rows, monkeypatch):
         # unit chains e0, e1, e0, e1, e0, e1: every pair of equal chains has gap exactly 2
         monkeypatch.setattr(histories_module, "PAIR_BLOCK_ROWS", block_rows)
-        histories = [History((), (k,)) for k in range(6)]
+        choices = [(k,) for k in range(6)]
         chains = np.array([[1.0, 0.0], [0.0, 1.0]] * 3, dtype=complex)
         ones = np.ones(6)
-        best, over = _worst_pair(histories, chains, ones, ones, 1.0)
+        best, over = _worst_pair(choices, chains, ones, ones, 1.0)
         assert best == [EventDiscrepancy("pair", "(0,)+(2,)", 2.0, 4.0)]
         assert over == 6
 
@@ -285,7 +337,7 @@ class TestHistorySetValidation:
 
     def test_enumeration_order(self):
         hs = HistorySet([HistoryStep(z_resolution()), HistoryStep(z_resolution())])
-        assert [h.choices for h in hs.histories()] == [
+        assert hs.choices() == [
             (0, 0),
             (0, 1),
             (1, 0),
