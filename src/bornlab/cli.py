@@ -4,6 +4,8 @@ Every subcommand reads a JSON scenario document, dispatches to the owning
 module, and writes a JSON report (plus optional CSV for trajectory data).
 All randomness flows from the scenario seed, so a re-run with the same
 seed produces a byte-identical report up to the wall-clock field.
+Each scenario kind, or each variant of a kind, has one field table in
+``SCENARIOS``, through which every parameter is read and checked first.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 parse error, 3 internal numerical failure.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -22,59 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .collapse import (
-    CollapseModel,
-    ensemble_outcomes,
-    simulate,
-    trajectory_to_csv,
-)
-from .emergence import (
-    MassProfile,
-    RationalState,
-    equiprobable_values,
-    measure_uniqueness_solve,
-    rational_born_values,
-)
-from .errors import (
-    BornLabError,
-    ConvergenceFailureError,
-    InconsistentSystemError,
-    IntegrationFailureError,
-)
-from .games import (
-    Game,
-    derive_pivotal,
-    general_equivalence_check,
-    linear_payoff,
-    projector_swap,
-    value_solve,
-    verify_soundness,
-)
-from .hilbert import (
-    CoarseGraining,
-    GrainingFamily,
-    MeasureTable,
-    Projector,
-    SeparatingSet,
-    StateVector,
-    born_weight,
-    sublattice_from_graining,
-)
-from .histories import HistorySet, HistoryStep, consistency_check
-from .lln import frequency_audit, lln_limit_scan, lln_tail, tail_work
-from .nogo import (
-    FrameAssignment,
-    PMSystem,
-    RaySet,
-    dispersion_free_search,
-    propagate_pm_constraint,
-    rotation_jump_demo,
-    separation_check,
-)
+from . import __version__, collapse, emergence, errors, games, hilbert, histories, lln, nogo
+from .hilbert import CoarseGraining, Projector, StateVector
 
 SCHEMA_VERSION = 1
 KINDS = ("simulate", "derive", "solve-measure", "games", "histories", "lln", "nogo")
+VARIANT_FIELDS = {"derive": "construction", "games": "mode", "lln": "op", "nogo": "check"}
+MAX_CSV_VALUES = 3 * 10**7  # numbers one --csv run may write, over all its files
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -87,54 +44,15 @@ class ScenarioError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# JSON value parsing
+# field readers: each takes a JSON value and returns it checked, or raises
 # ---------------------------------------------------------------------------
 
 
-def _entry_to_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ScenarioError(f"cannot read {value!r} as a complex number")
-
-
-def parse_vector(values) -> np.ndarray:
-    if not isinstance(values, list):
-        raise ScenarioError(f"expected a list of numbers, not {type(values).__name__}")
-    return np.array([_entry_to_complex(v) for v in values], dtype=complex)
-
-
-def parse_matrix(rows) -> np.ndarray:
-    if not isinstance(rows, list):
-        raise ScenarioError(f"expected a list of rows, not {type(rows).__name__}")
-    return np.array([parse_vector(row) for row in rows], dtype=complex)
-
-
-def parse_rational(value) -> Fraction:
-    if isinstance(value, (str, int, float)):
-        return Fraction(value)
-    raise ScenarioError(f"cannot read {value!r} as a rational mass")
-
-
-_REQUIRED = object()
-
-
-def _field(params: dict, key: str, convert=lambda value: value, default=_REQUIRED):
-    """``convert(params[key])``, or ``default`` when the key is absent.
-
-    A missing required key, or a value that ``convert`` rejects with a
-    TypeError, ValueError, KeyError or ArithmeticError, raises a
-    ScenarioError naming the key.
-    """
-    if key not in params:
-        if default is _REQUIRED:
-            raise ScenarioError(f"scenario parameters missing required key {key!r}")
-        return default
-    try:
-        return convert(params[key])
-    except (TypeError, ValueError, KeyError, ArithmeticError) as err:
-        raise ScenarioError(f"cannot read {key!r}: {err}") from err
+def _finite(value) -> float:
+    """A finite JSON number; never a boolean or a string."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ScenarioError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _int(value) -> int:
@@ -143,76 +61,180 @@ def _int(value) -> int:
         return value
     if type(value) is float and value.is_integer():
         return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
+    raise ScenarioError(f"expected an integer, got {value!r}")
 
 
-def _bool(value) -> bool:
-    if type(value) is not bool:
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
+def _where(read, test, need: str):
+    """Reader that applies ``read`` and then requires ``test`` of the value."""
+
+    def reader(value):
+        out = read(value)
+        if not test(out):
+            raise ScenarioError(f"must be {need}, got {out!r}")
+        return out
+
+    return reader
 
 
-def _ints(values) -> list[int]:
-    return [_int(v) for v in values]
+def _list_of(read):
+    def reader(values) -> list:
+        if not isinstance(values, list):
+            raise ScenarioError(f"expected a list, got {values!r}")
+        return [read(v) for v in values]
+
+    return reader
 
 
-def _floats(values) -> list[float]:
-    return [float(v) for v in values]
+def _one_of(*allowed):
+    return _where(lambda value: value, lambda value: value in allowed,
+                  f"one of {', '.join(map(repr, allowed))}")
 
 
-def _at_least_one(value) -> int:
-    count = _int(value)
-    if count < 1:
-        raise ValueError(f"must be at least 1, got {count}")
-    return count
+def _entry_to_complex(value) -> complex:
+    """A finite JSON number, or an ``[re, im]`` pair of them."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_finite(value[0]), _finite(value[1]))
+    return complex(_finite(value))
 
 
-def _choice(params: dict, key: str, *allowed):
-    """``params[key]``, which must be one of ``allowed``; the first is the default."""
-    value = params.get(key, allowed[0])
-    if value not in allowed:
-        raise ScenarioError(f"{key!r} must be one of {', '.join(map(repr, allowed))}: {value!r}")
-    return value
+def parse_vector(values) -> np.ndarray:
+    return np.array(_list_of(_entry_to_complex)(values), dtype=complex)
 
 
-def _table_to_dict(table: MeasureTable) -> dict:
-    out = {}
-    for key, value in table.items():
-        label = json.dumps(key[2] if key[0] == "cells" else "matrix")
-        out[label] = float(value) if not isinstance(value, Fraction) else (
-            str(value) if value.denominator != 1 else float(value)
+def parse_matrix(rows) -> np.ndarray:
+    return np.array(_list_of(parse_vector)(rows), dtype=complex)
+
+
+def parse_rational(value) -> Fraction:
+    if isinstance(value, (str, int, float)):
+        return Fraction(value)
+    raise ScenarioError(f"cannot read {value!r} as a rational mass")
+
+
+_ints = _list_of(_int)
+_count = _where(_int, lambda n: n >= 1, "at least 1")
+_index = _where(_int, lambda n: n >= 0, "at least 0")
+_nonnegative = _where(_finite, lambda x: x >= 0, "at least 0")
+_bool = _where(lambda value: value, lambda value: type(value) is bool, "true or false")
+_text = _where(lambda value: value, lambda value: type(value) is str, "a string")
+
+
+def _pm_assignment(doc) -> nogo.FrameAssignment:
+    assignment = nogo.FrameAssignment()
+    for name, value in dict(doc).items():
+        assignment.set({"P1": 0, "P2": 1, "P+": 2, "P-": 3}[name], _finite(value))
+    return assignment
+
+
+def _field(doc: dict, key: str, spec):
+    """``doc[key]`` read through ``spec``: a reader, or ``(reader, default)``.
+
+    A missing key without a default, or a value that the reader rejects
+    with a TypeError, ValueError, KeyError or ArithmeticError, raises a
+    ScenarioError naming the key.
+    """
+    read, *default = spec if isinstance(spec, tuple) else (spec,)
+    if key not in doc:
+        if not default:
+            raise ScenarioError(f"scenario parameters missing required key {key!r}")
+        return default[0]
+    try:
+        return read(doc[key])
+    except (TypeError, ValueError, KeyError, ArithmeticError) as err:
+        raise ScenarioError(f"cannot read {key!r}: {err}") from err
+
+
+def _record(table: dict):
+    """Reader of a JSON object: every field of ``table`` and no other key."""
+
+    def reader(doc) -> dict:
+        if not isinstance(doc, dict):
+            raise ScenarioError(f"expected an object, not {type(doc).__name__}")
+        for key in doc:
+            if key not in table:
+                raise ScenarioError(f"unknown field {key!r}; expected one of {', '.join(table)}")
+        return {key: _field(doc, key, spec) for key, spec in table.items()}
+
+    return reader
+
+
+def _verdict(ok) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _attrs(obj, *names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _table_to_dict(table: hilbert.MeasureTable) -> dict:
+    """Table values keyed by cell list; a non-integral Fraction is written as a string."""
+    return {
+        json.dumps(key[2] if key[0] == "cells" else "matrix"): (
+            str(value) if isinstance(value, Fraction) and value.denominator != 1 else float(value)
         )
-    return out
+        for key, value in table.items()
+    }
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# scenario table: "kind" or "kind:variant" -> (fields, handler(values, seed, csv_dir))
 # ---------------------------------------------------------------------------
 
+SCENARIOS: dict[str, tuple] = {}
 
-def _handle_simulate(params: dict, seed: int, csv_dir: Path | None) -> dict:
-    model_doc = _field(params, "model", dict)
-    observables = _field(model_doc, "observables", lambda ms: [parse_matrix(m) for m in ms])
-    if not observables:
-        raise ScenarioError("'observables' must list at least one matrix")
-    dim = observables[0].shape[0]
-    model = CollapseModel(
-        _field(model_doc, "hamiltonian", parse_matrix, np.zeros((dim, dim))),
-        observables,
-        _field(model_doc, "gamma", float),
-        model_doc.get("norm_mode", "mean-preserving"),
+
+def _scenario(name: str, **fields):
+    """Register the decorated handler under ``name`` with its field table."""
+    kind, _, variant = name.partition(":")
+    if variant:
+        fields[VARIANT_FIELDS[kind]] = _one_of(variant)
+
+    def register(handler):
+        SCENARIOS[name] = (fields, handler)
+        return handler
+
+    return register
+
+
+_MODEL = {
+    "observables": _where(_list_of(parse_matrix), len, "a non-empty list of matrices"),
+    "hamiltonian": (parse_matrix, None),
+    "gamma": _finite,
+    "norm_mode": (_text, "mean-preserving"),
+}
+
+
+@_scenario(
+    "simulate",
+    model=_record(_MODEL),
+    psi0=parse_vector,
+    t_max=_finite,
+    dt=_finite,
+    n_trajectories=_count,
+    eps_collapse=(_finite, collapse.DEFAULT_COLLAPSE_EPS),
+    workers=(_int, 1),  # accepted; one batch runs every trajectory
+    band_multiplier=(_nonnegative, 1.0),
+    martingale_checkpoints=(_list_of(_finite), None),
+    martingale_trajectories=(_count, None),
+    csv_record_every=(_count, 1),
+    csv_trajectories=(_list_of(_index), [0]),
+)
+def _simulate(v: dict, seed: int, csv_dir: Path | None) -> dict:
+    spec = v["model"]
+    model = collapse.CollapseModel(
+        spec["hamiltonian"], spec["observables"], spec["gamma"], spec["norm_mode"]
     )
-    psi0 = StateVector(_field(params, "psi0", parse_vector))
-    t_max = _field(params, "t_max", float)
-    dt = _field(params, "dt", float)
-    n = _field(params, "n_trajectories", _at_least_one)
-    eps = _field(params, "eps_collapse", float, 1e-6)
-    _field(params, "workers", _int, 1)  # accepted; one batch runs every trajectory
-    checkpoints = _field(params, "martingale_checkpoints", _floats, None)
-    martingale_n = _field(params, "martingale_trajectories", _at_least_one, min(n, 2000))
-    record_every = _field(params, "csv_record_every", _at_least_one, 1)
-    csv_trajectories = _field(params, "csv_trajectories", _ints, [0])
-    report = ensemble_outcomes(
+    psi0 = StateVector(v["psi0"])
+    t_max, dt, n, eps = v["t_max"], v["dt"], v["n_trajectories"], v["eps_collapse"]
+    record_every, martingale_n = v["csv_record_every"], v["martingale_trajectories"]
+    if any(idx >= n for idx in v["csv_trajectories"]):
+        raise ScenarioError("'csv_trajectories' must index trajectories below n_trajectories")
+    csv_trajectories = v["csv_trajectories"] if csv_dir is not None else []
+    rows = t_max / dt / record_every + 2 if dt > 0 else 0
+    volume = len(csv_trajectories) * rows * (2 * model.dim + 1 + model.n_outcomes)
+    if volume > MAX_CSV_VALUES:
+        raise errors.PreconditionError(f"'csv_trajectories' exceed {MAX_CSV_VALUES} CSV values")
+    report = collapse.ensemble_outcomes(
         model,
         psi0,
         n,
@@ -220,96 +242,93 @@ def _handle_simulate(params: dict, seed: int, csv_dir: Path | None) -> dict:
         dt=dt,
         seed=seed,
         eps_collapse=eps,
-        band_multiplier=_field(params, "band_multiplier", float, 1.0),
-        martingale_checkpoints=checkpoints,
-        martingale_trajectories=martingale_n,
+        band_multiplier=v["band_multiplier"],
+        martingale_checkpoints=v["martingale_checkpoints"],
+        martingale_trajectories=min(n, 2000) if martingale_n is None else martingale_n,
     )
     verdicts = {
-        "born_frequencies": "PASS" if report.passed else "FAIL",
-        "unresolved_fraction": "FAIL" if report.unresolved_flagged else "PASS",
+        "born_frequencies": _verdict(report.passed),
+        "unresolved_fraction": _verdict(not report.unresolved_flagged),
     }
     metrics = {
+        **_attrs(report, "n_resolved", "unresolved_fraction", "trajectory_steps"),
         "outcomes": [asdict(row) for row in report.rows],
-        "n_resolved": report.n_resolved,
-        "unresolved_fraction": report.unresolved_fraction,
-        "trajectory_steps": report.trajectory_steps,
         "resolve_time": report.resolve_time_quantiles(),
     }
     if report.martingale is not None:
-        verdicts["martingale"] = "PASS" if report.martingale.passed else "FAIL"
+        verdicts["martingale"] = _verdict(report.martingale.passed)
         metrics["martingale"] = [asdict(r) for r in report.martingale.rows]
-    if csv_dir is not None:
-        for idx in csv_trajectories:
-            traj = simulate(model, psi0, t_max, dt, seed + idx, eps, record_every=record_every)
-            path = csv_dir / f"trajectory_{idx}.csv"
-            trajectory_to_csv(traj, model, path)
-            metrics.setdefault("csv_files", []).append(str(path))
+    for idx in csv_trajectories:
+        traj = collapse.simulate(model, psi0, t_max, dt, seed + idx, eps, record_every=record_every)
+        path = csv_dir / f"trajectory_{idx}.csv"
+        collapse.trajectory_to_csv(traj, model, path)
+        metrics.setdefault("csv_files", []).append(str(path))
     return {"verdicts": verdicts, "metrics": metrics}
 
 
-def _handle_derive(params: dict, seed: int, csv_dir) -> dict:
-    construction = _field(params, "construction")
-    if construction == "rational":
-        weights = _field(params, "weights", _ints)
-        sizes = _field(params, "block_sizes", _ints, [1] * len(weights))
-        graining = CoarseGraining.from_sizes(sizes)
-        profiles = _field(
-            params, "profiles", lambda ps: [[parse_rational(p) for p in prof] for prof in ps], None
-        )
-        state = RationalState(weights, graining, profiles)
-        table, trace = rational_born_values(state)
-        total = sum(weights)
-        expected = [Fraction(w, total) for w in weights]
-        actual = [table.value(graining.block_projector(i)) for i in range(len(weights))]
-        ok = actual == expected
-        return {
-            "verdicts": {"table_matches_weights": "PASS" if ok else "FAIL"},
-            "metrics": {
-                "table": _table_to_dict(table),
-                "weights": [str(v) for v in actual],
-            },
-            "traces": [trace.to_dict()],
-        }
-    if construction == "equiprobable":
-        amplitudes = _field(params, "amplitudes", parse_vector)
-        sizes = _field(params, "block_sizes", _ints, [1] * len(amplitudes))
-        graining = CoarseGraining.from_sizes(sizes)
-        psi = StateVector(amplitudes)
-        separating = SeparatingSet.from_graining(psi, graining)
-        with_lattice = _field(params, "lattice", _bool, False)
-        lattice = sublattice_from_graining(graining) if with_lattice else None
-        table, trace = equiprobable_values(psi, separating, lattice)
-        d = separating.size
-        ok = all(
-            table.value(graining.block_projector(i)) == Fraction(1, d) for i in range(d)
-        )
-        return {
-            "verdicts": {"table_matches_weights": "PASS" if ok else "FAIL"},
-            "metrics": {"table": _table_to_dict(table)},
-            "traces": [trace.to_dict()],
-        }
-    raise ScenarioError(f"unknown derive construction {construction!r}")
+@_scenario(
+    "derive:rational",
+    weights=_ints,
+    block_sizes=(_ints, None),
+    profiles=(_list_of(_list_of(parse_rational)), None),
+)
+def _derive_rational(v: dict, seed: int, csv_dir) -> dict:
+    weights, sizes = v["weights"], v["block_sizes"]
+    graining = CoarseGraining.from_sizes([1] * len(weights) if sizes is None else sizes)
+    state = emergence.RationalState(weights, graining, v["profiles"])
+    table, trace = emergence.rational_born_values(state)
+    total = sum(weights)
+    expected = [Fraction(w, total) for w in weights]
+    actual = [table.value(graining.block_projector(i)) for i in range(len(weights))]
+    return {
+        "verdicts": {"table_matches_weights": _verdict(actual == expected)},
+        "metrics": {
+            "table": _table_to_dict(table),
+            "weights": [str(w) for w in actual],
+        },
+        "traces": [trace.to_dict()],
+    }
 
 
-def _handle_solve_measure(params: dict, seed: int, csv_dir) -> dict:
-    expect = _choice(params, "expect", "unique", "underdetermined")
-    masses = _field(params, "masses", lambda ms: [parse_rational(m) for m in ms])
-    dim = len(masses)
-    grainings = _field(
-        params, "grainings", lambda gs: [CoarseGraining.from_sizes(_ints(g)) for g in gs]
+@_scenario(
+    "derive:equiprobable",
+    amplitudes=parse_vector,
+    block_sizes=(_ints, None),
+    lattice=(_bool, False),
+)
+def _derive_equiprobable(v: dict, seed: int, csv_dir) -> dict:
+    amplitudes, sizes = v["amplitudes"], v["block_sizes"]
+    graining = CoarseGraining.from_sizes([1] * len(amplitudes) if sizes is None else sizes)
+    psi = StateVector(amplitudes)
+    separating = hilbert.SeparatingSet.from_graining(psi, graining)
+    lattice = hilbert.sublattice_from_graining(graining) if v["lattice"] else None
+    table, trace = emergence.equiprobable_values(psi, separating, lattice)
+    d = separating.size
+    ok = all(
+        table.value(graining.block_projector(i)) == Fraction(1, d) for i in range(d)
     )
-    if any(graining.dim != dim for graining in grainings):
-        raise ScenarioError("graining sizes must cover the mass grid")
-    family = GrainingFamily(grainings)
-    profile = MassProfile(masses)
-    result = measure_uniqueness_solve(profile, family)
-    verdict = "PASS" if result.status == expect else "FAIL"
+    return {
+        "verdicts": {"table_matches_weights": _verdict(ok)},
+        "metrics": {"table": _table_to_dict(table)},
+        "traces": [trace.to_dict()],
+    }
+
+
+@_scenario(
+    "solve-measure",
+    masses=_list_of(parse_rational),
+    grainings=_list_of(_ints),
+    expect=(_one_of("unique", "underdetermined"), "unique"),
+)
+def _solve_measure(v: dict, seed: int, csv_dir) -> dict:
+    masses = v["masses"]
+    dim = len(masses)
+    family = hilbert.GrainingFamily(CoarseGraining.from_sizes(s) for s in v["grainings"])
+    result = emergence.measure_uniqueness_solve(emergence.MassProfile(masses), family)
+    verdict = _verdict(result.status == v["expect"])
     metrics = {
-        "status": result.status,
-        "rank": result.rank,
-        "n_unknowns": result.n_unknowns,
+        **_attrs(result, "status", "rank", "n_unknowns", "nonzeros"),
         "constraints": result.constraint_count,
-        "nonzeros": result.nonzeros,
     }
     if result.unique:
         total = sum(masses)
@@ -320,7 +339,7 @@ def _handle_solve_measure(params: dict, seed: int, csv_dir) -> dict:
         )
         metrics["table"] = _table_to_dict(result.table)
         return {
-            "verdicts": {"expectation": verdict, "matches_weights": "PASS" if born_ok else "FAIL"},
+            "verdicts": {"expectation": verdict, "matches_weights": _verdict(born_ok)},
             "metrics": metrics,
         }
     metrics["freedom"] = result.freedom
@@ -328,268 +347,223 @@ def _handle_solve_measure(params: dict, seed: int, csv_dir) -> dict:
     return {"verdicts": {"expectation": verdict}, "metrics": metrics}
 
 
-def _handle_games(params: dict, seed: int, csv_dir) -> dict:
-    mode = _field(params, "mode")
-    payoff = linear_payoff(_field(params, "slope", float, 1.0))
-    if mode == "pivotal":
-        x1, x2 = _field(params, "x1", float), _field(params, "x2", float)
-        result = derive_pivotal(x1, x2, payoff)
-        expected = 0.5 * (payoff(x1) + payoff(x2))
-        game = Game(
-            np.array([1.0, 1.0]),
-            [
-                (x1, Projector.from_cells([0], 2)),
-                (x2, Projector.from_cells([1], 2)),
-            ],
-            payoff,
-        ) if abs(x1 - x2) > 1e-10 else None
-        solve_ok, solved = True, None
-        if game is not None:
-            solved = value_solve([game], _field(params, "depth", _int, 4))
-            solve_ok = (
-                solved.value_of(game) is not None
-                and abs(solved.value_of(game) - expected) < 1e-9
-            )
-        ok = result.value.known and abs(result.value.value - expected) < 1e-9
-        sound = verify_soundness(result.solver.constraints, result.solver.games.values())
-        return {
-            "verdicts": {
-                "pivotal_value": "PASS" if ok else "FAIL",
-                "closure_solve": "PASS" if solve_ok else "FAIL",
-                "soundness": "PASS" if sound <= 1e-10 else "FAIL",
-            },
-            "metrics": {
-                "value": result.value.value,
-                "expected": expected,
-                "solver_rank": solved and solved.rank,
-                "n_unknowns": solved and solved.n_unknowns,
-                "constraints": solved and len(solved.constraints),
-                "soundness_residual": sound,
-            },
-            "traces": [result.trace.to_dict()],
-        }
-    if mode == "special-equivalence":
-        state = _field(params, "state", parse_vector)
-        p1 = Projector.from_cells(_field(params, "p1_cells", _ints), len(state))
-        p2 = Projector.from_cells(_field(params, "p2_cells", _ints), len(state))
-        if p1.index_set() & p2.index_set():
-            raise ScenarioError("'p1_cells' and 'p2_cells' must not overlap")
-        psi = StateVector(state)
-        w1, w2 = born_weight(psi, p1), born_weight(psi, p2)
-        game_a = Game.projector_game(state, p1, payoff)
-        game_b = Game.projector_game(state, p2, payoff)
-        swap = projector_swap(state, p1, p2)
-        unitaries = [swap] if swap is not None else []
-        depth = _field(params, "depth", _int, 2)
-        solved = value_solve([game_a, game_b], depth, unitaries=unitaries)
-        diff = solved.difference(game_a, game_b)
-        ok = abs(w1 - w2) < 1e-10 and diff is not None and abs(diff) < 1e-9
-        general = general_equivalence_check(solved, [game_a, game_b])
-        return {
-            "verdicts": {"special_equivalence": "PASS" if ok else "FAIL"},
-            "metrics": {
-                "weight_1": w1,
-                "weight_2": w2,
-                "value_difference": diff,
-                "rank": solved.rank,
-                "n_unknowns": solved.n_unknowns,
-                "constraints": len(solved.constraints),
-                "general_equivalence": [
-                    {
-                        "pair": list(row["pair"]),
-                        "difference": row["difference"],
-                        "equal": row["equal"],
-                        "determined": row["determined"],
-                    }
-                    for row in general
-                ],
-            },
-        }
-    raise ScenarioError(f"unknown games mode {mode!r}")
-
-
-def _handle_histories(params: dict, seed: int, csv_dir) -> dict:
-    expect = _choice(params, "expect", "CONSISTENT", "INCONSISTENT")
-    psi0 = StateVector(_field(params, "psi0", parse_vector))
-    dim = psi0.dim
-    docs = _field(params, "steps")
-    if not isinstance(docs, list) or not docs or not all(isinstance(d, dict) for d in docs):
-        raise ScenarioError("histories 'steps' must be a non-empty list of objects")
-    steps = []
-    for doc in docs:
-        cells = _field(doc, "resolution", lambda cs: [_ints(c) for c in cs])
-        unitary = _field(doc, "unitary", parse_matrix, None)
-        steps.append(HistoryStep([Projector.from_cells(c, dim) for c in cells], unitary))
-    epsilon = params.get("epsilon", 1e-8)
-    if type(epsilon) not in (int, float) or not 0 <= epsilon <= sys.float_info.max:
-        raise ScenarioError(f"histories 'epsilon' must be a finite number >= 0, got {epsilon!r}")
-    history_set = HistorySet(steps, float(epsilon))
-    report = consistency_check(history_set, psi0)
-    sums_ok = abs(report.collapsed_sum - 1.0) <= 1e-9
+@_scenario("games:pivotal", x1=_finite, x2=_finite, slope=(_finite, 1.0), depth=(_int, 4))
+def _games_pivotal(v: dict, seed: int, csv_dir) -> dict:
+    x1, x2 = v["x1"], v["x2"]
+    payoff = games.linear_payoff(v["slope"])
+    result = games.derive_pivotal(x1, x2, payoff)
+    expected = 0.5 * (payoff(x1) + payoff(x2))
+    solve_ok, solved = True, None
+    if abs(x1 - x2) > games.SPECTRUM_TOL:
+        game = result.solver.games[result.value.game_key]
+        solved = games.value_solve([game], v["depth"])
+        value = solved.value_of(game)
+        solve_ok = value is not None and abs(value - expected) < 1e-9
+    ok = result.value.known and abs(result.value.value - expected) < 1e-9
+    sound = games.verify_soundness(result.solver.constraints, result.solver.games.values())
     return {
         "verdicts": {
-            "expectation": "PASS" if report.verdict == expect else "FAIL",
-            "collapsed_sum": "PASS" if sums_ok else "FAIL",
+            "pivotal_value": _verdict(ok),
+            "closure_solve": _verdict(solve_ok),
+            "soundness": _verdict(sound <= 1e-10),
         },
         "metrics": {
-            "verdict": report.verdict,
-            "max_discrepancy": report.max_discrepancy,
-            "worst_event": None
-            if report.worst is None
-            else {"kind": report.worst.kind, "label": report.worst.label},
-            "collapsed_sum": report.collapsed_sum,
-            "uncollapsed_sum": report.uncollapsed_sum,
-            "n_histories": report.n_histories,
-            "pairs": report.pairs,
-            "pairs_over_epsilon": report.pairs_over_epsilon,
+            "value": result.value.value,
+            "expected": expected,
+            "solver_rank": solved and solved.rank,
+            "n_unknowns": solved and solved.n_unknowns,
+            "constraints": solved and len(solved.constraints),
+            "soundness_residual": sound,
+        },
+        "traces": [result.trace.to_dict()],
+    }
+
+
+@_scenario(
+    "games:special-equivalence",
+    state=parse_vector,
+    p1_cells=_ints,
+    p2_cells=_ints,
+    slope=(_finite, 1.0),
+    depth=(_int, 2),
+)
+def _games_special_equivalence(v: dict, seed: int, csv_dir) -> dict:
+    state = v["state"]
+    payoff = games.linear_payoff(v["slope"])
+    p1 = Projector.from_cells(v["p1_cells"], len(state))
+    p2 = Projector.from_cells(v["p2_cells"], len(state))
+    if p1.index_set() & p2.index_set():
+        raise ScenarioError("'p1_cells' and 'p2_cells' must not overlap")
+    psi = StateVector(state)
+    w1, w2 = hilbert.born_weight(psi, p1), hilbert.born_weight(psi, p2)
+    game_a = games.Game.projector_game(state, p1, payoff)
+    game_b = games.Game.projector_game(state, p2, payoff)
+    swap = games.projector_swap(state, p1, p2)
+    unitaries = [swap] if swap is not None else []
+    solved = games.value_solve([game_a, game_b], v["depth"], unitaries=unitaries)
+    diff = solved.difference(game_a, game_b)
+    ok = abs(w1 - w2) < 1e-10 and diff is not None and abs(diff) < 1e-9
+    return {
+        "verdicts": {"special_equivalence": _verdict(ok)},
+        "metrics": {
+            **_attrs(solved, "rank", "n_unknowns"),
+            "weight_1": w1,
+            "weight_2": w2,
+            "value_difference": diff,
+            "constraints": len(solved.constraints),
+            "general_equivalence": games.general_equivalence_check(solved, [game_a, game_b]),
         },
     }
 
 
-def _handle_lln(params: dict, seed: int, csv_dir) -> dict:
-    op = _field(params, "op")
-    if op == "tail":
-        n = _field(params, "n", _int)
-        delta = _field(params, "delta", float)
-        p = _field(params, "p", float)
-        value = lln_tail(n, delta, p)
-        work = tail_work(n, delta, p)
-        return {
-            "verdicts": {"computed": "PASS"},
-            "metrics": {"tail": value, "tail_path": work.path, "terms": work.terms},
-        }
-    if op == "scan":
-        p, delta = _field(params, "p", float), _field(params, "delta", float)
-        ns = _field(params, "ns", _ints)
-        report = lln_limit_scan(p, delta, ns, threshold=_field(params, "threshold", float, 1e-3))
-        work = [tail_work(n, delta, p) for n in report.ns]
-        return {
-            "verdicts": {"converged": "PASS" if report.converged else "FAIL"},
-            "metrics": {
-                "ns": list(report.ns),
-                "values": list(report.values),
-                "final_is_minimum": report.final_is_minimum,
-                "strictly_decreasing": report.strictly_decreasing,
-                "tail_paths": [w.path for w in work],
-                "terms": [w.terms for w in work],
-            },
-        }
-    if op == "audit":
-        audit = frequency_audit(
-            _field(params, "outcomes", _ints),
-            _field(params, "weights", lambda ws: [float(w) for w in ws]),
+_STEP = {"resolution": _list_of(_ints), "unitary": (parse_matrix, None)}
+
+
+@_scenario(
+    "histories",
+    psi0=parse_vector,
+    steps=_where(_list_of(_record(_STEP)), len, "a non-empty list of steps"),
+    epsilon=(_nonnegative, 1e-8),
+    expect=(_one_of("CONSISTENT", "INCONSISTENT"), "CONSISTENT"),
+)
+def _histories(v: dict, seed: int, csv_dir) -> dict:
+    psi0 = StateVector(v["psi0"])
+    steps = [
+        histories.HistoryStep(
+            [Projector.from_cells(cells, psi0.dim) for cells in step["resolution"]],
+            step["unitary"],
         )
-        floor = _field(params, "surprise_floor", float, 0.0)
-        ok = all(row.surprise >= floor for row in audit.rows)
-        return {
-            "verdicts": {"surprise_floor": "PASS" if ok else "FAIL"},
-            "metrics": {
-                "rows": [
-                    {
-                        "outcome": r.outcome,
-                        "count": r.count,
-                        "frequency": r.frequency,
-                        "weight": r.weight,
-                        "deviation": r.deviation,
-                        "surprise": r.surprise,
-                    }
-                    for r in audit.rows
-                ]
-            },
-        }
-    raise ScenarioError(f"unknown lln op {op!r}")
+        for step in v["steps"]
+    ]
+    report = histories.consistency_check(histories.HistorySet(steps, v["epsilon"]), psi0)
+    return {
+        "verdicts": {
+            "expectation": _verdict(report.verdict == v["expect"]),
+            "collapsed_sum": _verdict(abs(report.collapsed_sum - 1.0) <= 1e-9),
+        },
+        "metrics": {
+            **_attrs(report, "verdict", "max_discrepancy", "collapsed_sum", "uncollapsed_sum"),
+            **_attrs(report, "n_histories", "pairs", "pairs_over_epsilon"),
+            "worst_event": report.worst and _attrs(report.worst, "kind", "label"),
+        },
+    }
 
 
-def _pm_assignment(doc) -> FrameAssignment:
-    assignment = FrameAssignment()
-    for name, value in dict(doc).items():
-        assignment.set({"P1": 0, "P2": 1, "P+": 2, "P-": 3}[name], float(value))
-    return assignment
+@_scenario("lln:tail", n=_int, delta=_finite, p=_finite)
+def _lln_tail(v: dict, seed: int, csv_dir) -> dict:
+    n, delta, p = v["n"], v["delta"], v["p"]
+    value = lln.lln_tail(n, delta, p)
+    work = lln.tail_work(n, delta, p)
+    return {
+        "verdicts": {"computed": "PASS"},
+        "metrics": {"tail": value, "tail_path": work.path, "terms": work.terms},
+    }
 
 
-def _handle_nogo(params: dict, seed: int, csv_dir) -> dict:
-    check = _field(params, "check")
-    if check == "pm":
-        expect = _choice(params, "expect", "consistent", "contradiction")
-        system = PMSystem.from_generators(
-            _field(params, "chi1", parse_vector), _field(params, "chi2", parse_vector)
-        )
-        result = propagate_pm_constraint(system, _field(params, "assignment", _pm_assignment))
-        actual = "consistent" if result.consistent else "contradiction"
-        return {
-            "verdicts": {"expectation": "PASS" if actual == expect else "FAIL"},
-            "metrics": {
-                "status": actual,
-                "derived": [
-                    {"projector": n, "value": v, "reason": r} for n, v, r in result.derived
-                ],
-                "contradiction": result.contradiction,
-            },
-        }
-    if check == "separation":
-        expect = _choice(params, "expect", None, "allowed", "forbidden")
-        result = separation_check(
-            _field(params, "chi", parse_vector), _field(params, "phi", parse_vector)
-        )
-        verdict = "PASS" if expect is None or result.verdict.value == expect else "FAIL"
-        return {
-            "verdicts": {"expectation": verdict},
-            "metrics": {
-                "verdict": result.verdict.value,
-                "distance": result.distance,
-                "threshold": result.threshold,
-            },
-        }
-    if check == "rotation":
-        expect = _choice(params, "expect", "contradiction", "inconclusive", "degenerate")
-        report = rotation_jump_demo(
-            _field(params, "chi", parse_vector),
-            _field(params, "phi", parse_vector),
-            _field(params, "steps"),
-        )
-        return {
-            "verdicts": {
-                "expectation": "PASS" if report.status == expect else "FAIL",
-            },
-            "metrics": {
-                "status": report.status,
-                "max_consecutive_distance": report.max_consecutive_distance,
-                "flip_allowed_at": report.flip_allowed_at,
-                "n_pairs": len(report.distances),
-            },
-        }
-    if check == "search":
-        rays = RaySet(_field(params, "rays", lambda rs: [parse_vector(r) for r in rs]))
-        expect_satisfiable = _field(params, "expect_satisfiable", _bool, None)
-        expect_count = _field(params, "expect_count", _int, None)
-        result = dispersion_free_search(rays)
-        metrics = {
-            "satisfiable": result.satisfiable,
-            "n_assignments": len(result.assignments),
-            "contexts": [list(c) for c in result.contexts],
-        }
-        if result.certificate is not None:
-            metrics["certificate"] = list(result.certificate.chain)
-        verdicts = {}
-        if expect_satisfiable is not None:
-            verdicts["satisfiable"] = "PASS" if result.satisfiable == expect_satisfiable else "FAIL"
-        if expect_count is not None:
-            verdicts["count"] = "PASS" if len(result.assignments) == expect_count else "FAIL"
-        if not verdicts:
-            verdicts["computed"] = "PASS"
-        return {"verdicts": verdicts, "metrics": metrics}
-    raise ScenarioError(f"unknown nogo check {check!r}")
+@_scenario("lln:scan", p=_finite, delta=_finite, ns=_ints, threshold=(_finite, 1e-3))
+def _lln_scan(v: dict, seed: int, csv_dir) -> dict:
+    p, delta = v["p"], v["delta"]
+    report = lln.lln_limit_scan(p, delta, v["ns"], threshold=v["threshold"])
+    work = [lln.tail_work(n, delta, p) for n in report.ns]
+    return {
+        "verdicts": {"converged": _verdict(report.converged)},
+        "metrics": {
+            **_attrs(report, "final_is_minimum", "strictly_decreasing"),
+            "ns": list(report.ns),
+            "values": list(report.values),
+            "tail_paths": [w.path for w in work],
+            "terms": [w.terms for w in work],
+        },
+    }
 
 
-_HANDLERS = {
-    "simulate": _handle_simulate,
-    "derive": _handle_derive,
-    "solve-measure": _handle_solve_measure,
-    "games": _handle_games,
-    "histories": _handle_histories,
-    "lln": _handle_lln,
-    "nogo": _handle_nogo,
-}
+@_scenario(
+    "lln:audit", outcomes=_ints, weights=_list_of(_finite), surprise_floor=(_finite, 0.0)
+)
+def _lln_audit(v: dict, seed: int, csv_dir) -> dict:
+    audit = lln.frequency_audit(v["outcomes"], v["weights"])
+    ok = all(row.surprise >= v["surprise_floor"] for row in audit.rows)
+    return {
+        "verdicts": {"surprise_floor": _verdict(ok)},
+        "metrics": {"rows": [asdict(row) for row in audit.rows]},
+    }
+
+
+@_scenario(
+    "nogo:pm",
+    chi1=parse_vector,
+    chi2=parse_vector,
+    assignment=_pm_assignment,
+    expect=(_one_of("consistent", "contradiction"), "consistent"),
+)
+def _nogo_pm(v: dict, seed: int, csv_dir) -> dict:
+    system = nogo.PMSystem.from_generators(v["chi1"], v["chi2"])
+    result = nogo.propagate_pm_constraint(system, v["assignment"])
+    actual = "consistent" if result.consistent else "contradiction"
+    return {
+        "verdicts": {"expectation": _verdict(actual == v["expect"])},
+        "metrics": {
+            "status": actual,
+            "derived": [
+                {"projector": n, "value": x, "reason": r} for n, x, r in result.derived
+            ],
+            "contradiction": result.contradiction,
+        },
+    }
+
+
+_RAY_PAIR = {"chi": parse_vector, "phi": parse_vector}
+
+
+@_scenario("nogo:separation", **_RAY_PAIR, expect=(_one_of(None, "allowed", "forbidden"), None))
+def _nogo_separation(v: dict, seed: int, csv_dir) -> dict:
+    result = nogo.separation_check(v["chi"], v["phi"])
+    return {
+        "verdicts": {"expectation": _verdict(v["expect"] in (None, result.verdict.value))},
+        "metrics": {"verdict": result.verdict.value, **_attrs(result, "distance", "threshold")},
+    }
+
+
+@_scenario(
+    "nogo:rotation",
+    **_RAY_PAIR,
+    steps=_int,
+    expect=(_one_of("contradiction", "inconclusive", "degenerate"), "contradiction"),
+)
+def _nogo_rotation(v: dict, seed: int, csv_dir) -> dict:
+    report = nogo.rotation_jump_demo(v["chi"], v["phi"], v["steps"])
+    return {
+        "verdicts": {"expectation": _verdict(report.status == v["expect"])},
+        "metrics": {
+            **_attrs(report, "status", "max_consecutive_distance", "flip_allowed_at"),
+            "n_pairs": len(report.distances),
+        },
+    }
+
+
+@_scenario(
+    "nogo:search",
+    rays=_list_of(parse_vector),
+    expect_satisfiable=(_bool, None),
+    expect_count=(_index, None),
+)
+def _nogo_search(v: dict, seed: int, csv_dir) -> dict:
+    result = nogo.dispersion_free_search(nogo.RaySet(v["rays"]))
+    metrics = {
+        "satisfiable": result.satisfiable,
+        "n_assignments": len(result.assignments),
+        "contexts": [list(c) for c in result.contexts],
+    }
+    if result.certificate is not None:
+        metrics["certificate"] = list(result.certificate.chain)
+    verdicts = {}
+    if v["expect_satisfiable"] is not None:
+        verdicts["satisfiable"] = _verdict(result.satisfiable == v["expect_satisfiable"])
+    if v["expect_count"] is not None:
+        verdicts["count"] = _verdict(len(result.assignments) == v["expect_count"])
+    if not verdicts:
+        verdicts["computed"] = "PASS"
+    return {"verdicts": verdicts, "metrics": metrics}
 
 
 # ---------------------------------------------------------------------------
@@ -625,14 +599,19 @@ def run_scenario(
     params = doc.get("parameters", {})
     if not isinstance(params, dict):
         raise ScenarioError(f"'parameters' must be an object, not {type(params).__name__}")
-    seed = int(seed_override) if seed_override is not None else _field(doc, "seed", _int, 0)
+    seed = _field(doc if seed_override is None else {"seed": seed_override}, "seed", (_index, 0))
     csv_dir = None
     if write_csv:
         csv_dir = Path(out_path).parent if out_path else Path.cwd()
         csv_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    body = _HANDLERS[kind](params, seed, csv_dir)
+    entry = kind
+    if kind in VARIANT_FIELDS:
+        variants = [name.partition(":")[2] for name in SCENARIOS if name.startswith(f"{kind}:")]
+        entry += ":" + _field(params, VARIANT_FIELDS[kind], _one_of(*variants))
+    fields, handler = SCENARIOS[entry]
+    body = handler(_record(fields)(params), seed, csv_dir)
     elapsed = time.perf_counter() - start
 
     report = {
@@ -641,12 +620,9 @@ def run_scenario(
         "scenario": doc,
         "seed": seed,
         "tool_version": __version__,
-        "verdicts": body.get("verdicts", {}),
-        "metrics": body.get("metrics", {}),
+        **body,
         "wall_clock_s": elapsed,
     }
-    if "traces" in body:
-        report["traces"] = body["traces"]
     failures = [
         {"check": name, "reason": f"check {name} reported {verdict}"}
         for name, verdict in report["verdicts"].items()
@@ -692,10 +668,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
 
+    out = _resolve_out(args.out)
     try:
         report, code = run_scenario(
             args.scenario,
-            out_path=_resolve_out(args.out),
+            out_path=out,
             seed_override=args.seed,
             write_csv=args.csv,
             expected_kind=args.command,
@@ -703,15 +680,14 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (IntegrationFailureError, ConvergenceFailureError, InconsistentSystemError) as err:
+    except (ArithmeticError, errors.ConvergenceFailureError, errors.InconsistentSystemError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except BornLabError as err:
+    except errors.BornLabError as err:
         print(f"invalid scenario inputs: {err}", file=sys.stderr)
         return EXIT_USAGE
 
     text = render_report(report)
-    out = _resolve_out(args.out)
     if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text)

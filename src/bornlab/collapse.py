@@ -42,6 +42,8 @@ UNRESOLVED_FLAG_FRACTION = 0.01
 STEP_WARN_THRESHOLD = 0.1
 EIGEN_CLUSTER_TOL = 1e-8  # eigenvalues this close share an eigenspace
 MAX_STEPS = 10**7  # steps per trajectory, checked before a run allocates anything
+MAX_NOISE_STREAMS = 10**5  # trajectories x observables; each holds _CHUNK_STEPS float64 draws
+MAX_TRAJECTORY_STEPS = 5 * 10**9  # steps asked of one ensemble, over every trajectory
 _CHUNK_STEPS = 1024
 
 
@@ -60,7 +62,8 @@ class CollapseModel:
     ``observables`` is a list of Hermitian matrices commuting pairwise
     within tolerance (one for toy models, three for a vector observable).
     ``gamma`` is the noise coupling; it must be nonnegative, with zero
-    giving frozen (or purely Hamiltonian) dynamics.  Joint eigenprojectors
+    giving frozen (or purely Hamiltonian) dynamics; a ``hamiltonian`` of
+    None is the zero matrix.  Joint eigenprojectors
     of the family define the collapse outcomes, ordered by first appearance
     in the shared eigenbasis.
     """
@@ -73,13 +76,13 @@ class CollapseModel:
     blocks: tuple[SpectralBlock, ...] = field(init=False, compare=False, repr=False)
 
     def __init__(self, hamiltonian, observables, gamma, norm_mode="mean-preserving"):
-        ham = np.array(hamiltonian, dtype=complex)
         obs = tuple(np.array(a, dtype=complex) for a in observables)
         if not obs:
             raise InvalidStateError("at least one preferred observable required")
+        ham = np.zeros_like(obs[0]) if hamiltonian is None else np.array(hamiltonian, dtype=complex)
         d = ham.shape[0]
-        if ham.shape != (d, d):
-            raise DimensionMismatchError("hamiltonian must be square")
+        if d == 0 or ham.shape != (d, d):
+            raise DimensionMismatchError("hamiltonian must be square and non-empty")
         if np.max(np.abs(ham - ham.conj().T)) > HERMITIAN_TOL:
             raise InvalidStateError("hamiltonian must be Hermitian")
         for a in obs:
@@ -605,6 +608,8 @@ def ensemble_outcomes(
     if n < 1:
         raise PreconditionError(f"trajectory count n must be at least 1, got {n}")
     psi0.require_nonzero()
+    if psi0.dim != model.dim:
+        raise DimensionMismatchError("state and model dimensions differ")
     m, times = 0, []
     if martingale_checkpoints is not None:
         m = n if martingale_trajectories is None else int(martingale_trajectories)
@@ -612,9 +617,13 @@ def ensemble_outcomes(
         if m < 1 or not times:
             raise PreconditionError("a martingale check needs a trajectory and a checkpoint")
     n_steps, cp_steps = _check_run(model, t_max, dt, eps_collapse, times)
+    if max(n, m) * model.n_observables > MAX_NOISE_STREAMS:
+        raise PreconditionError("n_trajectories x observables exceed MAX_NOISE_STREAMS")
     horizons = np.zeros(max(n, m), dtype=int)
     horizons[:n] = n_steps
     horizons[:m] = np.maximum(horizons[:m], max(cp_steps, default=0))
+    if horizons.sum() > MAX_TRAJECTORY_STEPS:
+        raise PreconditionError("n_trajectories x t_max / dt exceeds MAX_TRAJECTORY_STEPS")
     seeds = [int(seed) + i for i in range(horizons.size)]
     psi = psi0.normalized().amplitudes
     run = _run_batch(
@@ -696,8 +705,8 @@ def martingale_check(
 
 def trajectory_to_csv(trajectory: Trajectory, model: CollapseModel, path) -> None:
     """Write a trajectory as CSV: time, amplitudes, block expectations."""
-    d = model.dim
-    mass = np.abs(row_apply(model.eigenbasis.conj().T, trajectory.states)) ** 2
+    d, states = model.dim, trajectory.states
+    mass = np.abs(row_apply(model.eigenbasis.conj().T, states)) ** 2
     # every row rounds as block_weights does; numpy sums 8 or more terms of a 1-D array
     # pairwise, which a 2-D row sum does not reproduce
     weights = np.column_stack([
@@ -710,5 +719,6 @@ def trajectory_to_csv(trajectory: Trajectory, model: CollapseModel, path) -> Non
             ["t"] + [f"re_{i}" for i in range(d)] + [f"im_{i}" for i in range(d)]
             + [f"p_{k}" for k in range(model.n_outcomes)]
         )
-        for t, state, row_weights in zip(trajectory.times, trajectory.states, weights):
-            writer.writerow([repr(float(x)) for x in (t, *state.real, *state.imag, *row_weights)])
+        table = np.column_stack([trajectory.times, states.real, states.imag, weights])
+        for start in range(0, len(table), _CHUNK_STEPS):  # one chunk of Python floats at a time
+            writer.writerows(table[start : start + _CHUNK_STEPS].tolist())

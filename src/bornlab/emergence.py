@@ -45,6 +45,7 @@ from .trace import DERIVATION_RULES, DerivationTrace
 
 DEFAULT_SUBDIVISION_CAP = 2**40
 DEFAULT_DENOMINATOR_CAP = 10**6
+MAX_TOTAL_WEIGHT = 10**4  # rational derivations cut sum(weights) equal-mass pieces
 # relative accuracy of each piece mass when float masses are split
 FLOAT_MASS_TOL = 1e-10
 # first denominator cap of the continuity-limit sweep
@@ -157,6 +158,8 @@ class RationalState:
             raise InvalidStateError("weights must be nonnegative integers")
         if not any(w > 0 for w in weights):
             raise InvalidStateError("at least one weight must be positive")
+        if sum(weights) > MAX_TOTAL_WEIGHT:
+            raise PreconditionError(f"'weights' sum beyond MAX_TOTAL_WEIGHT = {MAX_TOTAL_WEIGHT}")
         if profiles is None:
             profiles = tuple(
                 tuple(Fraction(1, stop - start) for _ in range(start, stop))

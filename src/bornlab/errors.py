@@ -31,6 +31,10 @@ class IncompleteMeasureError(BornLabError, KeyError):
     """A measure table is queried on a projector it does not cover."""
 
 
+class OutcomeIndexError(BornLabError, IndexError):
+    """An outcome index lies outside the table of outcomes it refers to."""
+
+
 class GeometryError(BornLabError, ValueError):
     """Ray geometry does not match what a constraint construction requires."""
 

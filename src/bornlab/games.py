@@ -43,6 +43,7 @@ WEIGHT_TOL = 1e-10
 KEY_DECIMALS = 10
 CLOSURE_TOL = 1e-9  # relative; cycles close only to the rounding of game keys
 EQUIVALENCE_TOL = 1e-9  # solved values closer than this count as equal
+MAX_CLOSURE_DEPTH = 100  # closure rounds; each may add games and rows
 
 
 # ---------------------------------------------------------------------------
@@ -806,11 +807,13 @@ def value_solve(
     explicitly supplied relabelings and unitaries.  Depth zero emits no
     constraints and leaves everything undetermined.
     """
+    if not 0 <= closure_depth <= MAX_CLOSURE_DEPTH:
+        raise PreconditionError(f"'depth' must be in [0, {MAX_CLOSURE_DEPTH}]: {closure_depth}")
     solver = ValueSolver()
     for game in games:
         solver.register(game)
     frontier = list(solver.games.values())
-    for _ in range(max(0, int(closure_depth))):
+    for _ in range(int(closure_depth)):
         seen = len(solver.games)
         for game in frontier:
             solver.expand_game(game)

@@ -480,6 +480,8 @@ class SeparatingSet:
 
         Blocks where psi has no mass get the flat profile.
         """
+        if graining.dim != psi.dim:
+            raise DimensionMismatchError("graining and state dimensions differ")
         vectors = []
         projectors = []
         for i, (start, stop) in enumerate(graining.blocks):

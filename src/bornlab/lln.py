@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import OutcomeIndexError, PreconditionError
 
 EXACT_N_LIMIT = 1000
+MAX_TRIALS = 10**5  # trial count n; the log-domain tail holds about n floats
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,8 @@ class LlnQuery:
     p: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise PreconditionError(f"trial count n must be at least 1, got {self.n}")
+        if not 1 <= self.n <= MAX_TRIALS:
+            raise PreconditionError(f"trial count n must lie in [1, {MAX_TRIALS}], got {self.n}")
         if not 0 < self.delta < math.inf:
             raise PreconditionError(f"threshold delta must be positive and finite: {self.delta}")
         if not 0.0 <= self.p <= 1.0:
@@ -162,8 +163,8 @@ def lln_limit_scan(
     the sequence decreases strictly.
     """
     ns = tuple(int(n) for n in ns)
-    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise PreconditionError(f"trial counts 'ns' must be non-empty and strictly increasing: {ns}")
+    if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[-1] > MAX_TRIALS:
+        raise PreconditionError(f"'ns' must be non-empty, increasing, <= {MAX_TRIALS}: {ns}")
     values = tuple(lln_tail(n, delta, p) for n in ns)
     final_is_minimum = values[-1] == min(values)
     strictly_decreasing = all(b < a for a, b in zip(values, values[1:])) or len(values) == 1
@@ -207,14 +208,14 @@ def frequency_audit(outcomes: Sequence[int], weights: Sequence[float]) -> Freque
     weight-distributed source would rarely produce.
     """
     outcomes = [int(o) for o in outcomes]
-    if not outcomes:
-        raise ValueError("outcome sequence must be nonempty")
+    if not 1 <= len(outcomes) <= MAX_TRIALS:
+        raise PreconditionError(f"'outcomes' must hold 1 to {MAX_TRIALS} entries")
     weights = [float(w) for w in weights]
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError("weights must be a probability table")
+    if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
+        raise PreconditionError(f"'weights' must be a probability table, got {weights}")
     for o in outcomes:
         if not 0 <= o < len(weights):
-            raise IndexError(f"outcome {o} outside the weight table")
+            raise OutcomeIndexError(f"'outcomes' entry {o} lies outside the weight table")
     n = len(outcomes)
     rows = []
     for k, weight in enumerate(weights):

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_CSV_VALUES,
+    SCENARIOS,
+    VARIANT_FIELDS,
     ScenarioError,
     main,
     parse_matrix,
@@ -15,6 +22,10 @@ from bornlab.cli import (
     render_report,
     run_scenario,
 )
+from bornlab.collapse import MAX_NOISE_STREAMS
+from bornlab.emergence import MAX_TOTAL_WEIGHT
+from bornlab.games import MAX_CLOSURE_DEPTH
+from bornlab.lln import MAX_TRIALS
 from bornlab.nogo import MAX_ROTATION_STEPS
 
 
@@ -557,3 +568,239 @@ class TestScenarioKinds:
         csv_files = report["metrics"]["csv_files"]
         assert (tmp_path / "trajectory_0.csv").exists()
         assert str(tmp_path / "trajectory_0.csv") in csv_files
+
+
+NAN, INF = float("nan"), float("inf")
+WITH_MODEL = {**SIMULATE_PARAMS["model"]}
+
+
+def run_main(tmp_path, kind, params, *extra):
+    scenario = write_scenario(tmp_path, {"kind": kind, "parameters": params})
+    return main([kind, "--scenario", str(scenario), *extra])
+
+
+class TestScenarioTable:
+    @pytest.mark.parametrize(
+        "kind, params, field",
+        [
+            ("nogo", {**SEPARATION_PARAMS, "chi": [1, NAN]}, "'chi'"),
+            ("nogo", {**SEARCH_PARAMS, "rays": [[1, 0, 0], [0, NAN, 0], [0, 0, 1]]}, "'rays'"),
+            ("nogo", {**PM_PARAMS, "chi1": [1, 0, NAN], "assignment": {}}, "'chi1'"),
+            ("derive", {"construction": "equiprobable", "amplitudes": [NAN, 1]}, "'amplitudes'"),
+            ("games", {**PIVOTAL_PARAMS, "x1": NAN}, "'x1'"),
+            ("games", {**PIVOTAL_PARAMS, "x1": INF}, "'x1'"),
+            (
+                "games",
+                {
+                    "mode": "special-equivalence",
+                    "state": [1, 1, 1],
+                    "p1_cells": [0],
+                    "p2_cells": [1],
+                    "slope": INF,
+                },
+                "'slope'",
+            ),
+            ("lln", {"op": "audit", "outcomes": [0, 1], "weights": [NAN, 0.5]}, "'weights'"),
+            ("simulate", {**SIMULATE_PARAMS, "model": {**WITH_MODEL, "gamma": NAN}}, "'gamma'"),
+            ("simulate", {**SIMULATE_PARAMS, "model": {**WITH_MODEL, "gamma": INF}}, "'gamma'"),
+            ("simulate", {**SIMULATE_PARAMS, "psi0": [0.6, NAN]}, "'psi0'"),
+            (
+                "simulate",
+                {**SIMULATE_PARAMS, "model": {**WITH_MODEL, "observables": [[[1, 0], [0, NAN]]]}},
+                "'observables'",
+            ),
+            ("histories", {"psi0": [0.6, 0.8], "steps": [{"resolution": [[0], [1]]}],
+                           "epsilon": NAN}, "'epsilon'"),
+            ("simulate", {**SIMULATE_PARAMS, "band_multiplier": -1}, "'band_multiplier'"),
+            ("games", {**PIVOTAL_PARAMS, "depth": -3}, "'depth'"),
+            ("nogo", {**SEARCH_PARAMS, "expect_count": -1}, "'expect_count'"),
+            ("simulate", {**SIMULATE_PARAMS, "csv_trajectories": [-1]}, "'csv_trajectories'"),
+        ],
+    )
+    def test_non_finite_and_negative_exit_usage(self, tmp_path, capsys, kind, params, field):
+        assert run_main(tmp_path, kind, params) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_overflowing_json_number_exit_usage(self, tmp_path, capsys):
+        text = json.dumps({"kind": "games", "parameters": PIVOTAL_PARAMS}).replace("1.0", "1e400")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        assert main(["games", "--scenario", str(scenario)]) == EXIT_USAGE
+        assert "'x2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, params, field",
+        [
+            ("lln", {"op": "audit", "outcomes": [0], "weights": [0.5, 0.4]}, "'weights'"),
+            ("lln", {"op": "audit", "outcomes": [], "weights": [0.5, 0.5]}, "'outcomes'"),
+            ("lln", {"op": "audit", "outcomes": [0, 2], "weights": [0.5, 0.5]}, "'outcomes'"),
+            ("simulate", {**SIMULATE_PARAMS, "psi0": [0.6, 0.8, 0]}, "dimensions"),
+            ("simulate", {**SIMULATE_PARAMS, "model": {**WITH_MODEL, "observables": [[]]}},
+             "non-empty"),
+            (
+                "derive",
+                {"construction": "equiprobable", "amplitudes": [1, 1], "block_sizes": [1, 2]},
+                "graining",
+            ),
+            ("lln", {"op": "scan", "p": 0.5, "delta": 0.1, "ns": [10], "treshold": 0.5},
+             "'treshold'"),
+            ("simulate", {**SIMULATE_PARAMS, "model": {**WITH_MODEL, "gama": 1}}, "'gama'"),
+            (
+                "histories",
+                {"psi0": [0.6, 0.8], "steps": [{"resolution": [[0], [1]], "unitry": None}]},
+                "'unitry'",
+            ),
+        ],
+    )
+    def test_library_errors_and_unknown_fields_exit_usage(
+        self, tmp_path, capsys, kind, params, field
+    ):
+        assert run_main(tmp_path, kind, params) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_overflow_exits_numerical(self, tmp_path, capsys):
+        params = {**PIVOTAL_PARAMS, "x2": 1e300, "slope": 1e10}
+        assert run_main(tmp_path, "games", params) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, params, field",
+        [
+            ("derive", {"construction": "rational", "weights": [MAX_TOTAL_WEIGHT, 1]}, "'weights'"),
+            ("lln", {"op": "tail", "n": MAX_TRIALS + 1, "delta": 0.1, "p": 0.5}, "count n"),
+            ("lln", {"op": "scan", "p": 0.5, "delta": 0.1, "ns": [10, MAX_TRIALS + 1]}, "'ns'"),
+            (
+                "lln",
+                {"op": "audit", "outcomes": [0] * (MAX_TRIALS + 1), "weights": [1.0]},
+                "'outcomes'",
+            ),
+            ("games", {**PIVOTAL_PARAMS, "depth": MAX_CLOSURE_DEPTH + 1}, "'depth'"),
+            (
+                "simulate",
+                {**SIMULATE_PARAMS, "n_trajectories": MAX_NOISE_STREAMS + 1},
+                "MAX_NOISE_STREAMS",
+            ),
+            (
+                "simulate",
+                {**SIMULATE_PARAMS, "n_trajectories": MAX_NOISE_STREAMS, "t_max": 100.0},
+                "MAX_TRAJECTORY_STEPS",
+            ),
+            ("simulate", {**SIMULATE_PARAMS, "seed_offset": 1}, "'seed_offset'"),
+        ],
+    )
+    def test_resource_bounds_exit_usage(self, tmp_path, capsys, kind, params, field):
+        assert run_main(tmp_path, kind, params) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+
+    def test_csv_volume_bound(self, tmp_path, capsys):
+        # each qubit row holds t, two real and two imaginary parts and two weights
+        rows = MAX_CSV_VALUES // 7 // 10 + 1
+        params = {**SIMULATE_PARAMS, "t_max": rows * 1e-3, "csv_trajectories": list(range(10))}
+        out = tmp_path / "report.json"
+        assert run_main(tmp_path, "simulate", params, "--csv", "--out", str(out)) == EXIT_USAGE
+        assert "'csv_trajectories'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("indices", [[2], [1e300]])
+    def test_csv_index_beyond_ensemble_exit_usage(self, tmp_path, capsys, indices):
+        params = {**SIMULATE_PARAMS, "csv_trajectories": indices}
+        out = tmp_path / "report.json"
+        assert run_main(tmp_path, "simulate", params, "--csv", "--out", str(out)) == EXIT_USAGE
+        assert "'csv_trajectories'" in capsys.readouterr().err
+
+    def test_negative_seed_exit_usage(self, tmp_path, capsys):
+        doc = {"kind": "simulate", "seed": -1, "parameters": SIMULATE_PARAMS}
+        scenario = write_scenario(tmp_path, doc)
+        assert main(["simulate", "--scenario", str(scenario)]) == EXIT_USAGE
+        assert "'seed'" in capsys.readouterr().err
+
+
+# one small valid document per table entry; the fuzz corrupts one field at a time
+FUZZ_BASES = {
+    "simulate": SIMULATE_PARAMS,
+    "derive:rational": {"construction": "rational", "weights": [2, 1]},
+    "derive:equiprobable": {"construction": "equiprobable", "amplitudes": [1, 1]},
+    "solve-measure": {"masses": ["1/2", "1/2"], "grainings": [[1, 1]]},
+    "games:pivotal": PIVOTAL_PARAMS,
+    "games:special-equivalence": {
+        "mode": "special-equivalence",
+        "state": [1, 1, 1],
+        "p1_cells": [0],
+        "p2_cells": [1],
+    },
+    "histories": {"psi0": [0.6, 0.8], "steps": [{"resolution": [[0], [1]]}]},
+    "lln:tail": {"op": "tail", "n": 10, "delta": 0.2, "p": 0.5},
+    "lln:scan": {"op": "scan", "p": 0.5, "delta": 0.1, "ns": [10, 40]},
+    "lln:audit": {"op": "audit", "outcomes": [0, 1, 1], "weights": [0.5, 0.5]},
+    "nogo:pm": {**PM_PARAMS, "assignment": {}},
+    "nogo:separation": SEPARATION_PARAMS,
+    "nogo:rotation": ROTATION_PARAMS,
+    "nogo:search": SEARCH_PARAMS,
+}
+TABLE_FIELDS = [(entry, field) for entry in FUZZ_BASES for field in SCENARIOS[entry][0]]
+REJECTED_EVERYWHERE = ["bogus", {"bogus": 1}, NAN, INF]
+NESTED_FIELDS = [
+    *(("simulate", "model", f) for f in ("observables", "hamiltonian", "gamma", "norm_mode")),
+    *(("histories", "steps", f) for f in ("resolution", "unitary", "bogus_key")),
+]
+
+_fuzz_scalars = st.one_of(
+    st.integers(-3, 40),
+    st.sampled_from([0.0, -1.0, 0.5, 3.0, 1e-300, 1e300, NAN, INF, -INF]),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+)
+_fuzz_values = st.one_of(
+    _fuzz_scalars,
+    st.lists(_fuzz_scalars, max_size=4),
+    st.lists(st.lists(st.integers(-3, 40), max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), _fuzz_scalars, max_size=2),
+)
+
+
+def run_doc(entry, params, *extra) -> int:
+    kind = entry.partition(":")[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps({"kind": kind, "parameters": params}))
+        out = Path(tmp) / "report.json"
+        code = main([kind, "--scenario", str(scenario), "--out", str(out), "--csv", *extra])
+    return code
+
+
+class TestFuzz:
+    def test_every_entry_has_a_valid_base(self):
+        assert set(FUZZ_BASES) == set(SCENARIOS)
+        for entry, params in FUZZ_BASES.items():
+            kind, _, variant = entry.partition(":")
+            assert params.get(VARIANT_FIELDS.get(kind), variant) == variant
+            assert run_doc(entry, params) in (EXIT_OK, EXIT_FAIL)
+
+    @pytest.mark.parametrize("entry, field", TABLE_FIELDS)
+    def test_junk_in_any_field_names_it(self, entry, field, capsys):
+        for value in REJECTED_EVERYWHERE:
+            assert run_doc(entry, {**FUZZ_BASES[entry], field: value}) == EXIT_USAGE
+            assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", sorted(FUZZ_BASES))
+    def test_unknown_key_names_it(self, entry, capsys):
+        assert run_doc(entry, {**FUZZ_BASES[entry], "bogus_key": 1}) == EXIT_USAGE
+        assert "'bogus_key'" in capsys.readouterr().err
+
+    @settings(max_examples=1200, deadline=None, derandomize=True)
+    @given(st.sampled_from(TABLE_FIELDS), _fuzz_values)
+    def test_corrupted_field_exits_cleanly(self, entry_field, value):
+        entry, field = entry_field
+        assert run_doc(entry, {**FUZZ_BASES[entry], field: value}) in (0, 1, 2, 3)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(NESTED_FIELDS), _fuzz_values)
+    def test_corrupted_nested_field_exits_cleanly(self, entry_field, value):
+        entry, outer, field = entry_field
+        params = json.loads(json.dumps(FUZZ_BASES[entry]))
+        inner = params[outer][0] if isinstance(params[outer], list) else params[outer]
+        inner[field] = value
+        assert run_doc(entry, params) in (0, 1, 2, 3)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from bornlab.collapse import (
+    MAX_NOISE_STREAMS,
     MAX_STEPS,
+    MAX_TRAJECTORY_STEPS,
     CollapseModel,
     _check_run,
     _eigen_frame,
@@ -418,3 +420,40 @@ class TestMartingale:
         assert report.passed
         for row in report.rows:
             assert row.sigma_mean == 0.0
+
+
+class TestRunBounds:
+    def test_ensemble_rejects_state_of_other_dimension(self, qubit_model):
+        with pytest.raises(DimensionMismatchError):
+            ensemble_outcomes(qubit_model, StateVector([1, 0, 0]), 2, t_max=0.01, dt=1e-3, seed=1)
+
+    def test_noise_streams_bounded_before_allocation(self):
+        three = [np.diag([1.0, -1.0, 1.0, -1.0]), np.diag([1.0, 1.0, -1.0, -1.0]), np.eye(4)]
+        model = CollapseModel(np.zeros((4, 4)), three, gamma=1.0)
+        n = MAX_NOISE_STREAMS // 3 + 1
+        with pytest.raises(PreconditionError, match="MAX_NOISE_STREAMS"):
+            ensemble_outcomes(model, StateVector([1, 1, 1, 1]), n, t_max=1.0, dt=1e-3, seed=1)
+
+    def test_trajectory_steps_bounded_before_work(self, qubit_model):
+        n = MAX_NOISE_STREAMS
+        t_max = (MAX_TRAJECTORY_STEPS // n + 1) * 1e-3
+        with pytest.raises(PreconditionError, match="MAX_TRAJECTORY_STEPS"):
+            ensemble_outcomes(qubit_model, plus_state(), n, t_max=t_max, dt=1e-3, seed=1)
+
+    def test_missing_hamiltonian_is_zero(self, qubit_model):
+        model = CollapseModel(None, qubit_model.observables, gamma=1.0)
+        assert np.array_equal(model.hamiltonian, np.zeros((2, 2)))
+        with pytest.raises(DimensionMismatchError):
+            CollapseModel(None, [np.zeros((0, 0))], gamma=1.0)
+
+    def test_csv_rows_match_per_value_repr(self, qubit_model, tmp_path):
+        # more rows than one write chunk; the former writer formatted each value with repr
+        traj = simulate(qubit_model, plus_state(), t_max=3.0, dt=1e-3, seed=42, eps_collapse=0.0)
+        assert len(traj.times) > 1024
+        path = tmp_path / "t.csv"
+        trajectory_to_csv(traj, qubit_model, path)
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == len(traj.times)
+        for line, t, state in zip(lines, traj.times, traj.states):
+            fields = line.split(",")
+            assert fields[:5] == [repr(float(x)) for x in (t, *state.real, *state.imag)]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bornlab.emergence import (
+    MAX_TOTAL_WEIGHT,
     MassProfile,
     RationalState,
     born_limit,
@@ -379,3 +380,11 @@ class TestMeasureUniqueness:
                 expected = grid.profile.block_mass(*key) / total
                 got = result.table.value(Projector.from_cells([key], grid.dim))
                 assert got == expected
+
+
+class TestRationalWeightBound:
+    def test_total_weight_bounded(self):
+        graining = CoarseGraining.from_sizes([1, 1])
+        RationalState([MAX_TOTAL_WEIGHT - 1, 1], graining)
+        with pytest.raises(PreconditionError, match="'weights'"):
+            RationalState([MAX_TOTAL_WEIGHT, 1], graining)

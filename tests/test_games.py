@@ -16,6 +16,7 @@ from bornlab.errors import (
 )
 from bornlab.exactlin import solve_exact
 from bornlab.games import (
+    MAX_CLOSURE_DEPTH,
     AffinePayoff,
     Constraint,
     Game,
@@ -581,3 +582,15 @@ class TestSoundness:
         game = two_outcome_game()
         assignment = born_assignment([game])
         assert assignment[game.key()] == pytest.approx(5.0)
+
+
+class TestClosureDepthBound:
+    @pytest.mark.parametrize("depth", [-3, MAX_CLOSURE_DEPTH + 1])
+    def test_depth_outside_range_rejected(self, depth):
+        with pytest.raises(PreconditionError, match="'depth'"):
+            value_solve([two_outcome_game()], depth)
+
+    def test_depth_at_bound_is_cheap(self):
+        # the pivotal closure saturates, so the bound costs no extra games
+        deep = value_solve([two_outcome_game()], MAX_CLOSURE_DEPTH)
+        assert deep.n_unknowns == value_solve([two_outcome_game()], 5).n_unknowns

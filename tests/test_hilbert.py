@@ -369,3 +369,9 @@ class TestBooleanSublatticeValidation:
     def test_partial_cover_rejected(self):
         with pytest.raises(InvalidGrainingError):
             BooleanSublattice([Projector.from_cells([0], 2)])
+
+
+class TestSeparatingSetDimensions:
+    def test_graining_must_match_state(self):
+        with pytest.raises(DimensionMismatchError):
+            SeparatingSet.from_graining(StateVector([1, 1]), CoarseGraining.from_sizes([1, 2]))

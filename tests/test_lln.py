@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab.errors import PreconditionError
+from bornlab.errors import BornLabError, OutcomeIndexError, PreconditionError
 from bornlab.lln import (
+    MAX_TRIALS,
     LlnQuery,
     frequency_audit,
     lln_limit_scan,
@@ -260,3 +261,27 @@ class TestFrequencyAudit:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             frequency_audit([0], [0.5, 0.4])
+
+
+class TestTrialBounds:
+    def test_trial_count_bounded(self):
+        LlnQuery(MAX_TRIALS, 0.1, 0.5)
+        with pytest.raises(PreconditionError, match="count n"):
+            LlnQuery(MAX_TRIALS + 1, 0.1, 0.5)
+        with pytest.raises(PreconditionError, match="'ns'"):
+            lln_limit_scan(0.5, 0.1, [10, MAX_TRIALS + 1])
+
+    @pytest.mark.parametrize(
+        "outcomes, weights, error",
+        [
+            ([0, 2], [0.5, 0.5], OutcomeIndexError),
+            ([0], [0.5, 0.4], PreconditionError),
+            ([0], [float("nan"), 0.5], PreconditionError),
+            ([], [0.5, 0.5], PreconditionError),
+            ([0] * (MAX_TRIALS + 1), [1.0], PreconditionError),
+        ],
+    )
+    def test_audit_errors_are_library_errors(self, outcomes, weights, error):
+        with pytest.raises(error) as err:
+            frequency_audit(outcomes, weights)
+        assert isinstance(err.value, BornLabError)
