@@ -116,7 +116,6 @@ _count = _where(_int, lambda n: n >= 1, "at least 1")
 _index = _where(_int, lambda n: n >= 0, "at least 0")
 _nonnegative = _where(_finite, lambda x: x >= 0, "at least 0")
 _bool = _where(lambda value: value, lambda value: type(value) is bool, "true or false")
-_text = _where(lambda value: value, lambda value: type(value) is str, "a string")
 
 
 def _pm_assignment(doc) -> nogo.FrameAssignment:
@@ -200,7 +199,7 @@ _MODEL = {
     "observables": _where(_list_of(parse_matrix), len, "a non-empty list of matrices"),
     "hamiltonian": (parse_matrix, None),
     "gamma": _finite,
-    "norm_mode": (_text, "mean-preserving"),
+    "norm_mode": (_one_of("mean-preserving", "literal"), "mean-preserving"),
 }
 
 
@@ -245,6 +244,8 @@ def _simulate(v: dict, seed: int, csv_dir: Path | None) -> dict:
         band_multiplier=v["band_multiplier"],
         martingale_checkpoints=v["martingale_checkpoints"],
         martingale_trajectories=min(n, 2000) if martingale_n is None else martingale_n,
+        record=csv_trajectories,
+        record_every=record_every,
     )
     verdicts = {
         "born_frequencies": _verdict(report.passed),
@@ -258,10 +259,12 @@ def _simulate(v: dict, seed: int, csv_dir: Path | None) -> dict:
     if report.martingale is not None:
         verdicts["martingale"] = _verdict(report.martingale.passed)
         metrics["martingale"] = [asdict(r) for r in report.martingale.rows]
-    for idx in csv_trajectories:
-        traj = collapse.simulate(model, psi0, t_max, dt, seed + idx, eps, record_every=record_every)
+    for idx, traj in zip(csv_trajectories, report.trajectories):
         path = csv_dir / f"trajectory_{idx}.csv"
-        collapse.trajectory_to_csv(traj, model, path)
+        try:
+            collapse.trajectory_to_csv(traj, model, path)
+        except OSError as err:
+            raise ScenarioError(f"cannot write {path}: {err}") from err
         metrics.setdefault("csv_files", []).append(str(path))
     return {"verdicts": verdicts, "metrics": metrics}
 
@@ -603,7 +606,10 @@ def run_scenario(
     csv_dir = None
     if write_csv:
         csv_dir = Path(out_path).parent if out_path else Path.cwd()
-        csv_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            csv_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ScenarioError(f"cannot create the CSV directory {csv_dir}: {err}") from err
 
     start = time.perf_counter()
     entry = kind
@@ -689,8 +695,12 @@ def main(argv: list[str] | None = None) -> int:
 
     text = render_report(report)
     if out is not None:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(text)
+        except OSError as err:
+            print(f"cannot write the report to {out}: {err}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

@@ -18,7 +18,6 @@ to O(dt^2) per step); ``norm_mode="literal"`` keeps the unscaled reading.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -312,10 +311,10 @@ def _eigen_frame(model: CollapseModel):
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    """Sum the last axis in an order set by its length (short rows: cheaper column adds)."""
+    """Sum the last axis, kept as length 1, in an order set by its length (short: column adds)."""
     if a.shape[-1] > 4:
-        return np.add.reduce(a, axis=-1)
-    return sum((a[..., i] for i in range(1, a.shape[-1])), a[..., 0])
+        return np.add.reduce(a, axis=-1, keepdims=True)
+    return sum((a[..., i : i + 1] for i in range(1, a.shape[-1])), a[..., 0:1])
 
 
 @dataclass(frozen=True)
@@ -325,10 +324,11 @@ class _Batch:
     final: np.ndarray  # per seed: final coordinates in the block-ordered eigenbasis
     steps: int  # trajectory-steps integrated over all seeds
     snapshots: dict  # checkpoint step -> block masses of the snapshot rows
-    trace_steps: list  # steps recorded by a batch of one
-    trace: np.ndarray  # its states at those steps, rotated back
+    traces: dict  # recorded row -> (steps, states at those steps, rotated back)
 
 
+# a failed step leaves a NaN mass, which the resolution check reports
+@np.errstate(invalid="ignore", divide="ignore")
 def _run_batch(
     model: CollapseModel,
     psi0: np.ndarray,
@@ -339,7 +339,9 @@ def _run_batch(
     *,
     checkpoints: Sequence[int] = (),
     snapshot_rows: int = 0,
-    record_every: int = 0,
+    record: Sequence[int] = (),
+    record_every: int = 1,
+    record_until: int | None = None,
 ) -> _Batch:
     """Evolve one trajectory per seed in the joint eigenbasis.
 
@@ -350,8 +352,9 @@ def _run_batch(
     renormalizes.  Per-row values come from elementwise operations and
     reductions along the row, so no row depends on the batch it runs in.
     The first ``snapshot_rows`` rows' block masses are kept at each
-    checkpoint step; a batch of one with ``record_every > 0`` records its
-    state every that many steps and when it stops.
+    checkpoint step.  Each row listed in ``record`` has its state recorded
+    every ``record_every`` steps and at the step where it stops, or at
+    ``record_until`` if it is still running then.
     """
     basis, lam, starts, ham = _eigen_frame(model)
     n, K = len(seeds), model.n_observables
@@ -383,25 +386,45 @@ def _run_batch(
         return w[:, 0::2] + w[:, 1::2]
 
     mass = squares(x)
+    norm2 = _row_sum(mass)  # a start state that is not finite fails at step 0
     bm = mass if singletons else np.add.reduceat(mass, starts, axis=1)
     gens = [np.random.default_rng(int(s)) for s in seeds]
     ids = np.arange(n)
     outcome, resolve_step = np.full(n, -1), np.full(n, -1)
     final = np.empty_like(x)
     frozen = np.empty((snapshot_rows, len(starts)))
-    snapshots, trace_steps, trace = {}, [], []
+    snapshots = {}
+    rec = sorted(set(record))  # recorded rows still running, and their live positions
+    pos = np.array(rec, dtype=int)
+    traces = {row: ([], []) for row in rec}
     total = step = j = span = 0
     sel = None
     while True:
         done = None
-        if np.maximum.reduce(bm, axis=None) > threshold:
+        top = np.maximum.reduce(bm, axis=None)
+        if not top <= threshold:
+            if top != top:  # a zero, infinite or NaN squared norm left a NaN mass
+                bad = np.flatnonzero(~((norm2 > 0.0) & (norm2 < np.inf)))[0]
+                raise IntegrationFailureError(
+                    f"integration failed for trajectory seed {seeds[ids[bad]]}: "
+                    f"squared norm {norm2[bad, 0]} at step {step}",
+                    step=step,
+                    time=step * dt,
+                )
             done = np.maximum.reduce(bm, axis=1) > threshold
         if step in ends:
             stop = horizons[ids] == step
             done = stop if done is None else done | stop
-        if record_every and (step % record_every == 0 or done is not None):
-            trace_steps.append(step)
-            trace.append(x[0].copy())
+        if rec:
+            cut = step == record_until
+            every = cut or step % record_every == 0
+            if every or done is not None:
+                ended = [cut] * len(rec) if done is None else done[pos] | cut
+                for row, state, end in zip(rec, x[pos], ended):
+                    if every or end:
+                        traces[row][0].append(step)
+                        traces[row][1].append(state)
+                rec = [row for row, end in zip(rec, ended) if not end]
         if done is not None:
             rows, settled = ids[done], bm[done]
             won = np.maximum.reduce(settled, axis=1) > threshold
@@ -416,6 +439,8 @@ def _run_batch(
             ids, x, mass = ids[keep], x[keep], mass[keep]
             bm = mass if singletons else bm[keep]
             sel = np.flatnonzero(keep) if sel is None else sel[keep]
+            if rec:
+                pos = np.searchsorted(ids, rec)
         if step in checkpoints:
             snapshots[step] = snap = frozen.copy()
             live = np.searchsorted(ids, snapshot_rows)
@@ -428,14 +453,12 @@ def _run_batch(
             for col, row in enumerate(ids):
                 stream[:, col] = gens[row].standard_normal((span, K))
             stream *= scale
+            if K > 1:
+                stream = stream[..., None]
             j, sel = 0, None
         db = stream[j] if sel is None else stream[j, sel]
         j += 1
-        if K == 1:
-            e = _row_sum(mass * lam)[:, None]
-        else:
-            e = _row_sum(mass[:, None, :] * lam)[:, :, None]
-            db = db[:, :, None]
+        e = _row_sum(mass * lam if K == 1 else mass[:, None, :] * lam)
         factor = (lam - e) * ((db + cdt * e) - cdt_lam)
         if K > 1:
             factor = np.add.reduce(factor, axis=1)
@@ -451,23 +474,22 @@ def _run_batch(
         mass = squares(x)
         norm2 = _row_sum(mass)
         step += 1
-        if not (np.minimum.reduce(norm2) > 0.0 and np.maximum.reduce(norm2) < np.inf):
-            bad = np.flatnonzero(~((norm2 > 0.0) & (norm2 < np.inf)))[0]
-            raise IntegrationFailureError(
-                f"integration failed for trajectory seed {seeds[ids[bad]]}: "
-                f"squared norm {norm2[bad]} at step {step}",
-                step=step,
-                time=step * dt,
-            )
-        x /= np.sqrt(norm2)[:, None]
-        mass /= norm2[:, None]
+        if phase is not None:
+            x /= np.sqrt(norm2)
+        else:
+            # numpy divides a complex by a real as re * (1 / s), im * (1 / s)
+            parts = x.view(float)
+            parts *= 1.0 / np.sqrt(norm2)
+        mass /= norm2
         bm = mass if singletons else np.add.reduceat(mass, starts, axis=1)
     for cp in checkpoints - snapshots.keys():
         snapshots[cp] = frozen.copy()
-    trace = np.array(trace).reshape(len(trace_steps), model.dim)
+    for row, (steps, states) in traces.items():
+        trace = np.array(states).reshape(len(steps), model.dim)
+        traces[row] = (steps, (trace if phase is None else trace * phase) @ basis.T)
     if phase is not None:
-        final, trace = final * phase, trace * phase
-    return _Batch(outcome, resolve_step, final, total, snapshots, trace_steps, trace @ basis.T)
+        final = final * phase
+    return _Batch(outcome, resolve_step, final, total, snapshots, traces)
 
 
 def simulate(
@@ -489,26 +511,11 @@ def simulate(
     States are recorded every ``record_every`` steps, at the resolution
     step and at ``t_max``.
     """
-    if not t_max > 0:
-        raise PreconditionError(f"horizon t_max must be > 0, got {t_max}")
-    if record_every < 1:
-        raise PreconditionError(f"record_every must be at least 1, got {record_every}")
-    psi0.require_nonzero()
-    if psi0.dim != model.dim:
-        raise DimensionMismatchError("state and model dimensions differ")
-    n_steps, _ = _check_run(model, t_max, dt, eps_collapse, ())
-    psi = psi0.normalized().amplitudes
-    run = _run_batch(
-        model, psi, [int(seed)], [n_steps], dt, eps_collapse, record_every=record_every
+    report = ensemble_outcomes(
+        model, psi0, 1, t_max=t_max, dt=dt, seed=seed, eps_collapse=eps_collapse,
+        record=(0,), record_every=record_every,
     )
-    resolved = run.outcome[0] >= 0
-    return Trajectory(
-        times=np.array(run.trace_steps) * dt,
-        states=run.trace,
-        outcome=int(run.outcome[0]) if resolved else None,
-        resolve_time=int(run.resolve_step[0]) * dt if resolved else None,
-        seed=int(seed),
-    )
+    return report.trajectories[0]
 
 
 @dataclass(frozen=True)
@@ -557,7 +564,8 @@ class EnsembleReport:
     ``resolve_steps`` hold each trajectory's outcome index and resolution
     step (-1 while unresolved) in seed order, ready for frequency auditing.
     ``trajectory_steps`` counts steps integrated over the whole pass,
-    martingale rows included; ``martingale`` is the fused check, if any.
+    martingale rows included; ``martingale`` is the fused check, if any;
+    ``trajectories`` holds the recorded trajectories.
     """
 
     n_trajectories: int
@@ -573,6 +581,7 @@ class EnsembleReport:
     dt: float = 0.0
     trajectory_steps: int = 0
     martingale: MartingaleReport | None = None
+    trajectories: tuple[Trajectory, ...] = ()
 
     def resolve_time_quantiles(self) -> dict:
         """p50, p90 and max resolution time over resolved trajectories."""
@@ -594,6 +603,8 @@ def ensemble_outcomes(
     band_multiplier: float = 1.0,
     martingale_checkpoints: Sequence[float] | None = None,
     martingale_trajectories: int | None = None,
+    record: Sequence[int] = (),
+    record_every: int = 1,
 ) -> EnsembleReport:
     """Run ``n`` trajectories with seeds ``seed + i`` and compare to weights.
 
@@ -604,6 +615,9 @@ def ensemble_outcomes(
     each on its own seeded stream.  Given ``martingale_checkpoints``, the
     same pass also runs the martingale check of :func:`martingale_check`
     over the first ``martingale_trajectories`` seeds (default ``n``).
+    ``record`` lists trajectories whose states the same pass records as
+    :func:`simulate` does, up to ``t_max``; each comes back in
+    ``trajectories`` with the outcome that the report counts.
     """
     if n < 1:
         raise PreconditionError(f"trajectory count n must be at least 1, got {n}")
@@ -624,10 +638,18 @@ def ensemble_outcomes(
     horizons[:m] = np.maximum(horizons[:m], max(cp_steps, default=0))
     if horizons.sum() > MAX_TRAJECTORY_STEPS:
         raise PreconditionError("n_trajectories x t_max / dt exceeds MAX_TRAJECTORY_STEPS")
+    if record:
+        if not t_max > 0:
+            raise PreconditionError(f"horizon t_max must be > 0, got {t_max}")
+        if record_every < 1:
+            raise PreconditionError(f"record_every must be at least 1, got {record_every}")
+        if not all(0 <= i < n for i in record):
+            raise PreconditionError(f"recorded trajectories must lie below n = {n}, got {record}")
     seeds = [int(seed) + i for i in range(horizons.size)]
     psi = psi0.normalized().amplitudes
     run = _run_batch(
-        model, psi, seeds, horizons, dt, eps_collapse, checkpoints=cp_steps, snapshot_rows=m
+        model, psi, seeds, horizons, dt, eps_collapse, checkpoints=cp_steps, snapshot_rows=m,
+        record=record, record_every=record_every, record_until=n_steps,
     )
     # martingale rows may run past t_max; a later resolution is no outcome
     late = run.resolve_step[:n] > n_steps
@@ -655,6 +677,16 @@ def ensemble_outcomes(
                 )
         passed = all(row.within_band for row in mart_rows)
         martingale = MartingaleReport(tuple(mart_rows), passed, m)
+    trajectories = tuple(
+        Trajectory(
+            times=np.array(run.traces[i][0]) * dt,
+            states=run.traces[i][1],
+            outcome=int(outcome[i]) if outcome[i] >= 0 else None,
+            resolve_time=int(resolve_step[i]) * dt if outcome[i] >= 0 else None,
+            seed=seeds[i],
+        )
+        for i in record
+    )
     unresolved_fraction = 1.0 - n_resolved / n
     return EnsembleReport(
         n_trajectories=n,
@@ -670,6 +702,7 @@ def ensemble_outcomes(
         dt=dt,
         trajectory_steps=run.steps,
         martingale=martingale,
+        trajectories=trajectories,
     )
 
 
@@ -713,12 +746,16 @@ def trajectory_to_csv(trajectory: Trajectory, model: CollapseModel, path) -> Non
         mass[:, i].sum(axis=1) if len(i) < 8 else np.array([row.sum() for row in mass[:, i]])
         for i in (list(b.indices) for b in model.blocks)
     ])
+    header = (
+        ["t"] + [f"re_{i}" for i in range(d)] + [f"im_{i}" for i in range(d)]
+        + [f"p_{k}" for k in range(model.n_outcomes)]
+    )
+    table = np.column_stack([trajectory.times, states.real, states.imag, weights])
+    # the lines a csv.writer writes: repr of each float, \r\n line ends
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"] + [f"re_{i}" for i in range(d)] + [f"im_{i}" for i in range(d)]
-            + [f"p_{k}" for k in range(model.n_outcomes)]
-        )
-        table = np.column_stack([trajectory.times, states.real, states.imag, weights])
+        fh.write(",".join(header) + "\r\n")
         for start in range(0, len(table), _CHUNK_STEPS):  # one chunk of Python floats at a time
-            writer.writerows(table[start : start + _CHUNK_STEPS].tolist())
+            fh.writelines(
+                ",".join(map(repr, row)) + "\r\n"
+                for row in table[start : start + _CHUNK_STEPS].tolist()
+            )

@@ -21,6 +21,7 @@ from .errors import OutcomeIndexError, PreconditionError
 
 EXACT_N_LIMIT = 1000
 MAX_TRIALS = 10**5  # trial count n; the log-domain tail holds about n floats
+MAX_AUDIT_WEIGHTS = 100  # weight-table entries of one audit; each costs one tail
 
 
 @dataclass(frozen=True)
@@ -210,6 +211,8 @@ def frequency_audit(outcomes: Sequence[int], weights: Sequence[float]) -> Freque
     outcomes = [int(o) for o in outcomes]
     if not 1 <= len(outcomes) <= MAX_TRIALS:
         raise PreconditionError(f"'outcomes' must hold 1 to {MAX_TRIALS} entries")
+    if len(weights) > MAX_AUDIT_WEIGHTS:
+        raise PreconditionError(f"'weights' must hold at most {MAX_AUDIT_WEIGHTS} entries")
     weights = [float(w) for w in weights]
     if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
         raise PreconditionError(f"'weights' must be a probability table, got {weights}")

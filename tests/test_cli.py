@@ -4,6 +4,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,10 +23,11 @@ from bornlab.cli import (
     render_report,
     run_scenario,
 )
-from bornlab.collapse import MAX_NOISE_STREAMS
+from bornlab.collapse import MAX_NOISE_STREAMS, CollapseModel, simulate, trajectory_to_csv
 from bornlab.emergence import MAX_TOTAL_WEIGHT
 from bornlab.games import MAX_CLOSURE_DEPTH
-from bornlab.lln import MAX_TRIALS
+from bornlab.hilbert import StateVector
+from bornlab.lln import MAX_AUDIT_WEIGHTS, MAX_TRIALS
 from bornlab.nogo import MAX_ROTATION_STEPS
 
 
@@ -285,7 +287,7 @@ class TestMain:
             (
                 "simulate",
                 {**SIMULATE_PARAMS, "model": {**SIMULATE_PARAMS["model"], "norm_mode": "x"}},
-                "norm mode",
+                "'norm_mode'",
             ),
             (
                 "histories",
@@ -569,6 +571,32 @@ class TestScenarioKinds:
         assert (tmp_path / "trajectory_0.csv").exists()
         assert str(tmp_path / "trajectory_0.csv") in csv_files
 
+    def test_csv_files_are_the_ensemble_members(self, tmp_path):
+        # trajectory_i.csv is ensemble member seed + i, recorded up to t_max even when a
+        # martingale checkpoint keeps it integrating; duplicates are written twice
+        params = {
+            "model": {"observables": [[[1, 0], [0, -1]]], "gamma": 1.0},
+            "psi0": [0.6, 0.8],
+            "t_max": 0.4,
+            "dt": 0.001,
+            "n_trajectories": 6,
+            "martingale_checkpoints": [1.5],
+            "csv_record_every": 3,
+            "csv_trajectories": [4, 1, 4],
+        }
+        doc = {"kind": "simulate", "seed": 70, "parameters": params}
+        report, _ = run_scenario(
+            write_scenario(tmp_path, doc), out_path=tmp_path / "rep.json", write_csv=True
+        )
+        names = [Path(f).name for f in report["metrics"]["csv_files"]]
+        assert names == ["trajectory_4.csv", "trajectory_1.csv", "trajectory_4.csv"]
+        model = CollapseModel(None, [np.diag([1.0, -1.0])], 1.0)
+        for idx in (1, 4):
+            alone = simulate(model, StateVector([0.6, 0.8]), 0.4, 0.001, 70 + idx, record_every=3)
+            trajectory_to_csv(alone, model, tmp_path / "alone.csv")
+            expected = (tmp_path / "alone.csv").read_bytes()
+            assert (tmp_path / f"trajectory_{idx}.csv").read_bytes() == expected
+
 
 NAN, INF = float("nan"), float("inf")
 WITH_MODEL = {**SIMULATE_PARAMS["model"]}
@@ -688,6 +716,11 @@ class TestScenarioTable:
                 "MAX_TRAJECTORY_STEPS",
             ),
             ("simulate", {**SIMULATE_PARAMS, "seed_offset": 1}, "'seed_offset'"),
+            (
+                "lln",
+                {"op": "audit", "outcomes": [0], "weights": [1.0] + [0.0] * MAX_AUDIT_WEIGHTS},
+                "'weights'",
+            ),
         ],
     )
     def test_resource_bounds_exit_usage(self, tmp_path, capsys, kind, params, field):
@@ -709,6 +742,31 @@ class TestScenarioTable:
         out = tmp_path / "report.json"
         assert run_main(tmp_path, "simulate", params, "--csv", "--out", str(out)) == EXIT_USAGE
         assert "'csv_trajectories'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [(), ("--csv",)])
+    def test_unwritable_out_path_exit_usage(self, tmp_path, capsys, extra):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        out = blocker / "report.json"
+        code = run_main(tmp_path, "simulate", SIMULATE_PARAMS, "--out", str(out), *extra)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(blocker) in err and "Traceback" not in err
+
+    def test_unwritable_csv_file_exit_usage(self, tmp_path, capsys):
+        (tmp_path / "trajectory_0.csv").mkdir()
+        out = tmp_path / "report.json"
+        code = run_main(tmp_path, "simulate", SIMULATE_PARAMS, "--csv", "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(tmp_path / "trajectory_0.csv") in err and "Traceback" not in err
+
+    def test_csv_needs_a_positive_horizon(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        params = {**SIMULATE_PARAMS, "t_max": 0.0}
+        assert run_main(tmp_path, "simulate", params, "--out", str(out)) != EXIT_USAGE
+        assert run_main(tmp_path, "simulate", params, "--csv", "--out", str(out)) == EXIT_USAGE
+        assert "horizon t_max must be > 0, got 0.0" in capsys.readouterr().err
 
     def test_negative_seed_exit_usage(self, tmp_path, capsys):
         doc = {"kind": "simulate", "seed": -1, "parameters": SIMULATE_PARAMS}

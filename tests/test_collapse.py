@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,10 @@ class TestCollapseModel:
     def test_rejects_negative_gamma(self):
         with pytest.raises(InvalidStateError):
             CollapseModel(np.zeros((2, 2)), [np.diag([1.0, -1.0])], gamma=-1.0)
+
+    def test_rejects_unknown_norm_mode(self):
+        with pytest.raises(PreconditionError, match="unknown norm mode 'x'"):
+            CollapseModel(None, [np.diag([1.0, -1.0])], gamma=1.0, norm_mode="x")
 
     def test_commuting_pair_joint_blocks(self):
         a1 = np.diag([1.0, 1.0, -1.0])
@@ -393,6 +400,66 @@ class TestBatchEngine:
         assert fused.resolve_steps == plain.resolve_steps
 
 
+def same_trajectory(a, b) -> bool:
+    return (
+        np.array_equal(a.times, b.times)
+        and a.states.tobytes() == b.states.tobytes()
+        and (a.outcome, a.resolve_time, a.seed) == (b.outcome, b.resolve_time, b.seed)
+    )
+
+
+class TestRecordedTrajectories:
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("hamiltonian", ["zero", "diagonal", "dense"])
+    def test_recorded_rows_equal_simulate(self, hamiltonian, every):
+        model, psi0 = rotated_model(2, hamiltonian)
+        psi0, record = StateVector(psi0), [7, 2, 2, 0]
+        kwargs = dict(t_max=0.9, dt=1e-3, eps_collapse=1e-2)
+        report = ensemble_outcomes(
+            model, psi0, 10, seed=300, record=record, record_every=every, **kwargs
+        )
+        assert [t.seed for t in report.trajectories] == [307, 302, 302, 300]
+        for i, traj in zip(record, report.trajectories):
+            alone = simulate(model, psi0, seed=300 + i, record_every=every, **kwargs)
+            assert same_trajectory(traj, alone)
+            assert report.outcomes[i] == (-1 if traj.outcome is None else traj.outcome)
+
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_martingale_rows_stop_recording_at_t_max(self, qubit_model, every):
+        psi0 = StateVector([np.sqrt(0.3), np.sqrt(0.7)])
+        t_max, record = 0.5, [5, 1, 3, 0, 2, 4]
+        report = ensemble_outcomes(
+            qubit_model, psi0, 6, t_max=t_max, dt=1e-3, seed=8200, eps_collapse=1e-2,
+            martingale_checkpoints=[3.0], record=record, record_every=every,
+        )
+        late = 0
+        for i, traj in zip(record, report.trajectories):
+            alone = simulate(qubit_model, psi0, t_max, 1e-3, 8200 + i, 1e-2, record_every=every)
+            assert same_trajectory(traj, alone)
+            longer = simulate(qubit_model, psi0, 3.0, 1e-3, 8200 + i, 1e-2, record_every=every)
+            late += longer.resolved and longer.resolve_time > t_max
+        assert 0 < late and any(t.resolved for t in report.trajectories)
+
+    def test_recorded_rows_are_checked(self, qubit_model):
+        with pytest.raises(PreconditionError, match="below n = 3"):
+            ensemble_outcomes(qubit_model, plus_state(), 3, t_max=1.0, dt=1e-3, seed=1, record=[3])
+        with pytest.raises(PreconditionError, match="horizon t_max must be > 0, got 0.0"):
+            ensemble_outcomes(qubit_model, plus_state(), 3, t_max=0.0, dt=1e-3, seed=1, record=[0])
+        with pytest.raises(PreconditionError, match="record_every"):
+            simulate(qubit_model, plus_state(), t_max=1.0, dt=1e-3, seed=1, record_every=0)
+
+    @pytest.mark.parametrize("hamiltonian, norm2", [(None, "inf"), (np.diag([0.5, 0.0]), "nan")])
+    def test_overflow_names_seed_and_step_and_warns_only_of_overflow(self, hamiltonian, norm2):
+        model = CollapseModel(hamiltonian, [np.diag([1e200, -1e200])], gamma=1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IntegrationFailureError) as err:
+                ensemble_outcomes(model, plus_state(), 3, t_max=1.0, dt=1e-3, seed=1, record=[1])
+        assert err.value.step == 1
+        assert f"seed 1: squared norm {norm2} at step 1" in str(err.value)
+        assert caught and all("overflow" in str(w.message) for w in caught)
+
+
 class TestMartingale:
     def test_eigenstate_constant(self, qubit_model):
         report = martingale_check(
@@ -457,3 +524,95 @@ class TestRunBounds:
         for line, t, state in zip(lines, traj.times, traj.states):
             fields = line.split(",")
             assert fields[:5] == [repr(float(x)) for x in (t, *state.real, *state.imag)]
+
+
+# Golden digests of the batch engine on models whose eigenbasis is a signed
+# permutation, so no BLAS kernel choice enters a row.  Each case runs a
+# martingale-style batch: the first 16 rows stop at HORIZON, the other 8 run
+# on to LONG_HORIZON, and the first 12 rows are snapshotted at the checkpoints.
+SEEDS = range(9100, 9124)
+HORIZON, LONG_HORIZON = 1500, 2500
+GOLDEN_RECORDED = (17, 5, 0)  # unsorted; row 17 runs past HORIZON
+
+
+def _unit(v) -> np.ndarray:
+    v = np.asarray(v, dtype=complex)
+    return v / np.sqrt(np.sum(v.real**2 + v.imag**2))
+
+
+def golden_case(name):
+    """(model, start coordinates, eps_collapse) of one golden-digest case."""
+    if name == "qubit":
+        model = CollapseModel(np.zeros((2, 2)), [np.diag([1.0, -1.0])], gamma=1.0)
+        return model, _unit([np.cos(0.6), np.sin(0.6) * np.exp(0.9j)]), 1e-3
+    if name == "d6k3":
+        model = CollapseModel(np.zeros((6, 6)), [np.diag(lab) for lab in LABELS], gamma=1.0)
+        return model, _unit([0.5, 0.2 - 0.4j, 0.3j, 0.6, -0.1 + 0.2j, 0.25]), 1e-3
+    # d = 8, diagonal H, two observables with 3- and 2-dim joint blocks, one zero amplitude
+    labels = [[1, 1, 1, 0, 0, -1, -1, -1], [1, 1, 1, 0, 1, 1, 0, 0]]
+    ham = np.diag([0.3, -0.2, 0.1, 0.5, 0.0, 0.7, -0.4, 0.2])
+    model = CollapseModel(ham, [np.diag(lab) for lab in labels], gamma=1.0)
+    psi = _unit([0.4, 0.1 + 0.3j, 0.0, -0.35j, 0.5, 0.2, 0.3 - 0.2j, 0.15])
+    return model, psi, 2e-2
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:20]
+
+
+GOLDEN = {  # name -> (batch digest, {record_every: recorded-rows digest})
+    "qubit": ("91104559bcfb0c8038d2", {1: "fe275ff42691be71aa8a", 7: "b8d616d8f2d9b6b32f2f"}),
+    "d6k3": ("7dfa42d7157997cca3f9", {1: "18e5f7c15ebb1dd29bd9", 7: "2ace6ee622a0ca6c42eb"}),
+    "d8diag": ("861754c92927f67a49ec", {1: "9c2f1cb7913cb1631b1b", 7: "717b5e2c30cb6f95fa72"}),
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_batch_digest(self, name):
+        model, psi, eps = golden_case(name)
+        basis = model.eigenbasis
+        assert np.array_equal(np.abs(basis), np.abs(basis) ** 2)  # a signed permutation
+        batch = _run_batch(
+            model, psi, list(SEEDS), [HORIZON] * 16 + [LONG_HORIZON] * 8, 1e-3, eps,
+            checkpoints=[0, 400, HORIZON, LONG_HORIZON], snapshot_rows=12,
+        )
+        assert 0 < np.count_nonzero(batch.outcome >= 0) < len(SEEDS)
+        snaps = [batch.snapshots[s] for s in sorted(batch.snapshots)]
+        assert digest(batch.outcome, batch.resolve_step, batch.final, *snaps) == GOLDEN[name][0]
+
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_recorded_digest(self, name, every):
+        model, psi, eps = golden_case(name)
+        batch = _run_batch(
+            model, psi, list(SEEDS), [HORIZON] * 16 + [LONG_HORIZON] * 8, 1e-3, eps,
+            record=GOLDEN_RECORDED, record_every=every, record_until=HORIZON,
+        )
+        traces = [batch.traces[row] for row in sorted(GOLDEN_RECORDED)]
+        parts = [a for steps, states in traces for a in (np.array(steps), states)]
+        assert digest(*parts) == GOLDEN[name][1][every]
+
+    def test_complex_division_by_a_real_is_a_float_view_product(self):
+        """Pin the identity ``x / s == (x.view(float) * (1 / s)).view(complex)``.
+
+        numpy (2.4.6) divides a complex by a real with Smith's algorithm,
+        re * (1 / s) and im * (1 / s) up to the sign of a zero: a part equal
+        to -0.0 can come out as +0.0.  The engine renormalizes complex rows
+        through the float view, so the identity must hold bit for bit on
+        entries without negative zeros, exactly-zero amplitudes included.
+        """
+        rng = np.random.default_rng(2024)
+        x = rng.normal(size=(2000, 64)) + 1j * rng.normal(size=(2000, 64))
+        x *= np.exp(rng.uniform(-30.0, 30.0, size=x.shape))
+        x[::7, ::5] = 0.0
+        s = np.exp(rng.uniform(-50.0, 50.0, size=(2000, 1)))
+        quotient = x / s
+        product = x.copy()
+        product.view(float)[...] *= 1.0 / s
+        assert np.array_equal(quotient.view(np.uint64), product.view(np.uint64))

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab.errors import BornLabError, OutcomeIndexError, PreconditionError
+from bornlab import lln
 from bornlab.lln import (
+    MAX_AUDIT_WEIGHTS,
     MAX_TRIALS,
     LlnQuery,
     frequency_audit,
@@ -285,3 +287,14 @@ class TestTrialBounds:
         with pytest.raises(error) as err:
             frequency_audit(outcomes, weights)
         assert isinstance(err.value, BornLabError)
+
+    def test_audit_weight_count_bounded_before_any_tail(self, monkeypatch):
+        at_bound = frequency_audit([0, 1], [0.5, 0.5] + [0.0] * (MAX_AUDIT_WEIGHTS - 2))
+        assert len(at_bound.rows) == MAX_AUDIT_WEIGHTS
+
+        def no_tail(*args):
+            raise AssertionError("a tail ran before the weight count was checked")
+
+        monkeypatch.setattr(lln, "lln_tail", no_tail)
+        with pytest.raises(PreconditionError, match=f"at most {MAX_AUDIT_WEIGHTS}"):
+            frequency_audit([0, 1], [0.5, 0.5] + [0.0] * (MAX_AUDIT_WEIGHTS - 1))
