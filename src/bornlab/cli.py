@@ -455,11 +455,9 @@ def _histories(v: dict, seed: int, csv_dir) -> dict:
 @_scenario("lln:tail", n=_int, delta=_finite, p=_finite)
 def _lln_tail(v: dict, seed: int, csv_dir) -> dict:
     n, delta, p = v["n"], v["delta"], v["p"]
-    value = lln.lln_tail(n, delta, p)
-    work = lln.tail_work(n, delta, p)
     return {
         "verdicts": {"computed": "PASS"},
-        "metrics": {"tail": value, "tail_path": work.path, "terms": work.terms},
+        "metrics": {"tail": lln.lln_tail(n, delta, p), "terms": lln.tail_work(n, delta, p)},
     }
 
 
@@ -467,15 +465,13 @@ def _lln_tail(v: dict, seed: int, csv_dir) -> dict:
 def _lln_scan(v: dict, seed: int, csv_dir) -> dict:
     p, delta = v["p"], v["delta"]
     report = lln.lln_limit_scan(p, delta, v["ns"], threshold=v["threshold"])
-    work = [lln.tail_work(n, delta, p) for n in report.ns]
     return {
         "verdicts": {"converged": _verdict(report.converged)},
         "metrics": {
             **_attrs(report, "final_is_minimum", "strictly_decreasing"),
             "ns": list(report.ns),
             "values": list(report.values),
-            "tail_paths": [w.path for w in work],
-            "terms": [w.terms for w in work],
+            "terms": [lln.tail_work(n, delta, p) for n in report.ns],
         },
     }
 

@@ -64,12 +64,11 @@ def hypercube_split_count(n: int) -> int:
     return 2**n
 
 
-def halving_depth(required_subcells: int, n_dims: int = 1) -> int:
-    """Halving steps of an n-cube cell needed to reach the given sub-cell count."""
-    per_step = hypercube_split_count(n_dims)
+def halving_depth(required_subcells: int) -> int:
+    """Halving steps of a cell needed to reach the given sub-cell count."""
     depth, count = 0, 1
     while count < required_subcells:
-        count *= per_step
+        count *= 2
         depth += 1
     return depth
 

@@ -112,6 +112,8 @@ class StateVector:
         object.__setattr__(self, "amplitudes", _as_complex_vector(amplitudes))
         if self.dim < 1:
             raise InvalidStateError("state needs at least one amplitude")
+        if not np.isfinite(self.amplitudes).all():
+            raise InvalidStateError("state amplitudes must be finite")
 
     @property
     def dim(self) -> int:

@@ -3,11 +3,13 @@
 The central quantity is the chance that the relative frequency of an
 outcome over n independent trials differs from its per-trial chance by
 more than delta (strictly: boundary deviations are excluded).  The tail's
-index set is decided exactly, by two integer cut points.  Small n is summed
-as integers: with p = a/d, the terms comb(n, k) a^k (d - a)^(n - k) of each
-tail run are summed by an exact integer recurrence, and the sum over d^n is
-the tail as a rational.  Large n switches to log-domain summation to avoid
-overflow.
+index set is decided exactly, by two integer cut points.  With p = a/d,
+``lln_tail_exact`` sums the terms comb(n, k) a^k (d - a)^(n - k) of each
+tail run by an exact integer recurrence, and the sum over d^n is the tail
+as a rational.  ``lln_tail`` returns that rational correctly rounded at
+every n without forming it: it sums each term relative to the mode's in
+fixed point, with a bound on what truncation lost, and falls back to the
+rational only when the bounds straddle a rounding boundary.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from typing import Sequence
 
 from .errors import OutcomeIndexError, PreconditionError
 
-EXACT_N_LIMIT = 1000
-MAX_TRIALS = 10**5  # trial count n; the log-domain tail holds about n floats
+MAX_TRIALS = 10**5  # trial count n; each walk of a tail takes at most n steps
 MAX_AUDIT_WEIGHTS = 100  # weight-table entries of one audit; each costs one tail
 
 
@@ -89,59 +90,86 @@ def lln_tail_exact(n: int, delta, p) -> Fraction:
     return Fraction(total, d**n)
 
 
-def _log_pmf(n: int, k: int, p: float) -> float:
-    return (
-        math.lgamma(n + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
+_UNIT_BITS = 1280  # the mode's term is 2**_UNIT_BITS fixed-point units
+_INVISIBLE = 1 << (_UNIT_BITS - 1200)  # 2**-1200 of the mode's term: no float sees it
+_GUARD_BITS = 192  # a walk stops once what is left is below 2**-_GUARD_BITS of its sum
 
 
-@dataclass(frozen=True)
-class TailWork:
-    """Which summation ``lln_tail`` runs and how many tail indices it sums."""
+def _run(n: int, a: int, b: int, m: int, start: int, stop: int) -> tuple[int, int]:
+    """Bounds (s, c): sum of w_k for m <= start <= k < stop lies in [s, s + c].
 
-    path: str
-    terms: int
+    w_k = comb(n, k) a^k b^(n - k) relative to the term of the mode m, in
+    fixed-point units of which w_m holds 2**_UNIT_BITS.  Walking up from
+    the mode, each step multiplies by (n - k) a / ((k + 1) b) <= 1 and
+    floors, so a term j steps from the mode is at most j units short.  The
+    walk stops once the terms left, none above the current one, are below
+    2**-_GUARD_BITS of the sum or invisible to any float.
+    """
+    s = c = 0
+    if start >= stop:
+        return s, c
+    term = 1 << _UNIT_BITS
+    for k in range(m, stop):
+        left = (stop - k) * (term + k - m)
+        if left <= max(s >> _GUARD_BITS, _INVISIBLE):
+            return s, c + left
+        if k >= start:
+            s += term
+            c += k - m
+        term = term * ((n - k) * a) // ((k + 1) * b)
+    return s, c
 
 
-def tail_work(n: int, delta: float | Fraction, p: float) -> TailWork:
-    """The work ``lln_tail(n, delta, p)`` does, without doing it.
+def _sum(n: int, a: int, b: int, m: int, start: int, stop: int) -> tuple[int, int]:
+    """Bounds on the sum of w_k over start <= k < stop, as ``_run``.
 
-    A chance of 0 or 1 sums nothing; otherwise n <= EXACT_N_LIMIT takes the
-    ``exact`` integer path and larger n the ``log`` path.
+    The indices below the mode walk its mirror image: a and b swap roles
+    and k maps to n - k, so every walk moves away from its mode.
+    """
+    s, c = _run(n, a, b, m, max(start, m), stop)
+    s2, c2 = _run(n, b, a, n - m, n + 1 - min(stop, m), n + 1 - start)
+    return s + s2, c + c2
+
+
+def tail_work(n: int, delta: float | Fraction, p: float) -> int:
+    """The number of indices k in the tail of ``lln_tail(n, delta, p)``.
+
+    A chance of 0 or 1 has no tail.
     """
     query = LlnQuery(int(n), float(delta), float(p))
     if query.p in (0.0, 1.0):
-        return TailWork("exact", 0)
+        return 0
     lo, hi = _tail_cut(query.n, Fraction(delta), Fraction(p))
-    path = "exact" if query.n <= EXACT_N_LIMIT else "log"
-    return TailWork(path, lo + query.n + 1 - hi)
+    return lo + query.n + 1 - hi
 
 
 def lln_tail(n: int, delta: float | Fraction, p: float) -> float:
-    """P(|K/n - p| > delta), exact summation (log-domain above n=1000).
+    """P(|K/n - p| > delta), the exact tail correctly rounded to a float.
 
     ``delta`` may be a Fraction, so a threshold that is not a float (an
-    observed deviation, say) is compared exactly.
+    observed deviation, say) is compared exactly.  The tail and the rest
+    are summed with error bounds (``_sum``); when the bounds of their share
+    round to one float, that float is the rounded exact tail, and otherwise
+    the rational ``lln_tail_exact`` decides (Ziv's rounding test).
     """
     query = LlnQuery(int(n), float(delta), float(p))
-    n, p = query.n, query.p
-    delta = Fraction(delta)
-    if p == 0.0 or p == 1.0:
+    n = query.n
+    if query.p in (0.0, 1.0):
         # the frequency equals p with certainty; strict deviation needs
         # |k/n - p| > delta with k pinned at 0 or n
         return 0.0
-    if n <= EXACT_N_LIMIT:
-        return float(lln_tail_exact(n, delta, p))
-    lo, hi = _tail_cut(n, delta, Fraction(p))
-    logs = [_log_pmf(n, k, p) for k in (*range(lo), *range(hi, n + 1))]
-    if not logs:
-        return 0.0
-    peak = max(logs)
-    return float(math.exp(peak) * sum(math.exp(x - peak) for x in logs))
+    chance = Fraction(p)
+    lo, hi = _tail_cut(n, Fraction(delta), chance)
+    a, d = chance.numerator, chance.denominator
+    mode = (n + 1) * a // d  # the largest term; the terms fall away on either side
+    lower, lower_c = _sum(n, a, d - a, mode, 0, lo)
+    upper, upper_c = _sum(n, a, d - a, mode, hi, n + 1)
+    rest, rest_c = _sum(n, a, d - a, mode, lo, hi)
+    tail, tail_c = lower + upper, lower_c + upper_c
+    low = tail / (tail + rest + rest_c)
+    if low == (tail + tail_c) / (tail + tail_c + rest):
+        return low
+    return float(lln_tail_exact(n, delta, p))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ ORTHO_TOL = 1e-10
 PM_TOL = 1e-12  # slack of the unit interval and of a zero pair sum
 SEPARATION_THRESHOLD = 0.5
 MAX_ROTATION_STEPS = 10**6  # the sweep holds all steps + 1 rays at once
+SOLUTION_CAP = 10_000  # satisfying assignments a dispersion-free search keeps
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -309,14 +310,13 @@ def dispersion_free_search(
     rays: RaySet,
     *,
     pinned: dict[int, int] | None = None,
-    solution_cap: int = 10_000,
 ) -> SearchResult:
     """Exhaustive backtracking over {0,1} ray values.
 
     Constraints: at most one 1 in any orthogonal pair, and exactly one 1 in
     every complete context (a maximal set of ``dim`` mutually orthogonal
     rays).  ``pinned`` forces chosen rays to fixed values first.  Returns
-    every satisfying assignment up to ``solution_cap``, or an UNSAT
+    every satisfying assignment up to ``SOLUTION_CAP``, or an UNSAT
     certificate naming the shortest violated constraint chain encountered.
     """
     if rays.dim < 2:
@@ -357,7 +357,7 @@ def dispersion_free_search(
             best_chain = chain
 
     def backtrack(idx: int) -> None:
-        if len(solutions) >= solution_cap:
+        if len(solutions) >= SOLUTION_CAP:
             return
         if idx == n:
             solutions.append(tuple(assignment[i] for i in range(n)))

@@ -483,14 +483,12 @@ class TestScenarioKinds:
         assert report["metrics"]["constraints"] == 2
         assert report["metrics"]["nonzeros"] == 5
 
-    @pytest.mark.parametrize(
-        "n, path, terms", [(10, "exact", 6), (1000, "exact", 600), (1001, "log", 602)]
-    )
-    def test_lln_tail_counters(self, tmp_path, n, path, terms):
+    @pytest.mark.parametrize("n, terms", [(10, 6), (1000, 600), (1001, 602)])
+    def test_lln_tail_counters(self, tmp_path, n, terms):
         doc = {"kind": "lln", "parameters": {"op": "tail", "n": n, "delta": 0.2, "p": 0.5}}
         report, code = run_scenario(write_scenario(tmp_path, doc))
         assert code == EXIT_OK
-        assert report["metrics"]["tail_path"] == path
+        assert list(report["metrics"]) == ["tail", "terms"]
         assert report["metrics"]["terms"] == terms
 
     def test_lln_scan_counters(self, tmp_path):
@@ -500,7 +498,7 @@ class TestScenarioKinds:
         }
         report, code = run_scenario(write_scenario(tmp_path, doc))
         assert code == EXIT_OK
-        assert report["metrics"]["tail_paths"] == ["exact", "exact", "log"]
+        assert "tail_paths" not in report["metrics"]
         assert report["metrics"]["terms"] == [6, 600, 602]
 
     def test_games_pivotal(self, tmp_path):

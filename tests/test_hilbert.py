@@ -68,6 +68,11 @@ class TestBornWeight:
         with pytest.raises(InvalidStateError):
             born_weight(StateVector([0, 0]), Projector.from_cells([0], 2))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf)])
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(InvalidStateError, match="finite"):
+            StateVector([bad, 1])
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             born_weight(StateVector([1, 0]), Projector.from_cells([0], 3))

@@ -16,7 +16,6 @@ from bornlab.lln import (
     frequency_audit,
     lln_limit_scan,
     lln_tail,
-    TailWork,
     lln_tail_exact,
     tail_work,
 )
@@ -111,17 +110,6 @@ class TestLlnTail:
                         brute_force_tail(n, delta, p), abs=1e-14
                     )
 
-    def test_log_domain_continuity(self):
-        # exact and log-domain paths agree where both are usable
-        exact = float(lln_tail_exact(1000, 0.05, 0.5))
-        from bornlab import lln
-
-        lo, hi = lln._tail_cut(1000, Fraction(1, 20), Fraction(1, 2))
-        logs = [lln._log_pmf(1000, k, 0.5) for k in (*range(lo), *range(hi, 1001))]
-        peak = max(logs)
-        log_value = math.exp(peak) * sum(math.exp(x - peak) for x in logs)
-        assert log_value == pytest.approx(exact, rel=1e-10)
-
     @given(st.integers(1, 300), st.floats(1e-3, 1.0), chances)
     @settings(max_examples=80, deadline=None)
     def test_exact_matches_fraction_oracle(self, n, delta, p):
@@ -145,11 +133,11 @@ class TestLlnTail:
 
     def test_tail_work(self):
         # |k/10 - 1/2| > 1/5 for k in {0, 1, 2, 8, 9, 10}
-        assert tail_work(10, 0.2, 0.5) == TailWork("exact", 6)
-        assert tail_work(1001, 0.5, 0.5) == TailWork("log", 0)
+        assert tail_work(10, 0.2, 0.5) == 6
+        assert tail_work(1001, 0.5, 0.5) == 0
         # k <= 100 and k >= 901
-        assert tail_work(1001, 0.4, 0.5) == TailWork("log", 2 * 101)
-        assert tail_work(100, 0.1, 0.0) == TailWork("exact", 0)
+        assert tail_work(1001, 0.4, 0.5) == 2 * 101
+        assert tail_work(100, 0.1, 0.0) == 0
 
     def test_fraction_delta_is_exact(self):
         # 0.6 - 0.3 rounds down to the float 0.3, which would let k = 6 in
@@ -182,6 +170,83 @@ class TestLlnTail:
             assert lln_tail_exact(40, Fraction(1, 10), p) == lln_tail_exact(
                 40, Fraction(1, 10), 1 - p
             )
+
+
+@st.composite
+def rounding_queries(draw):
+    p = draw(
+        st.one_of(
+            st.integers(1, 2**12 - 1).map(lambda k: k / 2**12),
+            st.floats(1e-300, 1e-6),
+            st.floats(1e-16, 1e-3).map(lambda x: 1.0 - x),
+            st.floats(1e-3, 1.0, exclude_max=True),
+        )
+    )
+    # the rational oracle's integers hold about n times the bits of p's
+    # denominator, so long denominators get a small n
+    bits = Fraction(p).denominator.bit_length()
+    n = draw(st.integers(1, min(2000, 60_000 // bits)))
+    k = draw(st.integers(0, n))
+    delta = draw(
+        st.one_of(
+            st.floats(1e-4, 1.0),
+            st.just(1e-300),
+            st.just(abs(Fraction(k, n) - Fraction(p)) or Fraction(1, n)),
+        )
+    )
+    return n, delta, p
+
+
+class TestCorrectRounding:
+    """``lln_tail`` is the exact rational tail rounded to the nearest float."""
+
+    @given(rounding_queries())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rounded_exact(self, query):
+        assert lln_tail(*query) == float(lln_tail_exact(*query))
+
+    @pytest.mark.parametrize(
+        "n, delta, p",
+        [
+            (1000, 0.05, 0.5),
+            (1001, 0.018, 0.5),
+            (1001, Fraction(1, 1001), 0.25),
+            (2048, 1e-300, 0.5),
+            (5000, 0.01, 0.25),
+            (20_000, 0.006, 0.5),
+        ],
+    )
+    def test_matches_rounded_exact_above_one_thousand(self, n, delta, p):
+        assert lln_tail(n, delta, p) == float(lln_tail_exact(n, delta, p))
+
+    def test_tie_takes_the_rational(self, monkeypatch):
+        # 1 - comb(58, 29) / 2^58 sits exactly halfway between two floats,
+        # so no error bound, however tight, decides its rounding
+        exact = lln_tail_exact(58, 1e-300, 0.5)
+        f = float(exact)
+        assert exact in {(Fraction(f) + Fraction(math.nextafter(f, side))) / 2 for side in (0, 2)}
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return lln_tail_exact(*args)
+
+        monkeypatch.setattr(lln, "lln_tail_exact", counted)
+        assert lln_tail(58, 1e-300, 0.5) == float(exact)
+        assert len(calls) == 1
+        # a value 3e-51 (relative) from a tie is decided by the bounds alone
+        query = (3, 0.11154869887122325, 3.2891323289806945e-51)
+        assert lln_tail(*query) == float(lln_tail_exact(*query))
+        assert len(calls) == 1
+
+    def test_every_index_but_none_is_certain(self):
+        # k / 10^5 never equals the float 0.3, so every index deviates
+        assert lln_tail(100_000, 1e-300, 0.3) == 1.0
+
+    def test_tiny_chance_far_tail_is_zero(self):
+        # p = 1e-300 has a 1049-bit denominator; the tail k >= 101 is far
+        # below the smallest subnormal
+        assert lln_tail(1000, 0.1, 1e-300) == 0.0
 
 
 class TestLimitScan:
