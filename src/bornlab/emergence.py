@@ -220,12 +220,7 @@ def _resolve_block(graining: CoarseGraining, block) -> int:
         if not 0 <= block < graining.n_blocks:
             raise InvalidGrainingError(f"no block {block} in graining")
         return block
-    if isinstance(block, Projector):
-        for i in range(graining.n_blocks):
-            if graining.block_projector(i) == block:
-                return i
-        raise InvalidGrainingError("projector is not a block of the graining")
-    raise TypeError("block must be an index or a block projector")
+    raise TypeError("block must be a block index")
 
 
 def _span_mass_fractional(masses, lo: Fraction, hi: Fraction) -> Fraction:
@@ -262,17 +257,17 @@ def _exact_cuts(masses, start, stop, m) -> list[Fraction]:
     return cuts
 
 
-def _subdivision(cuts, max_subdivision: int, what: str) -> int:
+def _subdivision(cuts, what: str) -> int:
     """Sub-cells per cell that put every cut on a sub-cell boundary: the lcm
     of the cut denominators.
 
-    Raises :class:`ResolutionError` when it exceeds ``max_subdivision``.
+    Raises :class:`ResolutionError` when it exceeds ``DEFAULT_SUBDIVISION_CAP``.
     """
     denom = math.lcm(*(c.denominator for c in cuts))
-    if denom > max_subdivision:
+    if denom > DEFAULT_SUBDIVISION_CAP:
         raise ResolutionError(
             f"{what} needs {denom} sub-cells per cell ({halving_depth(denom)} "
-            f"halving steps; cap {max_subdivision})",
+            f"halving steps; cap {DEFAULT_SUBDIVISION_CAP})",
             required_subcells=denom,
         )
     return denom
@@ -283,8 +278,6 @@ def equal_mass_refine(
     graining: CoarseGraining,
     block,
     m: int,
-    *,
-    max_subdivision: int = DEFAULT_SUBDIVISION_CAP,
 ) -> EqualMassRefinement:
     """Split one block of a graining into ``m`` disjoint equal-mass pieces.
 
@@ -296,7 +289,7 @@ def equal_mass_refine(
     block is split into m equal-width pieces.
 
     Raises :class:`ResolutionError` when the required subdivision exceeds
-    ``max_subdivision``.
+    ``DEFAULT_SUBDIVISION_CAP``.
     """
     if m < 1:
         raise ValueError("piece count m must be >= 1")
@@ -326,27 +319,25 @@ def equal_mass_refine(
         # float inputs); fall back to one power-of-two grid meeting
         # FLOAT_MASS_TOL
         raw_cuts = cuts
-        cuts = [c.limit_denominator(max_subdivision) for c in raw_cuts]
+        cuts = [c.limit_denominator(DEFAULT_SUBDIVISION_CAP) for c in raw_cuts]
         if not (
             cuts
-            and math.lcm(*(c.denominator for c in cuts)) <= max_subdivision
+            and math.lcm(*(c.denominator for c in cuts)) <= DEFAULT_SUBDIVISION_CAP
             and mass_deviation(cuts) <= allowed
         ):
             needed = float(2 * max_cell / allowed) if allowed > 0 else math.inf
             grid = 1
             while grid < needed:
                 grid *= 2
-                if grid > max_subdivision:
+                if grid > DEFAULT_SUBDIVISION_CAP:
                     raise ResolutionError(
                         f"float split of block {index} into {m} pieces needs "
-                        f"{grid} sub-cells per cell (cap {max_subdivision})",
+                        f"{grid} sub-cells per cell (cap {DEFAULT_SUBDIVISION_CAP})",
                         required_subcells=grid,
                     )
             cuts = [Fraction(round(c * grid), grid) for c in raw_cuts]
 
-    L = _subdivision(
-        cuts, max_subdivision, f"splitting block {index} into {m} equal-mass pieces"
-    )
+    L = _subdivision(cuts, f"splitting block {index} into {m} equal-mass pieces")
     fine_dim = graining.dim * L
     cut_positions = [int(c * L) for c in cuts]
     if any(
@@ -622,11 +613,7 @@ def _eigenvector_rule(psi, separating, lattice, trace, s_phase, table):
 # ---------------------------------------------------------------------------
 
 
-def rational_born_values(
-    rational: RationalState,
-    *,
-    max_subdivision: int = DEFAULT_SUBDIVISION_CAP,
-) -> tuple[MeasureTable, DerivationTrace]:
+def rational_born_values(rational: RationalState) -> tuple[MeasureTable, DerivationTrace]:
     """Weight table forced for integer-weight states: m_j / sum(m_k).
 
     Each block with weight m_k is cut into m_k equal-mass pieces by the
@@ -636,7 +623,7 @@ def rational_born_values(
     rational arithmetic throughout.
 
     Raises :class:`ResolutionError` when that subdivision exceeds
-    ``max_subdivision``.
+    ``DEFAULT_SUBDIVISION_CAP``.
     """
     graining = rational.graining
     weights = rational.weights
@@ -648,7 +635,7 @@ def rational_born_values(
         if weight
         for cut in _exact_cuts(masses, *graining.blocks[k], weight)
     ]
-    L = _subdivision(cuts, max_subdivision, "equal-mass refinement")
+    L = _subdivision(cuts, "equal-mass refinement")
 
     trace = DerivationTrace(rules=DERIVATION_RULES)
     s_refine = trace.add(
@@ -710,13 +697,7 @@ class BornLimitResult:
     converged: bool
 
 
-def born_limit(
-    psi: StateVector,
-    proj: Projector,
-    tol: float,
-    *,
-    denominator_cap: int = DEFAULT_DENOMINATOR_CAP,
-) -> BornLimitResult:
+def born_limit(psi: StateVector, proj: Projector, tol: float) -> BornLimitResult:
     """Approach an arbitrary state through integer-weight states.
 
     Builds a sequence of two-weight rational states separating ``proj``
@@ -760,12 +741,12 @@ def born_limit(
         if value_error < tol:
             converged = True
             break
-        if cap >= denominator_cap:
+        if cap >= DEFAULT_DENOMINATOR_CAP:
             break
-        cap = min(denominator_cap, cap * 2)
+        cap = min(DEFAULT_DENOMINATOR_CAP, cap * 2)
     if not converged:
         raise ConvergenceFailureError(
-            f"no rational approximant below denominator {denominator_cap} "
+            f"no rational approximant below denominator {DEFAULT_DENOMINATOR_CAP} "
             f"reaches tolerance {tol}",
             record=tuple(record),
         )
@@ -832,37 +813,22 @@ def measure_uniqueness_solve(
     if dims != {profile.dim}:
         raise DimensionMismatchError("profile and family disagree on grid size")
 
-    unknowns: dict = {}
-
-    def unknown_index(block: tuple[int, int]) -> int:
-        key = block
-        if key not in unknowns:
-            unknowns[key] = len(unknowns)
-        return unknowns[key]
-
-    for graining in family.members:
-        for block in graining.blocks:
-            unknown_index(block)
-    keys = list(unknowns)
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    keys = list(dict.fromkeys(block for g in family.members for block in g.blocks))
+    index = {block: i for i, block in enumerate(keys)}
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     labels: list[str] = []
 
-    def add_row(coeffs: dict[int, Fraction], value: Fraction, label: str) -> None:
-        row = [Fraction(0)] * len(keys)
-        for idx, coeff in coeffs.items():
-            row[idx] += coeff
+    def add_row(terms, value: int, label: str) -> None:
+        row = [0] * len(keys)
+        for block, coeff in terms:
+            row[index[block]] += coeff
         rows.append(row)
         rhs.append(value)
         labels.append(label)
 
     for gi, graining in enumerate(family.members):
-        add_row(
-            {unknown_index(b): Fraction(1) for b in graining.blocks},
-            Fraction(1),
-            f"norm[g{gi}]",
-        )
+        add_row(((b, 1) for b in graining.blocks), 1, f"norm[g{gi}]")
         # invariance: blocks whose mass profiles match as multisets swap
         # under a cell permutation preserving the (phase-stripped) state;
         # a chain of equalities per matching group spans all the pairs
@@ -871,32 +837,24 @@ def measure_uniqueness_solve(
             groups.setdefault(tuple(sorted(masses[a:b])), []).append(i)
         for members in groups.values():
             for i, j in zip(members, members[1:]):
-                add_row(
-                    {
-                        unknown_index(graining.blocks[i]): Fraction(1),
-                        unknown_index(graining.blocks[j]): Fraction(-1),
-                    },
-                    Fraction(0),
-                    f"invar[g{gi}]:{i}~{j}",
-                )
+                terms = ((graining.blocks[i], 1), (graining.blocks[j], -1))
+                add_row(terms, 0, f"invar[g{gi}]:{i}~{j}")
 
     for gi, coarse in enumerate(family.members):
         for gj, fine in enumerate(family.members):
             if gi == gj or not fine.refines(coarse):
                 continue
-            for b_start, b_stop in coarse.blocks:
+            for block in coarse.blocks:
+                b_start, b_stop = block
                 inner = [
                     blk
                     for blk in fine.blocks
                     if b_start <= blk[0] and blk[1] <= b_stop
                 ]
-                if len(inner) == 1 and inner[0] == (b_start, b_stop):
+                if inner == [block]:
                     continue
-                coeffs = {unknown_index((b_start, b_stop)): Fraction(1)}
-                for blk in inner:
-                    idx = unknown_index(blk)
-                    coeffs[idx] = coeffs.get(idx, Fraction(0)) - 1
-                add_row(coeffs, Fraction(0), f"refine[g{gi}<g{gj}]:{b_start}-{b_stop}")
+                terms = [(block, 1)] + [(blk, -1) for blk in inner]
+                add_row(terms, 0, f"refine[g{gi}<g{gj}]:{b_start}-{b_stop}")
 
     result: LinearSolveResult = solve_exact(rows, rhs, labels)
     require_feasible(result, "weight-uniqueness system")

@@ -46,11 +46,13 @@ class LinearSolveResult:
 def _integer_row(row: Sequence, rhs) -> dict[int, int]:
     """Nonzero entries of one row of [A | b], scaled to coprime integers.
 
-    The right-hand side sits at column ``len(row)``.
+    The right-hand side sits at column ``len(row)``.  Only entries that
+    differ from 0 are converted; a value that is not a number, such as None
+    or NaN, differs from 0 and fails its conversion.
     """
-    entries = [Fraction(x) for x in row] + [Fraction(rhs)]
-    scale = math.lcm(*(x.denominator for x in entries))
-    ints = {j: x.numerator * (scale // x.denominator) for j, x in enumerate(entries) if x}
+    entries = {j: Fraction(x) for j, x in enumerate([*row, rhs]) if x != 0}
+    scale = math.lcm(*(x.denominator for x in entries.values()))
+    ints = {j: x.numerator * (scale // x.denominator) for j, x in entries.items() if x}
     return _primitive(ints)
 
 

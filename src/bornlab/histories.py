@@ -76,7 +76,7 @@ class HistorySet:
     steps: tuple[HistoryStep, ...]
     epsilon: float = DEFAULT_EPSILON
 
-    def __init__(self, steps, epsilon: float = DEFAULT_EPSILON, cap: int = DEFAULT_HISTORY_CAP):
+    def __init__(self, steps, epsilon: float = DEFAULT_EPSILON):
         steps = tuple(steps)
         if not steps:
             raise InvalidStateError("a history set needs at least one step")
@@ -85,9 +85,10 @@ class HistorySet:
             if step.dim != steps[0].dim:
                 raise DimensionMismatchError("steps live on different spaces")
             count *= len(step.resolution)
-            if count > cap:
+            if count > DEFAULT_HISTORY_CAP:
                 raise HistoryCountError(
-                    f"{count}+ histories exceed the cap of {cap}; coarsen the resolutions"
+                    f"{count}+ histories exceed the cap of {DEFAULT_HISTORY_CAP}; "
+                    "coarsen the resolutions"
                 )
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "epsilon", float(epsilon))
@@ -201,12 +202,7 @@ def _worst_pair(choices, chains, collapsed, chained, epsilon: float):
     return best, over
 
 
-def consistency_check(
-    history_set: HistorySet,
-    psi0: StateVector,
-    *,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-) -> ConsistencyReport:
+def consistency_check(history_set: HistorySet, psi0: StateVector) -> ConsistencyReport:
     """Compare stepwise-reduction and uncollapsed-chain probabilities.
 
     Checks every history, every union of two histories, and every
@@ -219,9 +215,9 @@ def consistency_check(
     to one.
     """
     n = history_set.n_histories
-    if n > pair_cap:
+    if n > DEFAULT_PAIR_CAP:
         raise HistoryCountError(
-            f"{n} histories exceed the pairwise-analysis cap of {pair_cap}; "
+            f"{n} histories exceed the pairwise-analysis cap of {DEFAULT_PAIR_CAP}; "
             "coarsen the resolutions"
         )
     psi = psi0.normalized().amplitudes

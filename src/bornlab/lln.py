@@ -7,14 +7,16 @@ index set is decided exactly, by two integer cut points.  With p = a/d,
 ``lln_tail_exact`` sums the terms comb(n, k) a^k (d - a)^(n - k) of each
 tail run by an exact integer recurrence, and the sum over d^n is the tail
 as a rational.  ``lln_tail`` returns that rational correctly rounded at
-every n without forming it: it sums each term relative to the mode's in
-fixed point, with a bound on what truncation lost, and falls back to the
-rational only when the bounds straddle a rounding boundary.
+every n without forming it: one walk out from the mode on each side sums
+every term relative to the mode's in fixed point, into the tail or the rest,
+with a bound on what truncation lost, and it falls back to the rational
+only when the bounds straddle a rounding boundary.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -92,43 +94,47 @@ def lln_tail_exact(n: int, delta, p) -> Fraction:
 
 _UNIT_BITS = 1280  # the mode's term is 2**_UNIT_BITS fixed-point units
 _INVISIBLE = 1 << (_UNIT_BITS - 1200)  # 2**-1200 of the mode's term: no float sees it
-_GUARD_BITS = 192  # a walk stops once what is left is below 2**-_GUARD_BITS of its sum
+_GUARD_BITS = 192  # a walk ends once what one part has left is below 2**-_GUARD_BITS of it
 
 
-def _run(n: int, a: int, b: int, m: int, start: int, stop: int) -> tuple[int, int]:
-    """Bounds (s, c): sum of w_k for m <= start <= k < stop lies in [s, s + c].
+def _side(n: int, a: int, b: int, m: int, first: int, lo: int, hi: int) -> list[int]:
+    """Bounds [tail, tail_c, rest, rest_c] on the sums of w_k over first <= k <= n.
 
-    w_k = comb(n, k) a^k b^(n - k) relative to the term of the mode m, in
-    fixed-point units of which w_m holds 2**_UNIT_BITS.  Walking up from
-    the mode, each step multiplies by (n - k) a / ((k + 1) b) <= 1 and
-    floors, so a term j steps from the mode is at most j units short.  The
-    walk stops once the terms left, none above the current one, are below
-    2**-_GUARD_BITS of the sum or invisible to any float.
+    w_k = comb(n, k) a^k b^(n - k) relative to the term of the mode m <= first,
+    in fixed-point units of which w_m holds 2**_UNIT_BITS.  The terms with
+    k < lo or k >= hi sum to a value in [tail, tail + tail_c], the others to
+    one in [rest, rest + rest_c].  One walk up from the mode serves both:
+    each step multiplies by (n - k) a / ((k + 1) b) <= 1 and floors, so a
+    term j steps from the mode is at most j units short.  The terms left,
+    none above the current one, end the walk once they are invisible to any
+    float or, when they all fall in one part, below 2**-_GUARD_BITS of its
+    sum; what they may hold is added to the bound of each part they fall in.
     """
-    s = c = 0
-    if start >= stop:
-        return s, c
+    tail = tail_c = rest = rest_c = 0
     term = 1 << _UNIT_BITS
-    for k in range(m, stop):
-        left = (stop - k) * (term + k - m)
-        if left <= max(s >> _GUARD_BITS, _INVISIBLE):
-            return s, c + left
-        if k >= start:
-            s += term
-            c += k - m
+    for k in range(m, n + 1):
+        tail_ahead = k < lo or hi <= n
+        rest_ahead = k < hi and lo < hi
+        left = (n + 1 - k) * (term + k - m)
+        if tail_ahead and rest_ahead:
+            limit = _INVISIBLE
+        else:
+            limit = max((tail if tail_ahead else rest) >> _GUARD_BITS, _INVISIBLE)
+        if left <= limit:
+            if tail_ahead:
+                tail_c += left
+            if rest_ahead:
+                rest_c += left
+            break
+        if k >= first:
+            if lo <= k < hi:
+                rest += term
+                rest_c += k - m
+            else:
+                tail += term
+                tail_c += k - m
         term = term * ((n - k) * a) // ((k + 1) * b)
-    return s, c
-
-
-def _sum(n: int, a: int, b: int, m: int, start: int, stop: int) -> tuple[int, int]:
-    """Bounds on the sum of w_k over start <= k < stop, as ``_run``.
-
-    The indices below the mode walk its mirror image: a and b swap roles
-    and k maps to n - k, so every walk moves away from its mode.
-    """
-    s, c = _run(n, a, b, m, max(start, m), stop)
-    s2, c2 = _run(n, b, a, n - m, n + 1 - min(stop, m), n + 1 - start)
-    return s + s2, c + c2
+    return [tail, tail_c, rest, rest_c]
 
 
 def tail_work(n: int, delta: float | Fraction, p: float) -> int:
@@ -148,9 +154,10 @@ def lln_tail(n: int, delta: float | Fraction, p: float) -> float:
 
     ``delta`` may be a Fraction, so a threshold that is not a float (an
     observed deviation, say) is compared exactly.  The tail and the rest
-    are summed with error bounds (``_sum``); when the bounds of their share
-    round to one float, that float is the rounded exact tail, and otherwise
-    the rational ``lln_tail_exact`` decides (Ziv's rounding test).
+    are summed with error bounds by one walk (``_side``) on each side of
+    the mode; when the bounds of their share round to one float, that float
+    is the rounded exact tail, and otherwise the rational ``lln_tail_exact``
+    decides (Ziv's rounding test).
     """
     query = LlnQuery(int(n), float(delta), float(p))
     n = query.n
@@ -162,10 +169,10 @@ def lln_tail(n: int, delta: float | Fraction, p: float) -> float:
     lo, hi = _tail_cut(n, Fraction(delta), chance)
     a, d = chance.numerator, chance.denominator
     mode = (n + 1) * a // d  # the largest term; the terms fall away on either side
-    lower, lower_c = _sum(n, a, d - a, mode, 0, lo)
-    upper, upper_c = _sum(n, a, d - a, mode, hi, n + 1)
-    rest, rest_c = _sum(n, a, d - a, mode, lo, hi)
-    tail, tail_c = lower + upper, lower_c + upper_c
+    above = _side(n, a, d - a, mode, mode, lo, hi)
+    # below the mode walks its mirror image: a and b swap roles, k maps to n - k
+    below = _side(n, d - a, a, n - mode, n + 1 - mode, n + 1 - hi, n + 1 - lo)
+    tail, tail_c, rest, rest_c = (x + y for x, y in zip(above, below))
     low = tail / (tail + rest + rest_c)
     if low == (tail + tail_c) / (tail + tail_c + rest):
         return low
@@ -244,13 +251,14 @@ def frequency_audit(outcomes: Sequence[int], weights: Sequence[float]) -> Freque
     weights = [float(w) for w in weights]
     if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
         raise PreconditionError(f"'weights' must be a probability table, got {weights}")
-    for o in outcomes:
+    counts = Counter(outcomes)  # keys in order of first appearance
+    for o in counts:
         if not 0 <= o < len(weights):
             raise OutcomeIndexError(f"'outcomes' entry {o} lies outside the weight table")
     n = len(outcomes)
     rows = []
     for k, weight in enumerate(weights):
-        count = sum(1 for o in outcomes if o == k)
+        count = counts[k]
         freq = count / n
         # the threshold is the exact observed deviation, so the observed
         # count itself never lands in the strict tail through rounding

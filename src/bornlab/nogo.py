@@ -188,29 +188,11 @@ def propagate_pm_constraint(system: PMSystem, f: FrameAssignment) -> PMPropagati
                     if msg:
                         return PMPropagation(out, tuple(derived), contradiction=msg)
             else:
-                if total > 2.0 + PM_TOL:
-                    return PMPropagation(
-                        out,
-                        tuple(derived),
-                        contradiction=f"{reason} exceeds 2, impossible for unit-interval values",
-                    )
                 for idx, other in ((c, d), (d, c)):
                     if out.get(other) is not None and out.get(idx) is None:
                         msg = force(idx, total - out.get(other), reason)
                         if msg:
                             return PMPropagation(out, tuple(derived), contradiction=msg)
-                # range pruning: a known value cannot exceed the pair sum
-                for idx in (c, d):
-                    val = out.get(idx)
-                    if val is not None and val > total + 1e-9:
-                        return PMPropagation(
-                            out,
-                            tuple(derived),
-                            contradiction=(
-                                f"f({_PM_NAMES[idx]}) = {val:.6g} exceeds {reason}; "
-                                f"its partner would be negative"
-                            ),
-                        )
         changed = len(derived) > before
     return PMPropagation(out, tuple(derived))
 

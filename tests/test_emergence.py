@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bornlab import emergence
 from bornlab.emergence import (
     MAX_TOTAL_WEIGHT,
     MassProfile,
@@ -111,19 +112,27 @@ class TestEqualMassRefine:
             mean = total / m
             assert max(abs(x - mean) for x in result.piece_masses) < 1e-9 * total
 
-    def test_resolution_cap(self):
+    def test_resolution_cap(self, monkeypatch):
+        monkeypatch.setattr(emergence, "DEFAULT_SUBDIVISION_CAP", 10)
         graining = CoarseGraining(2, [(0, 2)])
         profile = MassProfile([Fraction(1, 997), Fraction(996, 997)])
         with pytest.raises(ResolutionError) as err:
-            equal_mass_refine(profile, graining, 0, 997, max_subdivision=10)
+            equal_mass_refine(profile, graining, 0, 997)
         assert err.value.required_subcells is not None
 
-    def test_single_float_piece_needs_no_subdivision(self):
+    def test_single_float_piece_needs_no_subdivision(self, monkeypatch):
         # m = 1 places no cut, so a small cap cannot be too small for it
         graining = CoarseGraining(2, [(0, 2)])
-        capped = equal_mass_refine([0.3, 0.7], graining, 0, 1, max_subdivision=1000)
-        assert capped == equal_mass_refine([0.3, 0.7], graining, 0, 1)
+        uncapped = equal_mass_refine([0.3, 0.7], graining, 0, 1)
+        monkeypatch.setattr(emergence, "DEFAULT_SUBDIVISION_CAP", 1000)
+        capped = equal_mass_refine([0.3, 0.7], graining, 0, 1)
+        assert capped == uncapped
         assert (capped.subdivision, capped.cuts, capped.exact) == (1, (), False)
+
+    def test_block_is_an_index(self):
+        graining = CoarseGraining(2, [(0, 1), (1, 2)])
+        with pytest.raises(TypeError, match="block index"):
+            equal_mass_refine([0.3, 0.7], graining, graining.block_projector(0), 2)
 
 
 class TestEquiprobableValues:
@@ -262,15 +271,17 @@ class TestRationalBornValues:
             ]
             assert refine.payload["subdivision"] == math.lcm(*per_block)
 
-    def test_resolution_cap(self):
+    def test_resolution_cap(self, monkeypatch):
         # cuts at 11/9 and 29/18 need 18 sub-cells per cell
         state = RationalState(
             [3], CoarseGraining.from_sizes([2]), [[Fraction(1, 7), Fraction(6, 7)]]
         )
-        _, trace = rational_born_values(state, max_subdivision=18)
+        monkeypatch.setattr(emergence, "DEFAULT_SUBDIVISION_CAP", 18)
+        _, trace = rational_born_values(state)
         assert trace.steps[0].payload["subdivision"] == 18
+        monkeypatch.setattr(emergence, "DEFAULT_SUBDIVISION_CAP", 17)
         with pytest.raises(ResolutionError) as err:
-            rational_born_values(state, max_subdivision=17)
+            rational_born_values(state)
         assert err.value.required_subcells == 18
 
 
@@ -293,16 +304,13 @@ class TestBornLimit:
         result = born_limit(psi, Projector.from_cells([(0, 3)], 3), 1e-9)
         assert all(a.value == 1 for a in result.record)
 
-    def test_unreachable_tolerance_raises_with_record(self):
+    def test_unreachable_tolerance_raises_with_record(self, monkeypatch):
+        monkeypatch.setattr(emergence, "DEFAULT_DENOMINATOR_CAP", 100)
         psi = StateVector([np.sqrt(0.3), np.sqrt(0.7)])
         with pytest.raises(ConvergenceFailureError) as err:
-            born_limit(
-                psi,
-                Projector.from_cells([0], 2),
-                1e-20,
-                denominator_cap=100,
-            )
+            born_limit(psi, Projector.from_cells([0], 2), 1e-20)
         assert err.value.record
+        assert err.value.record[-1].denominator_cap == 100
 
     def test_state_errors_shrink(self):
         psi = StateVector([np.sqrt(0.137), np.sqrt(0.863)])

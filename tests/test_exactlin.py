@@ -141,6 +141,13 @@ class TestSolveExact:
         result = solve_exact([[0.1, 0.0], [0.0, 3]], [0.3, 1])
         assert result.solution == (Fraction(0.3) / Fraction(0.1), Fraction(1, 3))
 
+    @pytest.mark.parametrize("bad", [None, "", float("nan")])
+    def test_entries_that_are_not_numbers_fail(self, bad):
+        with pytest.raises((TypeError, ValueError)):
+            solve_exact([[1, bad]], [0])
+        with pytest.raises((TypeError, ValueError)):
+            solve_exact([[1, 0]], [bad])
+
     def test_no_constraints(self):
         with pytest.raises(ValueError):
             solve_exact([], [])

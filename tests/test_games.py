@@ -578,6 +578,35 @@ class TestSoundness:
                 solver.expand_game(g)
         assert verify_soundness(solver.constraints, solver.games.values()) < 1e-10
 
+    def test_three_label_swap(self):
+        # cells 0 and 1 carry equal weight, so swapping their labels 1 and 2
+        # is a permutation of three labels, not an affine relabeling
+        cells = [(float(x), Projector.from_cells([x - 1], 3)) for x in (1, 2, 3)]
+        game = Game(np.array([1.0, 1.0, 0.5]), cells, linear_payoff())
+        solver = ValueSolver()
+        solver.register(game)
+        frontier = [game]
+        for _ in range(2):
+            seen = len(solver.games)
+            for g in frontier:
+                solver.expand_game(g)
+            frontier = list(solver.games.values())[seen:]
+        assert any(con.note == "relabel permutation" for con in solver.constraints)
+        result = solver.solve()
+        assert (result.rank, result.n_unknowns, len(solver.constraints)) == (7, 8, 11)
+        assert value_solve([game], 2).values == result.values
+        rank, values, difference = lstsq_oracle(solver)
+        assert rank == result.rank
+        forced = {key for key, value in values.items() if value is not None}
+        assert {key for key, gv in result.values.items() if gv.known} == forced
+        games = list(solver.games.values())
+        for i, j in itertools.product(range(len(games)), repeat=2):
+            want, got = difference(i, j), result.difference(games[i], games[j])
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got == pytest.approx(want, abs=1e-9)
+        assert verify_soundness(solver.constraints, solver.games.values()) <= 1e-10
+
     def test_born_assignment_covers_all_games(self):
         game = two_outcome_game()
         assignment = born_assignment([game])

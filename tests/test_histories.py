@@ -256,16 +256,16 @@ class TestConsistencyCheck:
         marginals = [d for d in report.discrepancies if d.kind == "marginal"]
         assert max(d.gap for d in marginals) == pytest.approx(0.5, abs=1e-12)
 
-    def test_pair_cap(self):
+    def test_pair_cap(self, monkeypatch):
+        monkeypatch.setattr(histories_module, "DEFAULT_PAIR_CAP", 4)
         steps = [HistoryStep(z_resolution()) for _ in range(3)]
-        with pytest.raises(HistoryCountError):
-            consistency_check(HistorySet(steps), plus(), pair_cap=4)
+        with pytest.raises(HistoryCountError, match="cap of 4"):
+            consistency_check(HistorySet(steps), plus())
 
-    def test_history_count_cap(self):
-        with pytest.raises(HistoryCountError):
-            HistorySet(
-                [HistoryStep(z_resolution()) for _ in range(6)], cap=32
-            )
+    def test_history_count_cap(self, monkeypatch):
+        monkeypatch.setattr(histories_module, "DEFAULT_HISTORY_CAP", 32)
+        with pytest.raises(HistoryCountError, match="cap of 32"):
+            HistorySet([HistoryStep(z_resolution()) for _ in range(6)])
 
 
 class TestPairReduction:

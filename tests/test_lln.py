@@ -239,6 +239,21 @@ class TestCorrectRounding:
         assert lln_tail(*query) == float(lln_tail_exact(*query))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "query", [(923, 0.4342227299325477, 0.3717933555623072), (774, 0.2311, 0.8194)]
+    )
+    def test_far_tail_needs_no_rational(self, query, monkeypatch):
+        # on one side of the mode every index lies in the rest, so what that
+        # walk leaves unwalked must widen the rest's bound only; on the
+        # tail's it would blur these tiny tails into the fallback
+        exact = float(lln_tail_exact(*query))
+
+        def no_fallback(*args):
+            raise AssertionError("the bounds did not decide the rounding")
+
+        monkeypatch.setattr(lln, "lln_tail_exact", no_fallback)
+        assert lln_tail(*query) == exact
+
     def test_every_index_but_none_is_certain(self):
         # k / 10^5 never equals the float 0.3, so every index deviates
         assert lln_tail(100_000, 1e-300, 0.3) == 1.0

@@ -75,6 +75,14 @@ class TestPMPropagation:
         assert not result.consistent
         assert "P-" in result.contradiction
 
+    def test_pair_sums_must_agree(self, pm_system):
+        f = FrameAssignment({0: 0.2, 1: 0.3, 2: 0.1, 3: 0.1})
+        result = propagate_pm_constraint(pm_system, f)
+        assert result.contradiction == (
+            "additivity requires f(P1)+f(P2) = f(P+)+f(P-) but 0.5 != 0.2"
+        )
+        assert result.derived == ()
+
     def test_reverse_direction(self, pm_system):
         result = propagate_pm_constraint(pm_system, FrameAssignment({2: 0.0, 3: 0.0}))
         assert result.consistent
