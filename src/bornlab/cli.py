@@ -320,7 +320,7 @@ def _derive_equiprobable(v: dict, seed: int, csv_dir) -> dict:
 @_scenario(
     "solve-measure",
     masses=_list_of(parse_rational),
-    grainings=_list_of(_ints),
+    grainings=_where(_list_of(_ints), len, "a non-empty list of grainings"),
     expect=(_one_of("unique", "underdetermined"), "unique"),
 )
 def _solve_measure(v: dict, seed: int, csv_dir) -> dict:

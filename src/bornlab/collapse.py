@@ -696,7 +696,7 @@ def ensemble_outcomes(
         unresolved_flagged=unresolved_fraction > UNRESOLVED_FLAG_FRACTION,
         band_multiplier=band_multiplier,
         base_seed=int(seed),
-        passed=all(row.deviation <= row.band for row in rows),
+        passed=all(row.within_band for row in rows),
         outcomes=tuple(int(o) for o in outcome),
         resolve_steps=tuple(int(s) for s in resolve_step),
         dt=dt,

@@ -549,12 +549,10 @@ def proj_cells_disjoint(proj: Projector, covered: set[int]) -> bool:
 
 
 def _permutation_witnessed(separating: SeparatingSet) -> bool:
-    """True when an explicit permutation unitary exists at this grid size."""
+    """True when an explicit permutation unitary cycles every block of the
+    family, which needs every block to have the same rank."""
     try:
-        if separating.size >= 2:
-            swap = list(range(separating.size))
-            swap[0], swap[1] = swap[1], swap[0]
-            permutation_unitary(swap, separating)
+        permutation_unitary([*range(1, separating.size), 0], separating)
         return True
     except DegeneracyViolationError:
         return False
@@ -716,12 +714,8 @@ def born_limit(psi: StateVector, proj: Projector, tol: float) -> BornLimitResult
     exact_target = Fraction(target)
     record: list[Approximant] = []
     cap = START_DENOMINATOR
-    converged = False
-    best: Fraction | None = None
     while True:
-        frac = exact_target.limit_denominator(cap)
-        if best is None or abs(frac - exact_target) <= abs(best - exact_target):
-            best = frac
+        best = exact_target.limit_denominator(cap)
         m1 = best.numerator
         m2 = best.denominator - best.numerator
         value_error = float(abs(best - exact_target))
@@ -739,24 +733,16 @@ def born_limit(psi: StateVector, proj: Projector, tol: float) -> BornLimitResult
             )
         )
         if value_error < tol:
-            converged = True
-            break
+            return BornLimitResult(
+                value=float(best), exact_value=best, record=tuple(record), converged=True
+            )
         if cap >= DEFAULT_DENOMINATOR_CAP:
-            break
+            raise ConvergenceFailureError(
+                f"no rational approximant below denominator {DEFAULT_DENOMINATOR_CAP} "
+                f"reaches tolerance {tol}",
+                record=tuple(record),
+            )
         cap = min(DEFAULT_DENOMINATOR_CAP, cap * 2)
-    if not converged:
-        raise ConvergenceFailureError(
-            f"no rational approximant below denominator {DEFAULT_DENOMINATOR_CAP} "
-            f"reaches tolerance {tol}",
-            record=tuple(record),
-        )
-    final = record[-1]
-    return BornLimitResult(
-        value=float(final.value),
-        exact_value=final.value,
-        record=tuple(record),
-        converged=True,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -807,10 +793,9 @@ def measure_uniqueness_solve(
     total = sum(masses)
     if total == 0:
         raise InvalidStateError("state must carry positive total mass")
-    dims = {g.dim for g in family.members}
-    if len(dims) != 1:
-        raise DimensionMismatchError("family members must share one grid")
-    if dims != {profile.dim}:
+    if not family.members:
+        raise InvalidGrainingError("the graining family has no members")
+    if family.members[0].dim != profile.dim:
         raise DimensionMismatchError("profile and family disagree on grid size")
 
     keys = list(dict.fromkeys(block for g in family.members for block in g.blocks))
@@ -879,19 +864,23 @@ def measure_uniqueness_solve(
             nonzeros=nonzeros,
         )
 
-    # underdetermined: exhibit two distinct valid tables around the
-    # reference additive solution (always feasible)
+    # underdetermined: exhibit two distinct valid tables.  The first is the
+    # reference additive solution; the second steps halfway to [0, 1]'s edge
+    # along a nullspace direction, or, when the reference already sits on
+    # that edge, gives each block its share of cells (matched blocks have
+    # equal cell counts, so every row holds)
     reference = [profile.block_mass(a, b) / total for a, b in keys]
     direction = result.nullspace[0]
-    t_limit = None
-    for ref, step in zip(reference, direction):
-        if step == 0:
-            continue
-        bound = (1 - ref) / step if step > 0 else ref / (-step)
-        t_limit = bound if t_limit is None else min(t_limit, bound)
-    scale = t_limit / 2 if t_limit is not None and t_limit > 0 else Fraction(1, 2)
-    alt = [ref + scale * step for ref, step in zip(reference, direction)]
-    table_a, table_b = MeasureTable(slack=1.0), MeasureTable(slack=1.0)
+    t_limit = min(
+        (1 - ref) / step if step > 0 else ref / -step
+        for ref, step in zip(reference, direction)
+        if step
+    )
+    if t_limit > 0:
+        alt = [ref + t_limit / 2 * step for ref, step in zip(reference, direction)]
+    else:
+        alt = [Fraction(b - a, dim0) for a, b in keys]
+    table_a, table_b = MeasureTable(), MeasureTable()
     for key, va, vb in zip(keys, reference, alt):
         table_a.assign(block_projector(key), va)
         table_b.assign(block_projector(key), vb)

@@ -93,10 +93,6 @@ class TabularPayoff:
                 return value
         raise KeyError(f"payoff table has no entry for label {x}")
 
-    @property
-    def is_linear(self) -> bool:
-        return False
-
     def key(self):
         return ("table", tuple((round(x, 10), round(u, 10)) for x, u in self.table))
 
@@ -109,17 +105,15 @@ def linear_payoff(slope: float = 1.0) -> AffinePayoff:
 class Relabeling:
     """Invertible map on spectrum labels.
 
-    ``shift``, ``negate`` and their compositions stay affine; finite
-    permutations and general pairs of callables are supported for maps with
-    no affine extension.
+    ``shift``, ``negate`` and their compositions stay affine (``eps``,
+    ``c``); finite permutations (``mapping``) cover maps with no affine
+    extension.
     """
 
     kind: str
     eps: float | None = None
     c: float | None = None
     mapping: tuple[tuple[float, float], ...] | None = None
-    fwd: object = None
-    inv: object = None
 
     @classmethod
     def shift(cls, s: float) -> "Relabeling":
@@ -148,36 +142,33 @@ class Relabeling:
             raise RelabelingError("permutation must be a bijection of the label set")
         return cls(kind="permutation", mapping=pairs)
 
-    @classmethod
-    def general(cls, fwd, inv) -> "Relabeling":
-        return cls(kind="general", fwd=fwd, inv=inv)
-
     def __call__(self, x: float) -> float:
         x = float(x)
         if self.eps is not None:
             return self.eps * x + self.c
-        if self.mapping is not None:
-            for a, b in self.mapping:
-                if abs(a - x) <= SPECTRUM_TOL:
-                    return b
-            raise RelabelingError(f"label {x} outside the permutation's domain")
-        return float(self.fwd(x))
+        for a, b in self.mapping:
+            if abs(a - x) <= SPECTRUM_TOL:
+                return b
+        raise RelabelingError(f"label {x} outside the permutation's domain")
 
     def inverse(self, y: float) -> float:
         y = float(y)
         if self.eps is not None:
             return (y - self.c) / self.eps
-        if self.mapping is not None:
-            for a, b in self.mapping:
-                if abs(b - y) <= SPECTRUM_TOL:
-                    return a
-            raise RelabelingError(f"label {y} outside the permutation's range")
-        return float(self.inv(y))
+        for a, b in self.mapping:
+            if abs(b - y) <= SPECTRUM_TOL:
+                return a
+        raise RelabelingError(f"label {y} outside the permutation's range")
 
-    def as_affine(self) -> tuple[float, float] | None:
-        if self.eps is not None:
-            return (self.eps, self.c)
-        return None
+
+def _label_swap(spectrum: Sequence[float], a: float, b: float) -> Relabeling:
+    """Relabeling exchanging labels ``a`` and ``b`` of ``spectrum``: affine on
+    two outcomes, otherwise a permutation fixing every other label."""
+    if len(spectrum) == 2:
+        return Relabeling.affine(-1.0, a + b)
+    mapping = {lam: lam for lam in spectrum}
+    mapping[a], mapping[b] = b, a
+    return Relabeling.permutation(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +267,9 @@ def relabel_game(game: Game, f: Relabeling) -> Game:
     for lam, new in zip(game.spectrum, new_labels):
         if abs(f.inverse(new) - lam) > 1e-9:
             raise RelabelingError("relabeling is not invertible on the spectrum")
-    affine = f.as_affine()
-    if affine is not None and isinstance(game.payoff, AffinePayoff):
-        eps, c = affine
+    if f.eps is not None and isinstance(game.payoff, AffinePayoff):
         # payoff o f^{-1}: x -> payoff((x - c)/eps)
-        new_payoff = game.payoff.compose_affine(1.0 / eps, -c / eps)
+        new_payoff = game.payoff.compose_affine(1.0 / f.eps, -f.c / f.eps)
     else:
         new_payoff = TabularPayoff(
             {new: game.payoff(lam) for lam, new in zip(game.spectrum, new_labels)}
@@ -486,13 +475,7 @@ class ValueSolver:
                 if u is None:
                     continue
                 produced.append(self.transform(game, u))
-                if n == 2:
-                    swap = Relabeling.affine(-1.0, lam_j + lam_k)
-                else:
-                    mapping = {lam: lam for lam in game.spectrum}
-                    mapping[lam_j], mapping[lam_k] = lam_k, lam_j
-                    swap = Relabeling.permutation(mapping)
-                produced.append(self.relabel(game, swap))
+                produced.append(self.relabel(game, _label_swap(game.spectrum, lam_j, lam_k)))
         if isinstance(game.payoff, AffinePayoff):
             if game.payoff.offset != 0.0 and game.payoff.slope != 0.0:
                 produced.append(
@@ -660,13 +643,7 @@ def derive_pivotal(
     conjugated = solver.transform(game, u)
     _validate_step(trace, "measurement-equivalence", game, conjugated, 0.0)
 
-    if c3 == 0.0:
-        swap = Relabeling.affine(-1.0, float(x1) + float(x2))
-    else:
-        swap = Relabeling.permutation(
-            {float(x1): float(x2), float(x2): float(x1), 0.0: 0.0}
-        )
-    relabeled = solver.relabel(conjugated, swap)
+    relabeled = solver.relabel(conjugated, _label_swap(game.spectrum, float(x1), float(x2)))
     _validate_step(trace, "payoff-equivalence", conjugated, relabeled, 0.0)
 
     if c3 != 0.0:
@@ -797,15 +774,14 @@ def value_solve(
     games: Sequence[Game],
     closure_depth: int,
     *,
-    relabelings: Sequence[Relabeling] = (),
     unitaries: Sequence[np.ndarray] = (),
 ) -> ValueSolveResult:
     """Solve for game values over the generated equivalence closure.
 
     Canonical moves (eigenspace swaps, label swaps, shift decompositions,
     negations) are applied ``closure_depth`` times, together with any
-    explicitly supplied relabelings and unitaries.  Depth zero emits no
-    constraints and leaves everything undetermined.
+    explicitly supplied unitaries.  Depth zero emits no constraints and
+    leaves everything undetermined.
     """
     if not 0 <= closure_depth <= MAX_CLOSURE_DEPTH:
         raise PreconditionError(f"'depth' must be in [0, {MAX_CLOSURE_DEPTH}]: {closure_depth}")
@@ -817,11 +793,6 @@ def value_solve(
         seen = len(solver.games)
         for game in frontier:
             solver.expand_game(game)
-            for f in relabelings:
-                try:
-                    solver.relabel(game, f)
-                except RelabelingError:
-                    continue
             for u in unitaries:
                 if np.asarray(u).shape == (game.dim, game.dim):
                     solver.transform(game, u)

@@ -35,9 +35,9 @@ from .errors import (
 STRUCT_TOL = 1e-12
 DERIVED_TOL = 1e-10
 
-# Boolean sublattices with more than this many generators are never
-# materialized eagerly; ``elements()`` stays lazy.
-LATTICE_MATERIALIZE_LIMIT = 20
+# ``check_additivity`` tests every pair of unions up to this many
+# generators, and only the generators and the identity above it.
+ADDITIVITY_ENUMERATION_LIMIT = 10
 
 
 def _as_complex_vector(amplitudes) -> np.ndarray:
@@ -68,13 +68,11 @@ def row_apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _normalize_ranges(cells: Iterable, dim: int) -> tuple[tuple[int, int], ...]:
     """Canonicalize a cell collection into sorted, merged, disjoint ranges.
 
-    Accepts single indices, ``(start, stop)`` pairs, or ``range`` objects.
+    Accepts single indices or ``(start, stop)`` pairs.
     """
     raw: list[tuple[int, int]] = []
     for item in cells:
-        if isinstance(item, range):
-            start, stop = item.start, item.stop
-        elif isinstance(item, (tuple, list)) and len(item) == 2:
+        if isinstance(item, (tuple, list)) and len(item) == 2:
             start, stop = int(item[0]), int(item[1])
         else:
             idx = int(item)
@@ -351,8 +349,8 @@ class BooleanSublattice:
     """The Boolean lattice generated by the blocks of a coarse-graining.
 
     Generators are pairwise orthogonal cell projectors summing to the
-    identity; elements are all unions of generators, materialized lazily
-    above ``LATTICE_MATERIALIZE_LIMIT`` generators.
+    identity; elements are all unions of generators, built on demand by
+    ``element`` and ``elements``.
     """
 
     generators: tuple[Projector, ...]
@@ -505,9 +503,8 @@ class MeasureTable:
     Shared by the constraint-propagation and derivation modules.
     """
 
-    def __init__(self, entries: dict[Projector, float] | None = None, *, slack: float = 1e-12):
+    def __init__(self, entries: dict[Projector, float] | None = None):
         self._entries: dict = {}
-        self._slack = slack
         if entries:
             for proj, value in entries.items():
                 self.assign(proj, value)
@@ -515,7 +512,7 @@ class MeasureTable:
     def assign(self, proj: Projector, value) -> None:
         if not isinstance(value, Fraction):
             value = float(value)
-        if value < -self._slack or value > 1 + self._slack:
+        if value < -STRUCT_TOL or value > 1 + STRUCT_TOL:
             raise ValueError(f"measure value {value} outside [0,1]")
         self._entries[proj.key()] = value
 
@@ -709,7 +706,7 @@ def check_additivity(table: MeasureTable, lattice: BooleanSublattice) -> Additiv
     n = lattice.n_generators
     violations = []
     subsets: list[frozenset[int]]
-    if n <= LATTICE_MATERIALIZE_LIMIT // 2:
+    if n <= ADDITIVITY_ENUMERATION_LIMIT:
         subsets = [
             frozenset(i for i in range(n) if mask >> i & 1) for mask in range(2**n)
         ]

@@ -385,6 +385,7 @@ class TestMain:
                 {**SIMULATE_PARAMS, "martingale_checkpoints": [0.001, 1e5]},
                 "martingale checkpoint",
             ),
+            ("solve-measure", {"masses": ["1/2", "1/2"], "grainings": []}, "'grainings'"),
         ],
     )
     def test_out_of_range_field_exit_usage(self, tmp_path, capsys, kind, params, field):

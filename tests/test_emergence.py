@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from bornlab.emergence import (
 )
 from bornlab.errors import (
     ConvergenceFailureError,
+    InvalidGrainingError,
     PreconditionError,
     ResolutionError,
 )
@@ -189,6 +191,20 @@ class TestEquiprobableValues:
             psi, unit_separating(3), lattice
         )
         assert check_additivity(table, lattice).ok
+
+    @pytest.mark.parametrize(
+        "sizes, amplitudes, witness",
+        [
+            ([1, 1, 2], [1, 1, 1, 0], "degeneracy axiom"),
+            ([2, 1, 1], [1, 0, 1, 1], "degeneracy axiom"),
+            ([2, 2, 2], [1, 0, 1, 0, 1, 0], "constructed"),
+        ],
+    )
+    def test_permutation_witness_needs_every_rank_equal(self, sizes, amplitudes, witness):
+        psi = StateVector(amplitudes)
+        sep = SeparatingSet.from_graining(psi, CoarseGraining.from_sizes(sizes))
+        _, trace = equiprobable_values(psi, sep)
+        assert trace.steps[1].payload == {"witness": witness}
 
     def test_phase_conjugation_leaves_table_fixed(self):
         sep = unit_separating(3)
@@ -376,6 +392,42 @@ class TestMeasureUniqueness:
                 for key in result.unknown_keys
             )
             assert total == 1
+
+    @pytest.mark.parametrize(
+        "masses, grainings",
+        [
+            ([0, Fraction(1, 2), Fraction(1, 2)], [[1, 1, 1]]),
+            ([1, 0, 0, 1], [[1, 1, 1, 1]]),
+            ([0, 0, 0, 1], [[1, 2, 1]]),
+            ([0, 0, 1, 1], [[2, 2], [1, 1, 1, 1]]),
+        ],
+    )
+    def test_witnesses_on_the_edge_satisfy_every_row(self, masses, grainings):
+        family = GrainingFamily(CoarseGraining.from_sizes(s) for s in grainings)
+        result = measure_uniqueness_solve(MassProfile(masses), family)
+        assert result.status == "underdetermined"
+        dim = len(masses)
+        tables = [
+            {key: w.value(Projector.from_cells([key], dim)) for key in result.unknown_keys}
+            for w in result.witnesses
+        ]
+        assert tables[0] != tables[1]
+        for value in tables:
+            assert all(0 <= v <= 1 for v in value.values())
+            for g in family.members:
+                assert sum(value[b] for b in g.blocks) == 1
+                for (a, b), (c, d) in itertools.combinations(g.blocks, 2):
+                    if sorted(masses[a:b]) == sorted(masses[c:d]):
+                        assert value[(a, b)] == value[(c, d)]
+            for coarse, fine in itertools.permutations(family.members, 2):
+                if fine.refines(coarse):
+                    for a, b in coarse.blocks:
+                        inner = [blk for blk in fine.blocks if a <= blk[0] and blk[1] <= b]
+                        assert value[(a, b)] == sum(value[blk] for blk in inner)
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(InvalidGrainingError, match="no members"):
+            measure_uniqueness_solve(MassProfile([1, 1]), GrainingFamily([]))
 
     def test_random_instances_match_weights(self):
         rng = np.random.default_rng(12)

@@ -90,8 +90,8 @@ class TestRelabelGame:
 
     def test_relabeling_must_stay_invertible(self):
         game = two_outcome_game(1.0, -1.0)
-        with pytest.raises(RelabelingError):
-            relabel_game(game, Relabeling.general(lambda x: x * x, lambda y: y**0.5))
+        with pytest.raises(RelabelingError, match="collapses two spectrum labels"):
+            relabel_game(game, Relabeling.affine(1e-12, 0.0))
 
     def test_preserves_born_value(self):
         rng = np.random.default_rng(3)
@@ -365,7 +365,7 @@ def signed_systems(draw):
     return games, solver
 
 
-def reexpanding_solve(games, depth, *, relabelings=(), unitaries=()) -> ValueSolveResult:
+def reexpanding_solve(games, depth, *, unitaries=()) -> ValueSolveResult:
     """The former closure loop: every registered game expanded at every depth."""
     solver = ValueSolver()
     for game in games:
@@ -373,11 +373,6 @@ def reexpanding_solve(games, depth, *, relabelings=(), unitaries=()) -> ValueSol
     for _ in range(depth):
         for game in list(solver.games.values()):
             solver.expand_game(game)
-            for f in relabelings:
-                try:
-                    solver.relabel(game, f)
-                except RelabelingError:
-                    continue
             for u in unitaries:
                 if np.asarray(u).shape == (game.dim, game.dim):
                     solver.transform(game, u)
@@ -439,14 +434,9 @@ class TestExactSolve:
         "case",
         [
             lambda: ([two_outcome_game(0.0, 10.0)], 4, {}),
-            lambda: (
-                [two_outcome_game(-3.0, 7.5, slope=1.7)],
-                3,
-                {"relabelings": [Relabeling.shift(1.5)]},
-            ),
             special_case,
         ],
-        ids=["pivotal", "shift-relabeling", "special-equivalence"],
+        ids=["pivotal", "special-equivalence"],
     )
     def test_frontier_closure_matches_reexpansion(self, case):
         games, depth, moves = case()

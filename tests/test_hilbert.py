@@ -356,6 +356,16 @@ class TestCheckAdditivity:
         report = check_additivity(table, lattice)
         assert report.ok
 
+    def test_many_generators_check_singletons_and_covered_unions(self):
+        # above ADDITIVITY_ENUMERATION_LIMIT generators only pairs of
+        # generators are checked, each against its union when the table covers it
+        lattice = sublattice_from_graining(CoarseGraining.unit_cells(11))
+        table = MeasureTable({gen: 1 / 11 for gen in lattice.generators})
+        assert check_additivity(table, lattice).ok
+        table.assign(lattice.element([0, 1]), 0.5)
+        report = check_additivity(table, lattice)
+        assert [(v.left, v.right, v.union) for v in report.violations] == [((0,), (1,), (0, 1))]
+
     def test_incomplete_table_raises(self):
         lattice = sublattice_from_graining(CoarseGraining.unit_cells(2))
         table = MeasureTable()

@@ -16,6 +16,7 @@ from bornlab.errors import (
 from bornlab.hilbert import Projector, StateVector, born_weight
 from bornlab.nogo import (
     MAX_ROTATION_STEPS,
+    SOLUTION_CAP,
     FrameAssignment,
     PMSystem,
     RaySet,
@@ -212,6 +213,13 @@ class TestDispersionFreeSearch:
     def test_dimension_guard(self):
         with pytest.raises(DimensionMismatchError):
             dispersion_free_search(RaySet([[1.0]]))
+
+    def test_search_stops_at_the_solution_cap(self):
+        # generic rays have no orthogonal pair, so all 2^14 assignments satisfy
+        rays = RaySet(np.random.default_rng(5).normal(size=(14, 3)))
+        result = dispersion_free_search(rays)
+        assert {len(ctx) for ctx in result.contexts} == {1}
+        assert len(result.assignments) == SOLUTION_CAP < 2**14
 
     def test_sat_assignments_are_additive_on_contexts(self):
         from bornlab.hilbert import (
