@@ -14,6 +14,7 @@ parse error, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -334,11 +335,11 @@ def _solve_measure(v: dict, seed: int, csv_dir) -> dict:
         "constraints": result.constraint_count,
     }
     if result.unique:
-        total = sum(masses)
+        prefix = [0, *itertools.accumulate(masses)]
         born_ok = all(
-            result.table.value(Projector.from_cells([block], dim))
-            == sum(masses[block[0] : block[1]]) / total
-            for block in result.unknown_keys
+            result.table.value(Projector.from_cells([(a, b)], dim))
+            == (prefix[b] - prefix[a]) / prefix[-1]
+            for a, b in result.unknown_keys
         )
         metrics["table"] = _table_to_dict(result.table)
         return {

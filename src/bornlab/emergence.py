@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailureError,
-    DegeneracyViolationError,
     DimensionMismatchError,
     InvalidGrainingError,
     InvalidStateError,
@@ -39,7 +38,6 @@ from .hilbert import (
     SeparatingSet,
     StateVector,
     born_weight,
-    permutation_unitary,
 )
 from .trace import DERIVATION_RULES, DerivationTrace
 
@@ -549,13 +547,9 @@ def proj_cells_disjoint(proj: Projector, covered: set[int]) -> bool:
 
 
 def _permutation_witnessed(separating: SeparatingSet) -> bool:
-    """True when an explicit permutation unitary cycles every block of the
-    family, which needs every block to have the same rank."""
-    try:
-        permutation_unitary([*range(1, separating.size), 0], separating)
-        return True
-    except DegeneracyViolationError:
-        return False
+    """True when ``permutation_unitary`` can cycle every block of the family,
+    which needs every block to have the same rank."""
+    return len({proj.rank for proj in separating.projectors}) == 1
 
 
 def _eigenvector_rule(psi, separating, lattice, trace, s_phase, table):
@@ -791,8 +785,6 @@ def measure_uniqueness_solve(
     profile = _as_profile(state_or_profile)
     masses = profile.as_fractions()
     total = sum(masses)
-    if total == 0:
-        raise InvalidStateError("state must carry positive total mass")
     if not family.members:
         raise InvalidGrainingError("the graining family has no members")
     if family.members[0].dim != profile.dim:

@@ -1,14 +1,19 @@
 """Exact linear-constraint solving over the rationals.
 
-Gauss-Jordan elimination over the integers with constraint provenance.
-Each row of [A | b] is scaled to integers once; elimination then
+Gaussian elimination over the integers with constraint provenance.  Each
+row of [A | b] is scaled to integers once; elimination then
 cross-multiplies rows (fraction-free, after Bareiss, Math. Comp. 22, 1968),
 touching only the pivot row's nonzero columns and dividing each updated row
-by its gcd.  Every working row stays a nonzero multiple of the row that
-rational Gauss-Jordan would hold, so pivots, rank and zero tests are exact,
-and rationals are formed only when the reduced rows are read out.  Every
-working row remembers which original constraints were combined into it, so
-an infeasible system can name a conflicting subset.
+by its gcd.  The forward pass clears each pivot column from the rows below
+the pivot only, so a chain of equalities x_a - x_b = 0 is not rewritten at
+every later pivot; once the system is known feasible, back substitution
+clears the pivot columns bottom-up from the rows above.  Every working row
+stays a nonzero multiple of the row that rational elimination would hold,
+so pivots, rank and zero tests are exact, the reduced rows are multiples of
+the reduced row echelon form, and rationals are formed only when those rows
+are read out.  Every working row remembers which original constraints the
+forward pass combined into it, so an infeasible system can name a
+conflicting subset.
 """
 
 from __future__ import annotations
@@ -48,9 +53,13 @@ def _integer_row(row: Sequence, rhs) -> dict[int, int]:
 
     The right-hand side sits at column ``len(row)``.  Only entries that
     differ from 0 are converted; a value that is not a number, such as None
-    or NaN, differs from 0 and fails its conversion.
+    or NaN, differs from 0 and fails its conversion.  A row of plain ints
+    needs no scaling.
     """
-    entries = {j: Fraction(x) for j, x in enumerate([*row, rhs]) if x != 0}
+    entries = {j: x for j, x in enumerate([*row, rhs]) if x != 0}
+    if all(type(x) is int for x in entries.values()):
+        return _primitive(entries)
+    entries = {j: Fraction(x) for j, x in entries.items()}
     scale = math.lcm(*(x.denominator for x in entries.values()))
     ints = {j: x.numerator * (scale // x.denominator) for j, x in entries.items() if x}
     return _primitive(ints)
@@ -62,6 +71,23 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
         for j in row:
             row[j] //= content
     return row
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> None:
+    """row <- (pivot * row - row[col] * prow) / g, clearing column ``col``."""
+    pivot = prow[col]
+    g = math.gcd(pivot, row[col])
+    keep, take = pivot // g, row[col] // g
+    if keep != 1:
+        for j in row:
+            row[j] *= keep
+    for j, x in prow.items():
+        y = row.get(j, 0) - take * x
+        if y:
+            row[j] = y
+        else:
+            row.pop(j, None)
+    _primitive(row)
 
 
 def solve_exact(
@@ -78,11 +104,10 @@ def solve_exact(
     if m == 0:
         raise ValueError("no constraints given")
     n = len(rows[0])
-    if labels is None:
-        labels = [f"row{i}" for i in range(m)]
     # sparse integer rows; column n holds the right-hand side
     work = [_integer_row(row, rhs[i]) for i, row in enumerate(rows)]
-    provenance: list[set[str]] = [{labels[i]} for i in range(m)]
+    # bit i set: original row i was combined into this working row
+    provenance = [1 << i for i in range(m)]
 
     pivot_cols: list[int] = []
     pivot_row = 0
@@ -97,25 +122,10 @@ def solve_exact(
         work[pivot_row], work[sel] = work[sel], work[pivot_row]
         provenance[pivot_row], provenance[sel] = provenance[sel], provenance[pivot_row]
         prow = work[pivot_row]
-        pivot = prow[col]
-        for r in range(m):
-            row = work[r]
-            if r == pivot_row or col not in row:
-                continue
-            # row <- (pivot * row - row[col] * prow) / g, clearing column col
-            g = math.gcd(pivot, row[col])
-            keep, take = pivot // g, row[col] // g
-            if keep != 1:
-                for j in row:
-                    row[j] *= keep
-            for j, x in prow.items():
-                y = row.get(j, 0) - take * x
-                if y:
-                    row[j] = y
-                else:
-                    row.pop(j, None)
-            _primitive(row)
-            provenance[r] = provenance[r] | provenance[pivot_row]
+        for r in range(pivot_row + 1, m):
+            if col in work[r]:
+                _eliminate(work[r], prow, col)
+                provenance[r] |= provenance[pivot_row]
         pivot_cols.append(col)
         pivot_row += 1
         if pivot_row == m:
@@ -124,12 +134,23 @@ def solve_exact(
     rank = len(pivot_cols)
     for r in range(rank, m):
         if n in work[r]:
+            if labels is None:
+                labels = [f"row{i}" for i in range(m)]
+            bits = provenance[r]
             return LinearSolveResult(
                 status="infeasible",
                 rank=rank,
                 n_unknowns=n,
-                conflict=tuple(sorted(provenance[r])),
+                conflict=tuple(sorted({labels[i] for i in range(m) if bits >> i & 1})),
             )
+
+    # back substitution, bottom-up: row r is already reduced against every
+    # later pivot when it clears its own pivot column from the rows above
+    for r in range(rank - 1, 0, -1):
+        col = pivot_cols[r]
+        for above in range(r):
+            if col in work[above]:
+                _eliminate(work[above], work[r], col)
 
     # reduced row r reads x[pivot_cols[r]] + sum(row[j] x[j]) / pivot = rhs / pivot
     free_cols = [c for c in range(n) if c not in pivot_cols]

@@ -512,7 +512,7 @@ class MeasureTable:
     def assign(self, proj: Projector, value) -> None:
         if not isinstance(value, Fraction):
             value = float(value)
-        if value < -STRUCT_TOL or value > 1 + STRUCT_TOL:
+        if not 0 <= value <= 1 and (value < -STRUCT_TOL or value > 1 + STRUCT_TOL):
             raise ValueError(f"measure value {value} outside [0,1]")
         self._entries[proj.key()] = value
 

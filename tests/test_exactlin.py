@@ -93,6 +93,37 @@ def systems(draw):
     return rows, rhs
 
 
+
+@st.composite
+def measure_systems(draw):
+    # the shape measure_uniqueness_solve builds: one dense normalisation
+    # row, chains of equalities x_a - x_b = 0 over shuffled columns and
+    # block sums x_a - x_b - ... = 0, all in ints; a perturbed right-hand
+    # side turns a dependent row into a conflict
+    n = draw(st.integers(2, 12))
+    cols = draw(st.permutations(range(n)))
+    rows, rhs = [[1] * n], [1]
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3)))
+    for group in (cols[a:b] for a, b in zip([0, *cuts], [*cuts, n])):
+        for a, b in zip(group, group[1:]):
+            row = [0] * n
+            row[a], row[b] = 1, -1
+            rows.append(row)
+            rhs.append(0)
+    for _ in range(draw(st.integers(0, 3))):
+        whole, *parts = draw(st.lists(st.sampled_from(cols), min_size=2, max_size=4, unique=True))
+        row = [0] * n
+        row[whole] = 1
+        for part in parts:
+            row[part] = -1
+        rows.append(row)
+        rhs.append(0)
+    if draw(st.booleans()):
+        rhs[draw(st.integers(0, len(rows) - 1))] += draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], [rhs[i] for i in order]
+
+
 class TestSolveExact:
     @given(systems())
     @settings(max_examples=300, deadline=None)
@@ -100,6 +131,36 @@ class TestSolveExact:
         rows, rhs = system
         labels = [f"c{i}" for i in range(len(rows))]
         assert solve_exact(rows, rhs, labels) == dense_solve_exact(rows, rhs, labels)
+
+    @given(measure_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_measure_shaped_systems_match_dense_oracle(self, system):
+        rows, rhs = system
+        labels = [f"c{i}" for i in range(len(rows))]
+        assert solve_exact(rows, rhs, labels) == dense_solve_exact(rows, rhs, labels)
+
+    def test_conflicting_rows_sharing_a_label_name_it_once(self):
+        rows = [[1, 0], [0, 1], [1, 0]]
+        rhs, labels = [1, 2, 3], ["a", "b", "a"]
+        result = solve_exact(rows, rhs, labels)
+        assert result == dense_solve_exact(rows, rhs, labels)
+        assert result.conflict == ("a",)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1), min_size=1, max_size=7)))
+    @settings(max_examples=200, deadline=None)
+    def test_int_rows_match_the_same_rows_as_fractions(self, augmented):
+        rows = [row[:-1] for row in augmented]
+        rhs = [row[-1] for row in augmented]
+        as_fractions = [[Fraction(x) for x in row] for row in rows]
+        result = solve_exact(rows, rhs)
+        assert result == solve_exact(as_fractions, [Fraction(x) for x in rhs])
+        assert result == dense_solve_exact(rows, rhs)
+
+    def test_bool_entries_read_as_zero_and_one(self):
+        assert solve_exact([[True, False], [True, True]], [True, False]) == solve_exact(
+            [[1, 0], [1, 1]], [1, 0]
+        )
 
     @given(systems())
     @settings(max_examples=100, deadline=None)
