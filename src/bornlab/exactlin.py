@@ -52,14 +52,15 @@ def _integer_row(row: Sequence, rhs) -> dict[int, int]:
     """Nonzero entries of one row of [A | b], scaled to coprime integers.
 
     The right-hand side sits at column ``len(row)``.  Only entries that
-    differ from 0 are converted; a value that is not a number, such as None
-    or NaN, differs from 0 and fails its conversion.  A row of plain ints
-    needs no scaling.
+    differ from 0 are read, and those that are neither int nor Fraction are
+    converted; a value that is not a number, such as None or NaN, differs
+    from 0 and fails its conversion.  An int has denominator 1.
     """
-    entries = {j: x for j, x in enumerate([*row, rhs]) if x != 0}
-    if all(type(x) is int for x in entries.values()):
-        return _primitive(entries)
-    entries = {j: Fraction(x) for j, x in entries.items()}
+    entries = {
+        j: x if type(x) in (int, Fraction) else Fraction(x)
+        for j, x in enumerate([*row, rhs])
+        if x != 0
+    }
     scale = math.lcm(*(x.denominator for x in entries.values()))
     ints = {j: x.numerator * (scale // x.denominator) for j, x in entries.items() if x}
     return _primitive(ints)

@@ -463,6 +463,15 @@ class SeparatingSet:
                 raise InvalidStateError(
                     f"projector {j} does not separate vector {np.argmax(misses)} within tolerance"
                 )
+        # sum_{i != j} ||P_i P_j||_F^2: the squared norm of the sum less the
+        # ranks, or for cell form the cells counted twice
+        ranks = sum(proj.rank for proj in projectors)
+        if all(proj.cells is not None for proj in projectors):
+            overlap = ranks - len(frozenset().union(*(proj.index_set() for proj in projectors)))
+        else:
+            overlap = np.linalg.norm(sum(proj.as_matrix() for proj in projectors)) ** 2 - ranks
+        if overlap > DERIVED_TOL:
+            raise InvalidStateError("projectors are not mutually orthogonal within tolerance")
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "projectors", projectors)
 

@@ -329,6 +329,30 @@ class TestSeparatingSet:
                 [Projector.from_cells([1], 2), Projector.from_cells([0], 2)],
             )
 
+    def test_rejects_overlapping_cell_projectors(self):
+        e = np.eye(3)
+        with pytest.raises(InvalidStateError, match="orthogonal"):
+            SeparatingSet(
+                [e[0], e[1]],
+                [Projector.from_cells([0, 2], 3), Projector.from_cells([1, 2], 3)],
+            )
+
+    def test_rejects_overlapping_matrix_projectors(self):
+        # ran(P0) = span(e0, (e2 + e3)/sqrt2) meets ran(P1) = span(e1, e2)
+        # at an angle; each still separates the two vectors
+        e = np.eye(4)
+        tilted = (e[2] + e[3]) / np.sqrt(2)
+        p0 = Projector.from_matrix(np.outer(e[0], e[0]) + np.outer(tilted, tilted))
+        p1 = Projector.from_cells([1, 2], 4)
+        with pytest.raises(InvalidStateError, match="orthogonal"):
+            SeparatingSet([e[0], e[1]], [p0, p1])
+
+    def test_accepts_orthogonal_matrix_projectors(self):
+        e = np.eye(3)
+        plus, minus = (e[0] + e[1]) / np.sqrt(2), (e[0] - e[1]) / np.sqrt(2)
+        projectors = [Projector.from_matrix(np.outer(v, v)) for v in (plus, minus)]
+        assert SeparatingSet([plus, minus], projectors).size == 2
+
 
 class TestCheckAdditivity:
     def test_born_table_is_additive(self):
