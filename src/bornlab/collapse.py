@@ -394,9 +394,10 @@ def _run_batch(
     final = np.empty_like(x)
     frozen = np.empty((snapshot_rows, len(starts)))
     snapshots = {}
-    rec = sorted(set(record))  # recorded rows still running, and their live positions
-    pos = np.array(rec, dtype=int)
-    traces = {row: ([], []) for row in rec}
+    # recorded rows still running and their live positions; per recording step, the step, the
+    # rows it records and their states gathered in one block
+    rec = pos = np.array(sorted(set(record)), dtype=int)
+    shots = []
     total = step = j = span = 0
     sel = None
     while True:
@@ -415,16 +416,16 @@ def _run_batch(
         if step in ends:
             stop = horizons[ids] == step
             done = stop if done is None else done | stop
-        if rec:
+        if rec.size:
             cut = step == record_until
             every = cut or step % record_every == 0
             if every or done is not None:
-                ended = [cut] * len(rec) if done is None else done[pos] | cut
-                for row, state, end in zip(rec, x[pos], ended):
-                    if every or end:
-                        traces[row][0].append(step)
-                        traces[row][1].append(state)
-                rec = [row for row, end in zip(rec, ended) if not end]
+                ended = np.full(rec.size, cut) if done is None else done[pos] | cut
+                if every:
+                    shots.append((step, rec, x[pos]))
+                elif ended.any():
+                    shots.append((step, rec[ended], x[pos[ended]]))
+                rec = rec[~ended]
         if done is not None:
             rows, settled = ids[done], bm[done]
             won = np.maximum.reduce(settled, axis=1) > threshold
@@ -439,7 +440,7 @@ def _run_batch(
             ids, x, mass = ids[keep], x[keep], mass[keep]
             bm = mass if singletons else bm[keep]
             sel = np.flatnonzero(keep) if sel is None else sel[keep]
-            if rec:
+            if rec.size:
                 pos = np.searchsorted(ids, rec)
         if step in checkpoints:
             snapshots[step] = snap = frozen.copy()
@@ -484,9 +485,17 @@ def _run_batch(
         bm = mass if singletons else np.add.reduceat(mass, starts, axis=1)
     for cp in checkpoints - snapshots.keys():
         snapshots[cp] = frozen.copy()
-    for row, (steps, states) in traces.items():
-        trace = np.array(states).reshape(len(steps), model.dim)
-        traces[row] = (steps, (trace if phase is None else trace * phase) @ basis.T)
+    traces = {}
+    if shots:
+        owner = np.concatenate([recorded for _, recorded, _ in shots])
+        steps = np.repeat([s for s, _, _ in shots], [len(recorded) for _, recorded, _ in shots])
+        states = np.concatenate([block for _, _, block in shots])
+        order = np.argsort(owner, kind="stable")
+        for idx in np.split(order, np.flatnonzero(np.diff(owner[order])) + 1):
+            trace = states[idx]
+            traces[int(owner[idx[0]])] = (
+                steps[idx], (trace if phase is None else trace * phase) @ basis.T
+            )
     if phase is not None:
         final = final * phase
     return _Batch(outcome, resolve_step, final, total, snapshots, traces)

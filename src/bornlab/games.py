@@ -250,11 +250,15 @@ class Game:
         )
 
     def key(self):
-        return (
-            _round_key(self.state),
-            tuple((round(lam, KEY_DECIMALS), proj.key()) for lam, proj in self.spectral),
-            self.payoff.key(),
-        )
+        """Rounded state, spectral pairs and payoff; built once, as a game is frozen."""
+        if "_key" not in self.__dict__:
+            key = (
+                _round_key(self.state),
+                tuple((round(lam, KEY_DECIMALS), proj.key()) for lam, proj in self.spectral),
+                self.payoff.key(),
+            )
+            object.__setattr__(self, "_key", key)
+        return self._key
 
 
 def relabel_game(game: Game, f: Relabeling) -> Game:

@@ -30,9 +30,10 @@ DEFAULT_EPSILON = 1e-8
 DEFAULT_HISTORY_CAP = 10**6
 DEFAULT_PAIR_CAP = 4096
 RESOLUTION_TOL = 1e-10
-# rows of the decoherence functional reduced at once; at least 2, as a one-row block would go
-# through a matrix-vector product, which rounds differently from the full matrix product
-PAIR_BLOCK_ROWS = 512
+# rows of the decoherence functional reduced at once, over the columns j >= the block's first
+# row, so the working set is O(64 n); at least 2, as a one-row block would go through a
+# matrix-vector product, which rounds differently from the full matrix product
+PAIR_BLOCK_ROWS = 64
 
 
 def _as_unitary(matrix, dim: int) -> np.ndarray:
@@ -180,25 +181,27 @@ def _worst_pair(choices, chains, collapsed, chained, epsilon: float):
     """Reduce the pair unions i < j through the decoherence functional D.
 
     The chained measure of {h_i, h_j} is |C_i psi|^2 + |C_j psi|^2 + 2 Re D(h_i, h_j), taken
-    ``PAIR_BLOCK_ROWS`` rows at a time; no block starts at the last row, which has no pair.
-    Returns the pair row of the first largest gap in (i, j) order, as a list of at most one
-    row, and the count of gaps over epsilon.
+    ``PAIR_BLOCK_ROWS`` rows at a time over the columns from the block's first row on, so
+    only the block's diagonal square holds pairs j <= i to mask; no block starts at the last
+    row, which has no pair.  Each block's D is the full-width product, sliced: a product with
+    fewer columns can round differently.  Returns the pair row of the first largest gap in
+    (i, j) order, as a list of at most one row, and the count of gaps over epsilon.
     """
     n = len(choices)
     best, best_gap, over = [], -np.inf, 0
     for i0 in range(0, n - 1, PAIR_BLOCK_ROWS):
         i1 = min(i0 + PAIR_BLOCK_ROWS, n)
-        gram = chains[i0:i1].conj() @ chains.T
-        additive = collapsed[i0:i1, None] + collapsed[None, :]
-        chain = chained[i0:i1, None] + chained[None, :] + 2.0 * np.real(gram)
+        gram = (chains[i0:i1].conj() @ chains.T)[:, i0:]
+        additive = collapsed[i0:i1, None] + collapsed[None, i0:]
+        chain = chained[i0:i1, None] + chained[None, i0:] + 2.0 * np.real(gram)
         gap = np.abs(additive - chain)
-        gap[np.arange(n)[None, :] <= np.arange(i0, i1)[:, None]] = -np.inf  # keep j > i
+        gap[:, : i1 - i0][np.tri(i1 - i0, dtype=bool)] = -np.inf  # keep j > i
         over += int(np.count_nonzero(gap > epsilon))
-        r, j = divmod(int(np.argmax(gap)), n)
-        if gap[r, j] > best_gap:  # a later block wins only when strictly larger
-            best_gap = gap[r, j]
-            label = f"{choices[i0 + r]}+{choices[j]}"
-            best = [EventDiscrepancy("pair", label, float(additive[r, j]), float(chain[r, j]))]
+        r, c = divmod(int(np.argmax(gap)), n - i0)
+        if gap[r, c] > best_gap:  # a later block wins only when strictly larger
+            best_gap = gap[r, c]
+            label = f"{choices[i0 + r]}+{choices[i0 + c]}"
+            best = [EventDiscrepancy("pair", label, float(additive[r, c]), float(chain[r, c]))]
     return best, over
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,7 +294,7 @@ class TestPairReduction:
         over = sum(1 for d in pair_rows if d.gap > history_set.epsilon)
         assert report.pairs_over_epsilon == over
 
-    @pytest.mark.parametrize("block_rows", [2, 3, 4, 512])
+    @pytest.mark.parametrize("block_rows", [2, 3, 4, 5, 64, 512])
     def test_first_pair_wins_ties(self, block_rows, monkeypatch):
         # unit chains e0, e1, e0, e1, e0, e1: every pair of equal chains has gap exactly 2
         monkeypatch.setattr(histories_module, "PAIR_BLOCK_ROWS", block_rows)
@@ -303,6 +304,49 @@ class TestPairReduction:
         best, over = _worst_pair(choices, chains, ones, ones, 1.0)
         assert best == [EventDiscrepancy("pair", "(0,)+(2,)", 2.0, 4.0)]
         assert over == 6
+
+    @pytest.mark.parametrize("block_rows", [4, 64])
+    def test_worst_pair_inside_a_later_diagonal_square(self, block_rows, monkeypatch):
+        # zero chains but for rows 5, 6 = e0 and 9, 10 = e1: pairs (5, 6) and (9, 10) have
+        # gap 2, every other pair 0; with 4 rows a block, (5, 6) lies in block 1's diagonal
+        # square, where the diagonal (i, i) also has gap 2, and the tie (9, 10) in block 2's
+        monkeypatch.setattr(histories_module, "PAIR_BLOCK_ROWS", block_rows)
+        choices = [(k,) for k in range(12)]
+        chains = np.zeros((12, 2), dtype=complex)
+        chains[[5, 6], 0] = chains[[9, 10], 1] = 1.0
+        ones = np.ones(12)
+        best, over = _worst_pair(choices, chains, ones, ones, 1.0)
+        assert best == [EventDiscrepancy("pair", "(5,)+(6,)", 2.0, 4.0)]
+        assert over == 2
+
+    def test_block_rows_agree_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        n = 300
+        chains = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        collapsed = rng.random(n)
+        chained = np.real(np.einsum("nd,nd->n", chains.conj(), chains))
+        choices = [(k,) for k in range(n)]
+        results = []
+        for block_rows in (2, 3, 7, 64, 512):
+            monkeypatch.setattr(histories_module, "PAIR_BLOCK_ROWS", block_rows)
+            results.append(_worst_pair(choices, chains, collapsed, chained, 2.0))
+        assert 0 < results[0][1] < n * (n - 1) // 2
+        assert all(result == results[0] for result in results)
+
+    def test_working_set_is_bounded(self):
+        # 4096 histories: the whole upper triangle would take 4096^2 / 2 gaps of 8 bytes each
+        rng = np.random.default_rng(5)
+        n = 4096
+        chains = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        probabilities = rng.random(n)
+        choices = [(k,) for k in range(n)]
+        tracemalloc.start()
+        try:
+            _worst_pair(choices, chains, probabilities, probabilities, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_history_tie_beats_pairs_and_marginals(self):
         # a z-basis state measured in z: every gap is exactly zero
