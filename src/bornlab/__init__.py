@@ -1,10 +1,11 @@
 """bornlab: a desk-scale laboratory for probability in quantum mechanics.
 
-Subpackages cover the finite-dimensional Hilbert kernel, frame-function
-constraint machinery, the coarse-graining derivation of Born weights,
-stochastic collapse dynamics, history-consistency checks, the quantum-game
-value calculus, and exact law-of-large-numbers tails, all driven by a
-scenario CLI.
+Modules cover the finite-dimensional Hilbert kernel (states, projectors,
+coarse-grainings and the Born rule), the coarse-graining derivation of
+Born weights, stochastic collapse dynamics, history-consistency checks,
+the quantum-game value calculus, exact law-of-large-numbers tails and the
+no-go constructions, all driven by a scenario CLI.  The independent
+oracles that check them live with the tests.
 """
 
 __version__ = "0.1.0"
@@ -12,8 +13,6 @@ __version__ = "0.1.0"
 from .collapse import (  # noqa: F401
     CollapseModel,
     Trajectory,
-    drift_diffusion,
-    em_step,
     ensemble_outcomes,
     martingale_check,
     simulate,
@@ -24,7 +23,6 @@ from .emergence import (  # noqa: F401
     born_limit,
     equal_mass_refine,
     equiprobable_values,
-    hypercube_split_count,
     measure_uniqueness_solve,
     rational_born_values,
 )
@@ -38,9 +36,7 @@ from .games import (  # noqa: F401
     value_solve,
 )
 from .hilbert import (  # noqa: F401
-    BooleanSublattice,
     CoarseGraining,
-    DensityMatrix,
     GrainingFamily,
     MeasureTable,
     Projector,
@@ -48,11 +44,7 @@ from .hilbert import (  # noqa: F401
     StateVector,
     SymmetryUnitary,
     born_weight,
-    check_additivity,
     permutation_unitary,
-    phase_unitary,
-    sublattice_from_graining,
-    trace_weight,
 )
 from .histories import (  # noqa: F401
     HistorySet,

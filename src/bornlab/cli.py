@@ -33,6 +33,8 @@ SCHEMA_VERSION = 1
 KINDS = ("simulate", "derive", "solve-measure", "games", "histories", "lln", "nogo")
 VARIANT_FIELDS = {"derive": "construction", "games": "mode", "lln": "op", "nogo": "check"}
 MAX_CSV_VALUES = 3 * 10**7  # numbers one --csv run may write, over all its files
+MAX_MASS_CHARS = 100  # characters of one string mass
+MAX_MASS_EXPONENT = 400  # size of a string mass's decimal exponent; floats reach 1e308
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -107,7 +109,19 @@ def parse_matrix(rows) -> np.ndarray:
 
 
 def parse_rational(value) -> Fraction:
-    if isinstance(value, (str, int, float)):
+    """A JSON number or a string such as "1/3" or "2.5e-3"; never a boolean.
+
+    A string is bounded by its length and its decimal exponent before any
+    Fraction is built, since ``Fraction("1e10000000")`` alone takes seconds.
+    """
+    if isinstance(value, str):
+        if len(value) > MAX_MASS_CHARS:
+            raise ScenarioError(f"a mass string has at most {MAX_MASS_CHARS} characters")
+        exponent = value.lower().partition("e")[2]
+        if exponent and abs(int(exponent)) > MAX_MASS_EXPONENT:
+            raise ScenarioError(f"a mass exponent is at most {MAX_MASS_EXPONENT} in size")
+        return Fraction(value)
+    if type(value) in (int, float):
         return Fraction(value)
     raise ScenarioError(f"cannot read {value!r} as a rational mass")
 
@@ -305,8 +319,9 @@ def _derive_equiprobable(v: dict, seed: int, csv_dir) -> dict:
     graining = CoarseGraining.from_sizes([1] * len(amplitudes) if sizes is None else sizes)
     psi = StateVector(amplitudes)
     separating = hilbert.SeparatingSet.from_graining(psi, graining)
-    lattice = hilbert.sublattice_from_graining(graining) if v["lattice"] else None
-    table, trace = emergence.equiprobable_values(psi, separating, lattice)
+    table, trace = emergence.equiprobable_values(
+        psi, separating, graining if v["lattice"] else None
+    )
     d = separating.size
     ok = all(
         table.value(graining.block_projector(i)) == Fraction(1, d) for i in range(d)

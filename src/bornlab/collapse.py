@@ -182,60 +182,6 @@ def _joint_eigenblocks(observables):
     )
 
 
-def _require_normalized(psi: np.ndarray) -> None:
-    norm2 = float(np.real(np.vdot(psi, psi)))
-    if abs(norm2 - 1.0) > 1e-9:
-        raise PreconditionError(f"state must be normalized; got |psi|^2 = {norm2}")
-
-
-def drift_diffusion(model: CollapseModel, psi) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Drift vector and the K diffusion vectors at a normalized state.
-
-    The k-th diffusion vector is ``(A_k - <A_k>) psi``; the drift is
-    ``(-i H - c * sum_k (A_k - <A_k>)^2) psi`` with ``c`` the model's
-    damping coefficient.
-    """
-    if isinstance(psi, StateVector):
-        psi = psi.amplitudes
-    psi = np.asarray(psi, dtype=complex)
-    _require_normalized(psi)
-    diffusion = []
-    quad = np.zeros_like(psi)
-    for a in model.observables:
-        apsi = a @ psi
-        expect = float(np.real(np.vdot(psi, apsi)))
-        rpsi = apsi - expect * psi
-        diffusion.append(rpsi)
-        quad += a @ rpsi - expect * rpsi
-    drift = -1j * (model.hamiltonian @ psi) - model.damping_coefficient * quad
-    return drift, diffusion
-
-
-def em_step(model: CollapseModel, psi, dt: float, noise) -> np.ndarray:
-    """One explicit Euler-Maruyama step, renormalized.
-
-    ``noise`` holds one increment per observable; the step is deterministic
-    in (psi, dt, noise).  Raises :class:`IntegrationFailureError` on
-    overflow or a vanishing norm.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if isinstance(psi, StateVector):
-        psi = psi.amplitudes
-    psi = np.asarray(psi, dtype=complex)
-    values = np.asarray(noise, float)
-    if values.shape[0] != model.n_observables:
-        raise DimensionMismatchError("one noise component per observable required")
-    drift, diffusion = drift_diffusion(model, psi)
-    new = psi + drift * dt
-    for rpsi, db in zip(diffusion, values):
-        new = new + rpsi * db
-    norm = float(np.linalg.norm(new))
-    if not np.isfinite(norm) or norm == 0.0:
-        raise IntegrationFailureError(f"step produced norm {norm}")
-    return new / norm
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """One realized stochastic history.

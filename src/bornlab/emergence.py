@@ -50,27 +50,6 @@ FLOAT_MASS_TOL = 1e-10
 START_DENOMINATOR = 64
 
 
-def hypercube_split_count(n: int) -> int:
-    """Number of half-scale sub-cells of an n-dimensional hypercube cell.
-
-    Sizes resolution errors: one halving step multiplies the cell count by
-    this factor.
-    """
-    n = int(n)
-    if n <= 0:
-        raise ValueError(f"cube dimension must be positive, got {n}")
-    return 2**n
-
-
-def halving_depth(required_subcells: int) -> int:
-    """Halving steps of a cell needed to reach the given sub-cell count."""
-    depth, count = 0, 1
-    while count < required_subcells:
-        count *= 2
-        depth += 1
-    return depth
-
-
 # ---------------------------------------------------------------------------
 # mass profiles and rational states
 # ---------------------------------------------------------------------------
@@ -264,7 +243,7 @@ def _subdivision(cuts, what: str) -> int:
     denom = math.lcm(*(c.denominator for c in cuts))
     if denom > DEFAULT_SUBDIVISION_CAP:
         raise ResolutionError(
-            f"{what} needs {denom} sub-cells per cell ({halving_depth(denom)} "
+            f"{what} needs {denom} sub-cells per cell ({(denom - 1).bit_length()} "
             f"halving steps; cap {DEFAULT_SUBDIVISION_CAP})",
             required_subcells=denom,
         )
@@ -460,12 +439,13 @@ def _component_coefficients(psi: StateVector, separating: SeparatingSet):
 def equiprobable_values(
     psi: StateVector,
     separating: SeparatingSet,
-    lattice=None,
+    graining: CoarseGraining | None = None,
 ) -> tuple[MeasureTable, DerivationTrace]:
     """Weight table forced for a state with equal-modulus coefficients.
 
-    Every projector of the separating family receives 1/d and lattice
-    projectors orthogonal to their sum receive 0.  The trace replays the
+    Every projector of the separating family receives 1/d.  Given a
+    graining, its blocks generate the lattice of the argument: blocks
+    orthogonal to the family's sum receive 0.  The trace replays the
     forcing argument: phase elimination, permutation symmetry, the
     complement construction, and additivity.  The single-projector case is
     the eigenvector-eigenvalue rule and needs a lattice with at least three
@@ -499,7 +479,7 @@ def equiprobable_values(
     )
 
     if d == 1:
-        return _eigenvector_rule(psi, separating, lattice, trace, s_phase, table)
+        return _eigenvector_rule(psi, separating, graining, trace, s_phase, table)
 
     witnessed = _permutation_witnessed(separating)
     s_perm = trace.add(
@@ -522,13 +502,13 @@ def equiprobable_values(
 
     for proj in separating.projectors:
         table.assign(proj, Fraction(1, d))
-    if lattice is not None:
+    if graining is not None:
         covered = set()
         for proj in separating.projectors:
             if proj.cells is not None:
                 covered |= proj.index_set()
         zeros = []
-        for gen in lattice.generators:
+        for gen in graining.block_projectors():
             if proj_cells_disjoint(gen, covered):
                 table.assign(gen, Fraction(0))
                 zeros.append(gen.key()[2])
@@ -552,21 +532,21 @@ def _permutation_witnessed(separating: SeparatingSet) -> bool:
     return len({proj.rank for proj in separating.projectors}) == 1
 
 
-def _eigenvector_rule(psi, separating, lattice, trace, s_phase, table):
+def _eigenvector_rule(psi, separating, graining, trace, s_phase, table):
     proj = separating.projectors[0]
     inside = born_weight(psi, proj)
     if abs(inside - 1.0) > DERIVED_TOL:
         raise PreconditionError(
             "the single-projector rule needs the state inside the projector's range"
         )
-    if lattice is None:
+    if graining is None:
         raise PreconditionError(
             "the single-projector rule needs a lattice with at least three "
             "disjoint spare projectors"
         )
     covered = proj.index_set() if proj.cells is not None else set()
     spares = [
-        gen for gen in lattice.generators if proj_cells_disjoint(gen, covered)
+        gen for gen in graining.block_projectors() if proj_cells_disjoint(gen, covered)
     ]
     if len(spares) < 3:
         raise PreconditionError(

@@ -15,10 +15,6 @@ class InvalidStateError(BornLabError, ValueError):
     """A state vector is zero, empty, or otherwise unusable."""
 
 
-class InvalidDensityError(BornLabError, ValueError):
-    """A density matrix violates hermiticity, unit trace, or positivity."""
-
-
 class InvalidGrainingError(BornLabError, ValueError):
     """A coarse-graining has empty, overlapping, or non-exhaustive blocks."""
 

@@ -130,10 +130,6 @@ class Relabeling:
         return cls(kind="affine", eps=float(eps), c=float(c))
 
     @classmethod
-    def identity(cls) -> "Relabeling":
-        return cls(kind="affine", eps=1.0, c=0.0)
-
-    @classmethod
     def permutation(cls, mapping: dict) -> "Relabeling":
         pairs = tuple(sorted((float(a), float(b)) for a, b in mapping.items()))
         sources = [a for a, _ in pairs]
@@ -225,6 +221,14 @@ class Game:
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "spectral", spectral)
         object.__setattr__(self, "payoff", payoff)
+
+    def _with_payoff(self, payoff) -> "Game":
+        """This game's validated state and observable under another payoff."""
+        game = object.__new__(Game)
+        object.__setattr__(game, "state", self.state)
+        object.__setattr__(game, "spectral", self.spectral)
+        object.__setattr__(game, "payoff", payoff)
+        return game
 
     @classmethod
     def projector_game(cls, state, proj: Projector, payoff) -> "Game":
@@ -425,7 +429,7 @@ class ValueSolver:
         """
         if not (isinstance(game.payoff, AffinePayoff) and game.payoff.is_linear):
             raise LinearityError("the shift axiom needs a linear payoff")
-        shifted = Game(game.state, game.spectral, game.payoff.compose_affine(1.0, s))
+        shifted = game._with_payoff(game.payoff.compose_affine(1.0, s))
         ka, kb = self.register(game), self.register(shifted)
         if s != 0.0:
             self.constraints.append(
@@ -446,7 +450,7 @@ class ValueSolver:
         """
         if not (isinstance(game.payoff, AffinePayoff) and game.payoff.is_linear):
             raise LinearityError("the negation axiom needs a linear payoff")
-        negated = Game(game.state, game.spectral, game.payoff.compose_affine(-1.0, 0.0))
+        negated = game._with_payoff(game.payoff.compose_affine(-1.0, 0.0))
         ka, kb = self.register(game), self.register(negated)
         self.constraints.append(
             Constraint(
@@ -484,11 +488,7 @@ class ValueSolver:
             if game.payoff.offset != 0.0 and game.payoff.slope != 0.0:
                 produced.append(
                     self.sure_thing(
-                        Game(
-                            game.state,
-                            game.spectral,
-                            AffinePayoff(game.payoff.slope, 0.0),
-                        ),
+                        game._with_payoff(AffinePayoff(game.payoff.slope, 0.0)),
                         game.payoff.offset / game.payoff.slope,
                     )
                 )
@@ -661,7 +661,7 @@ def derive_pivotal(
         )
 
     # relabeled payoff is (payoff o -I) o shift(-(x1+x2)); peel the shift
-    negated_payoff_game = Game(game.state, game.spectral, payoff.compose_affine(-1.0, 0.0))
+    negated_payoff_game = game._with_payoff(payoff.compose_affine(-1.0, 0.0))
     shift = -(float(x1) + float(x2))
     shifted = solver.sure_thing(negated_payoff_game, shift)
     if shifted.key() != relabeled.key() and shift != 0.0:

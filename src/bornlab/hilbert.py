@@ -1,10 +1,10 @@
 """Finite-dimensional Hilbert-space kernel.
 
 States, projectors, coarse-grainings of a discretized configuration space,
-the Boolean sublattices they generate, symmetry unitaries, and the two
-probability rules (vector and density-matrix form).  Configuration space is
-modelled as ``d`` grid cells; a projector is either a set of cells (lattice
-form) or a dense Hermitian idempotent matrix (general form).
+separating sets, permutation unitaries, measure tables and the Born rule.
+Configuration space is modelled as ``d`` grid cells; a projector is either
+a set of cells (lattice form) or a dense Hermitian idempotent matrix
+(general form).
 
 All types are immutable values after construction and safe to share across
 threads.  Tolerances follow a two-level policy: structural identities are
@@ -26,7 +26,6 @@ from .errors import (
     DegeneracyViolationError,
     DimensionMismatchError,
     IncompleteMeasureError,
-    InvalidDensityError,
     InvalidGrainingError,
     InvalidStateError,
     UnitarityError,
@@ -34,10 +33,6 @@ from .errors import (
 
 STRUCT_TOL = 1e-12
 DERIVED_TOL = 1e-10
-
-# ``check_additivity`` tests every pair of unions up to this many
-# generators, and only the generators and the identity above it.
-ADDITIVITY_ENUMERATION_LIMIT = 10
 
 
 def _as_complex_vector(amplitudes) -> np.ndarray:
@@ -99,8 +94,8 @@ def _normalize_ranges(cells: Iterable, dim: int) -> tuple[tuple[int, int], ...]:
 class StateVector:
     """A vector of complex amplitudes over ``dim`` grid cells.
 
-    Not required to be normalized: the probability rules divide by the
-    squared norm.  When the vector is used as a state, at least one
+    Not required to be normalized: the Born rule divides by the squared
+    norm.  When the vector is used as a state, at least one
     amplitude must be nonzero.
     """
 
@@ -247,28 +242,6 @@ class Projector:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Positive, self-adjoint, trace-one matrix."""
-
-    matrix: np.ndarray
-
-    def __init__(self, matrix):
-        arr = _as_complex_matrix(matrix)
-        if np.max(np.abs(arr - arr.conj().T)) > STRUCT_TOL:
-            raise InvalidDensityError("density matrix is not Hermitian within tolerance")
-        if abs(np.real(np.trace(arr)) - 1.0) > STRUCT_TOL:
-            raise InvalidDensityError("density matrix trace differs from one")
-        eigvals = np.linalg.eigvalsh(arr)
-        if np.min(eigvals) < -STRUCT_TOL:
-            raise InvalidDensityError(f"density matrix has negative eigenvalue {np.min(eigvals)}")
-        object.__setattr__(self, "matrix", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class CoarseGraining:
     """Partition of the grid ``{0..dim-1}`` into contiguous blocks.
 
@@ -345,87 +318,17 @@ class GrainingFamily:
 
 
 @dataclass(frozen=True)
-class BooleanSublattice:
-    """The Boolean lattice generated by the blocks of a coarse-graining.
-
-    Generators are pairwise orthogonal cell projectors summing to the
-    identity; elements are all unions of generators, built on demand by
-    ``element`` and ``elements``.
-    """
-
-    generators: tuple[Projector, ...]
-
-    def __init__(self, generators: Iterable[Projector]):
-        generators = tuple(generators)
-        if not generators:
-            raise InvalidGrainingError("lattice needs at least one generator")
-        dim = generators[0].dim
-        seen: set[int] = set()
-        for proj in generators:
-            if proj.cells is None:
-                raise InvalidStateError("lattice generators must be cell-form")
-            if proj.dim != dim:
-                raise DimensionMismatchError("generators live on different grids")
-            idx = proj.index_set()
-            if not idx:
-                raise InvalidGrainingError("empty block cannot generate a lattice")
-            if idx & seen:
-                raise InvalidGrainingError("generators overlap")
-            seen |= idx
-        if seen != set(range(dim)):
-            raise InvalidGrainingError("generators do not sum to the identity")
-        object.__setattr__(self, "generators", generators)
-
-    @property
-    def dim(self) -> int:
-        return self.generators[0].dim
-
-    @property
-    def n_generators(self) -> int:
-        return len(self.generators)
-
-    @property
-    def element_count(self) -> int:
-        return 2 ** self.n_generators
-
-    def identity(self) -> Projector:
-        return Projector.from_cells([(0, self.dim)], self.dim)
-
-    def element(self, generator_indices: Iterable[int]) -> Projector:
-        cells: list[tuple[int, int]] = []
-        for i in generator_indices:
-            cells.extend(self.generators[i].cells)
-        return Projector.from_cells(cells, self.dim)
-
-    def elements(self) -> Iterator[Projector]:
-        """All lattice elements, from the empty projector to the identity."""
-        for mask in range(self.element_count):
-            yield self.element(i for i in range(self.n_generators) if mask >> i & 1)
-
-
-@dataclass(frozen=True)
 class SymmetryUnitary:
-    """A unitary with a tag recording how it was built."""
+    """A square matrix checked to be unitary within ``tol``."""
 
     matrix: np.ndarray
-    kind: str = "general"
 
-    def __init__(self, matrix, kind: str = "general", *, tol: float = STRUCT_TOL):
+    def __init__(self, matrix, *, tol: float = STRUCT_TOL):
         arr = _as_complex_matrix(matrix)
         dev = np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])))
         if dev > tol:
             raise UnitarityError(f"matrix deviates from unitarity by {dev:.3e}")
-        if kind not in ("phase", "permutation", "general"):
-            raise ValueError(f"unknown unitary kind {kind!r}")
         object.__setattr__(self, "matrix", arr)
-        object.__setattr__(self, "kind", kind)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, psi: StateVector) -> StateVector:
-        return StateVector(self.matrix @ psi.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -537,12 +440,9 @@ class MeasureTable:
     def items(self):
         return self._entries.items()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 # ---------------------------------------------------------------------------
-# probability rules and lattice operations
+# the Born rule and permutation unitaries
 # ---------------------------------------------------------------------------
 
 
@@ -568,28 +468,6 @@ def born_weight(psi: StateVector, proj: Projector) -> float:
         num = float(np.real(np.vdot(amp, proj.matrix @ amp)))
     weight = num / psi.norm2
     return min(1.0, max(0.0, weight))
-
-
-def trace_weight(rho: DensityMatrix, proj: Projector) -> float:
-    """Probability weight ``Tr(rho P)``, clamped to [0, 1]."""
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(rho)
-    if proj.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"projector dimension {proj.dim} != density dimension {rho.dim}"
-        )
-    if proj.cells is not None:
-        value = 0.0
-        for start, stop in proj.cells:
-            value += float(np.real(np.trace(rho.matrix[start:stop, start:stop])))
-    else:
-        value = float(np.real(np.trace(rho.matrix @ proj.matrix)))
-    return min(1.0, max(0.0, value))
-
-
-def sublattice_from_graining(graining: CoarseGraining) -> BooleanSublattice:
-    """Boolean sublattice generated by the block projectors of a graining."""
-    return BooleanSublattice(graining.block_projectors())
 
 
 def permutation_unitary(
@@ -623,7 +501,7 @@ def permutation_unitary(
             matrix += np.outer(col_dst, col_src.conj())
     total = sum(p.as_matrix() for p in separating.projectors)
     matrix += np.eye(dim, dtype=complex) - total
-    return SymmetryUnitary(matrix, "permutation", tol=DERIVED_TOL)
+    return SymmetryUnitary(matrix, tol=DERIVED_TOL)
 
 
 def _range_basis(separating: SeparatingSet, k: int) -> np.ndarray:
@@ -649,96 +527,3 @@ def _range_basis(separating: SeparatingSet, k: int) -> np.ndarray:
         if norm > 1e-9:
             cols.append(e / norm)
     return np.array(cols[: proj.rank]).T
-
-
-def phase_unitary(thetas: Sequence[float], separating: SeparatingSet) -> SymmetryUnitary:
-    """Unitary multiplying the range of projector ``k`` by ``exp(-i theta_k)``.
-
-    Leaves every projector of the set invariant under conjugation and acts
-    as the identity outside their joint range.
-    """
-    thetas = tuple(float(t) for t in thetas)
-    if len(thetas) != separating.size:
-        raise DimensionMismatchError(
-            f"{len(thetas)} phases for {separating.size} projectors"
-        )
-    dim = separating.dim
-    matrix = np.eye(dim, dtype=complex)
-    for theta, proj in zip(thetas, separating.projectors):
-        pmat = proj.as_matrix()
-        matrix = matrix + (np.exp(-1j * theta) - 1.0) * pmat
-    return SymmetryUnitary(matrix, "phase", tol=DERIVED_TOL)
-
-
-@dataclass(frozen=True)
-class AdditivityViolation:
-    left: tuple
-    right: tuple
-    union: tuple
-    expected: float
-    actual: float
-
-    def __str__(self) -> str:
-        return (
-            f"mu(P v Q) = {self.actual} but mu(P) + mu(Q) = {self.expected} "
-            f"for disjoint P={self.left}, Q={self.right}"
-        )
-
-
-@dataclass(frozen=True)
-class AdditivityReport:
-    violations: tuple[AdditivityViolation, ...]
-    normalization_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.normalization_ok and not self.violations
-
-
-def check_additivity(table: MeasureTable, lattice: BooleanSublattice) -> AdditivityReport:
-    """Check pairwise additivity of a measure table on a Boolean sublattice.
-
-    The table must cover all generators and every queried union; it is
-    extended additively to unions it does not cover.  The report is empty
-    iff mu(P v Q) = mu(P) + mu(Q) for all disjoint P, Q and mu(I) = 1.
-    """
-    for gen in lattice.generators:
-        if not table.covers(gen):
-            raise IncompleteMeasureError(f"measure undefined on generator {gen.key()}")
-
-    def lattice_value(indices: frozenset[int]) -> float:
-        proj = lattice.element(indices)
-        if table.covers(proj):
-            return float(table.value(proj))
-        return float(sum(table.value(lattice.generators[i]) for i in indices))
-
-    n = lattice.n_generators
-    violations = []
-    subsets: list[frozenset[int]]
-    if n <= ADDITIVITY_ENUMERATION_LIMIT:
-        subsets = [
-            frozenset(i for i in range(n) if mask >> i & 1) for mask in range(2**n)
-        ]
-    else:
-        # too many elements to enumerate all unions: check the covered ones
-        subsets = [frozenset([i]) for i in range(n)]
-        subsets.append(frozenset(range(n)))
-    for i, left in enumerate(subsets):
-        for right in subsets[i + 1 :]:
-            if left & right:
-                continue
-            expected = lattice_value(left) + lattice_value(right)
-            actual = lattice_value(left | right)
-            if abs(expected - actual) > DERIVED_TOL:
-                violations.append(
-                    AdditivityViolation(
-                        left=tuple(sorted(left)),
-                        right=tuple(sorted(right)),
-                        union=tuple(sorted(left | right)),
-                        expected=expected,
-                        actual=actual,
-                    )
-                )
-    total = lattice_value(frozenset(range(n)))
-    normalization_ok = abs(total - 1.0) <= DERIVED_TOL
-    return AdditivityReport(tuple(violations), normalization_ok)

@@ -79,8 +79,5 @@ class DerivationTrace:
         self.steps.append(TraceStep(step_id, rule, tuple(premises), conclusion, payload))
         return step_id
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def to_dict(self) -> dict[str, Any]:
         return {"steps": [step.to_dict() for step in self.steps]}

@@ -386,6 +386,22 @@ class TestMain:
                 "martingale checkpoint",
             ),
             ("solve-measure", {"masses": ["1/2", "1/2"], "grainings": []}, "'grainings'"),
+            (
+                "derive",
+                {"construction": "rational", "weights": [1, 1], "profiles": [[True], [True]]},
+                "'profiles'",
+            ),
+            (
+                "derive",
+                {"construction": "rational", "weights": [1, 1], "profiles": [["1e10000000"], [1]]},
+                "'profiles'",
+            ),
+            (
+                "derive",
+                {"construction": "rational", "weights": [1, 1], "profiles": [["1" * 101], [1]]},
+                "'profiles'",
+            ),
+            ("solve-measure", {"masses": [True, 1], "grainings": [[1, 1]]}, "'masses'"),
         ],
     )
     def test_out_of_range_field_exit_usage(self, tmp_path, capsys, kind, params, field):

@@ -14,8 +14,6 @@ from bornlab.collapse import (
     _check_run,
     _eigen_frame,
     _run_batch,
-    drift_diffusion,
-    em_step,
     ensemble_outcomes,
     martingale_check,
     simulate,
@@ -28,6 +26,7 @@ from bornlab.errors import (
     PreconditionError,
 )
 from bornlab.hilbert import StateVector
+from oracles import drift_diffusion, em_step
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from bornlab.emergence import (
     equal_mass_grid,
     equal_mass_refine,
     equiprobable_values,
-    hypercube_split_count,
     measure_uniqueness_solve,
     rational_born_values,
 )
@@ -33,29 +32,12 @@ from bornlab.hilbert import (
     SeparatingSet,
     StateVector,
     born_weight,
-    check_additivity,
-    phase_unitary,
-    sublattice_from_graining,
 )
+from oracles import check_additivity
 
 
 def unit_separating(d):
     return SeparatingSet(np.eye(d), [Projector.from_cells([i], d) for i in range(d)])
-
-
-class TestHypercubeSplitCount:
-    def test_line(self):
-        assert hypercube_split_count(1) == 2
-
-    def test_cube(self):
-        assert hypercube_split_count(3) == 8
-
-    def test_ten_dimensions(self):
-        assert hypercube_split_count(10) == 1024
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            hypercube_split_count(0)
 
 
 class TestEqualMassRefine:
@@ -147,10 +129,9 @@ class TestEquiprobableValues:
 
     def test_single_projector_eigenvector_rule(self):
         graining = CoarseGraining.from_sizes([1, 1, 1, 1, 2])
-        lattice = sublattice_from_graining(graining)
         sep = SeparatingSet([[1, 0, 0, 0, 0, 0]], [graining.block_projector(0)])
         table, trace = equiprobable_values(
-            StateVector([1, 0, 0, 0, 0, 0]), sep, lattice
+            StateVector([1, 0, 0, 0, 0, 0]), sep, graining
         )
         assert table.value(graining.block_projector(0)) == 1
         for k in range(1, 5):
@@ -158,10 +139,9 @@ class TestEquiprobableValues:
 
     def test_single_projector_needs_three_spares(self):
         graining = CoarseGraining.from_sizes([1, 1])
-        lattice = sublattice_from_graining(graining)
         sep = SeparatingSet([[1, 0]], [graining.block_projector(0)])
         with pytest.raises(PreconditionError, match="spare"):
-            equiprobable_values(StateVector([1, 0]), sep, lattice)
+            equiprobable_values(StateVector([1, 0]), sep, graining)
 
     def test_three_phases(self):
         psi = StateVector([np.exp(0.4j), np.exp(1.9j), 1.0])
@@ -175,22 +155,20 @@ class TestEquiprobableValues:
 
     def test_zero_assignments_on_orthogonal_lattice(self):
         graining = CoarseGraining.from_sizes([1, 1, 2])
-        lattice = sublattice_from_graining(graining)
         sep = SeparatingSet(
             [[1, 0, 0, 0], [0, 1, 0, 0]],
             [graining.block_projector(0), graining.block_projector(1)],
         )
-        table, _ = equiprobable_values(StateVector([1, 1, 0, 0]), sep, lattice)
+        table, _ = equiprobable_values(StateVector([1, 1, 0, 0]), sep, graining)
         assert table.value(graining.block_projector(2)) == 0
 
     def test_tables_pass_additivity(self):
         graining = CoarseGraining.unit_cells(3)
-        lattice = sublattice_from_graining(graining)
         psi = StateVector([1, 1, 1])
         table, _ = equiprobable_values(
-            psi, unit_separating(3), lattice
+            psi, unit_separating(3), graining
         )
-        assert check_additivity(table, lattice).ok
+        assert check_additivity(table, graining).ok
 
     @pytest.mark.parametrize(
         "sizes, amplitudes, witness",
@@ -210,8 +188,10 @@ class TestEquiprobableValues:
         sep = unit_separating(3)
         psi = StateVector([1, 1, 1])
         table, _ = equiprobable_values(psi, sep)
-        u = phase_unitary([0.3, 1.2, -0.7], sep)
-        moved = StateVector(u.matrix @ psi.amplitudes)
+        # the separating set's projectors are unit cells, so a diagonal
+        # phase matrix multiplies each one's range by its own phase
+        phases = np.diag(np.exp(-1j * np.array([0.3, 1.2, -0.7])))
+        moved = StateVector(phases @ psi.amplitudes)
         table2, _ = equiprobable_values(moved, sep)
         for proj in sep.projectors:
             assert abs(float(table.value(proj)) - float(table2.value(proj))) < 1e-10
@@ -259,8 +239,7 @@ class TestRationalBornValues:
     def test_tables_extend_additively(self):
         state = RationalState([2, 1, 1], CoarseGraining.from_sizes([1, 1, 1]))
         table, _ = rational_born_values(state)
-        lattice = sublattice_from_graining(state.graining)
-        assert check_additivity(table, lattice).ok
+        assert check_additivity(table, state.graining).ok
 
     def test_subdivision_is_lcm_of_block_refinements(self):
         # profiles with zero cells inside blocks, and blocks of weight zero

@@ -73,7 +73,7 @@ class TestGameConstruction:
 class TestRelabelGame:
     def test_identity_is_noop(self):
         game = two_outcome_game()
-        assert relabel_game(game, Relabeling.identity()).key() == game.key()
+        assert relabel_game(game, Relabeling.affine(1.0, 0.0)).key() == game.key()
 
     def test_shift_moves_spectrum_and_compensates(self):
         game = two_outcome_game(0.0, 10.0)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,29 +11,23 @@ from bornlab.errors import (
     DegeneracyViolationError,
     DimensionMismatchError,
     IncompleteMeasureError,
-    InvalidDensityError,
     InvalidGrainingError,
     InvalidStateError,
     UnitarityError,
 )
 from bornlab.hilbert import (
-    BooleanSublattice,
     CoarseGraining,
-    DensityMatrix,
     MeasureTable,
     Projector,
     SeparatingSet,
     StateVector,
     SymmetryUnitary,
     born_weight,
-    check_additivity,
     permutation_unitary,
-    phase_unitary,
     row_apply,
     row_dots,
-    sublattice_from_graining,
-    trace_weight,
 )
+from oracles import block_union, check_additivity
 
 
 def unit_separating(d: int) -> SeparatingSet:
@@ -122,40 +118,6 @@ class TestBornWeight:
         )
 
 
-class TestTraceWeight:
-    def test_maximally_mixed(self):
-        rho = DensityMatrix(np.eye(2) / 2)
-        assert trace_weight(rho, Projector.from_cells([0], 2)) == pytest.approx(0.5)
-
-    def test_orthogonal_support(self):
-        rho = DensityMatrix([[1, 0], [0, 0]])
-        assert trace_weight(rho, Projector.from_cells([1], 2)) == 0.0
-
-    def test_mixture(self):
-        rho = DensityMatrix([[0.3, 0], [0, 0.7]])
-        assert trace_weight(rho, Projector.from_cells([0], 2)) == pytest.approx(0.3)
-
-    def test_rejects_non_unit_trace(self):
-        with pytest.raises(InvalidDensityError):
-            DensityMatrix(np.eye(2))
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(InvalidDensityError):
-            DensityMatrix([[1.5, 0], [0, -0.5]])
-
-    @given(st.integers(2, 5), st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_pure_density_matches_vector_rule(self, d, seed):
-        rng = np.random.default_rng(seed)
-        psi = random_state(rng, d)
-        v = psi.amplitudes
-        rho = DensityMatrix(np.outer(v, v.conj()) / psi.norm2)
-        proj = Projector.from_cells([0], d)
-        assert trace_weight(rho, proj) == pytest.approx(
-            born_weight(psi, proj), abs=1e-10
-        )
-
-
 class TestProjector:
     def test_matrix_form_validated(self):
         with pytest.raises(InvalidStateError):
@@ -188,27 +150,16 @@ class TestGraining:
 
 
 class TestSublattice:
+    """The lattice of the equiprobable argument is generated by a graining's blocks."""
+
     def test_two_singleton_generators(self):
-        lattice = sublattice_from_graining(CoarseGraining.unit_cells(2))
-        keys = [p.key()[2] for p in lattice.generators]
+        blocks = CoarseGraining.unit_cells(2).block_projectors()
+        keys = [p.key()[2] for p in blocks]
         assert keys == [((0, 1),), ((1, 2),)]
 
     def test_block_generators(self):
-        lattice = sublattice_from_graining(CoarseGraining(3, [(0, 2), (2, 3)]))
-        assert [p.index_set() for p in lattice.generators] == [{0, 1}, {2}]
-
-    def test_three_blocks_give_eight_elements(self):
-        lattice = sublattice_from_graining(CoarseGraining.unit_cells(3))
-        elements = list(lattice.elements())
-        assert len(elements) == 8 == lattice.element_count
-        ranks = sorted(p.rank for p in elements)
-        assert ranks == [0, 1, 1, 1, 2, 2, 2, 3]
-
-    def test_lazy_above_limit(self):
-        lattice = sublattice_from_graining(CoarseGraining.unit_cells(25))
-        assert lattice.element_count == 2**25
-        gen = lattice.elements()
-        assert next(gen).rank == 0
+        blocks = CoarseGraining(3, [(0, 2), (2, 3)]).block_projectors()
+        assert [p.index_set() for p in blocks] == [{0, 1}, {2}]
 
 
 class TestPermutationUnitary:
@@ -247,40 +198,6 @@ class TestPermutationUnitary:
         sep = SeparatingSet.from_graining(StateVector([1, 1, 1]), graining)
         with pytest.raises(DegeneracyViolationError):
             permutation_unitary([1, 0], sep)
-
-
-class TestPhaseUnitary:
-    def test_zero_phases(self):
-        sep = unit_separating(2)
-        u = phase_unitary([0.0, 0.0], sep)
-        assert np.allclose(u.matrix, np.eye(2))
-
-    def test_pi_zero(self):
-        sep = unit_separating(2)
-        u = phase_unitary([np.pi, 0.0], sep)
-        assert np.allclose(u.matrix, np.diag([-1.0, 1.0]))
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            phase_unitary([0.1], unit_separating(2))
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_weights_invariant(self, seed):
-        rng = np.random.default_rng(seed)
-        d = 4
-        sep = unit_separating(d)
-        psi = random_state(rng, d)
-        thetas = rng.uniform(0, 2 * np.pi, size=d)
-        u = phase_unitary(thetas, sep)
-        moved = StateVector(u.matrix @ psi.amplitudes)
-        for proj in sep.projectors:
-            mat = u.matrix @ proj.as_matrix() @ u.matrix.conj().T
-            conj = Projector.from_matrix(mat, tol=1e-9)
-            assert conj == proj
-            assert born_weight(moved, proj) == pytest.approx(
-                born_weight(psi, proj), abs=1e-10
-            )
 
 
 class TestRowKernels:
@@ -356,58 +273,63 @@ class TestSeparatingSet:
 
 class TestCheckAdditivity:
     def test_born_table_is_additive(self):
-        lattice = sublattice_from_graining(CoarseGraining.unit_cells(3))
+        graining = CoarseGraining.unit_cells(3)
         psi = StateVector([1, 2, 3])
-        table = MeasureTable({proj: born_weight(psi, proj) for proj in lattice.elements()})
-        report = check_additivity(table, lattice)
+        unions = [
+            block_union(graining, indices)
+            for r in range(4)
+            for indices in itertools.combinations(range(3), r)
+        ]
+        table = MeasureTable({proj: born_weight(psi, proj) for proj in unions})
+        report = check_additivity(table, graining)
         assert report.ok
 
     def test_constructed_violation(self):
-        lattice = sublattice_from_graining(CoarseGraining.unit_cells(2))
+        graining = CoarseGraining.unit_cells(2)
         table = MeasureTable()
-        table.assign(lattice.generators[0], 0.5)
-        table.assign(lattice.generators[1], 0.5)
-        table.assign(lattice.identity(), 0.9)
-        report = check_additivity(table, lattice)
+        table.assign(graining.block_projector(0), 0.5)
+        table.assign(graining.block_projector(1), 0.5)
+        table.assign(block_union(graining, [0, 1]), 0.9)
+        report = check_additivity(table, graining)
         assert not report.ok
         assert len(report.violations) == 1
 
     def test_uniform_generator_table_extends(self):
-        lattice = sublattice_from_graining(CoarseGraining.unit_cells(4))
+        graining = CoarseGraining.unit_cells(4)
         table = MeasureTable()
-        for gen in lattice.generators:
-            table.assign(gen, 0.25)
-        report = check_additivity(table, lattice)
+        for block in graining.block_projectors():
+            table.assign(block, 0.25)
+        report = check_additivity(table, graining)
         assert report.ok
 
     def test_many_generators_check_singletons_and_covered_unions(self):
-        # above ADDITIVITY_ENUMERATION_LIMIT generators only pairs of
-        # generators are checked, each against its union when the table covers it
-        lattice = sublattice_from_graining(CoarseGraining.unit_cells(11))
-        table = MeasureTable({gen: 1 / 11 for gen in lattice.generators})
-        assert check_additivity(table, lattice).ok
-        table.assign(lattice.element([0, 1]), 0.5)
-        report = check_additivity(table, lattice)
+        # above ADDITIVITY_ENUMERATION_LIMIT blocks only pairs of blocks are
+        # checked, each against its union when the table covers it
+        graining = CoarseGraining.unit_cells(11)
+        table = MeasureTable({block: 1 / 11 for block in graining.block_projectors()})
+        assert check_additivity(table, graining).ok
+        table.assign(block_union(graining, [0, 1]), 0.5)
+        report = check_additivity(table, graining)
         assert [(v.left, v.right, v.union) for v in report.violations] == [((0,), (1,), (0, 1))]
 
     def test_incomplete_table_raises(self):
-        lattice = sublattice_from_graining(CoarseGraining.unit_cells(2))
+        graining = CoarseGraining.unit_cells(2)
         table = MeasureTable()
-        table.assign(lattice.generators[0], 0.5)
+        table.assign(graining.block_projector(0), 0.5)
         with pytest.raises(IncompleteMeasureError):
-            check_additivity(table, lattice)
+            check_additivity(table, graining)
 
 
 class TestBooleanSublatticeValidation:
+    """A graining's own checks keep its blocks a lattice's generators."""
+
     def test_overlapping_generators_rejected(self):
         with pytest.raises(InvalidGrainingError):
-            BooleanSublattice(
-                [Projector.from_cells([0, 1], 3), Projector.from_cells([1, 2], 3)]
-            )
+            CoarseGraining(3, [(0, 2), (1, 3)])
 
     def test_partial_cover_rejected(self):
         with pytest.raises(InvalidGrainingError):
-            BooleanSublattice([Projector.from_cells([0], 2)])
+            CoarseGraining(2, [(0, 1)])
 
 
 class TestSeparatingSetDimensions:

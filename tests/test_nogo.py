@@ -222,20 +222,16 @@ class TestDispersionFreeSearch:
         assert len(result.assignments) == SOLUTION_CAP < 2**14
 
     def test_sat_assignments_are_additive_on_contexts(self):
-        from bornlab.hilbert import (
-            CoarseGraining,
-            MeasureTable,
-            check_additivity,
-            sublattice_from_graining,
-        )
+        from bornlab.hilbert import CoarseGraining, MeasureTable
+        from oracles import check_additivity
 
         result = dispersion_free_search(RaySet(np.eye(3)))
-        lattice = sublattice_from_graining(CoarseGraining.unit_cells(3))
+        graining = CoarseGraining.unit_cells(3)
         for values in result.assignments:
             table = MeasureTable()
-            for i, gen in enumerate(lattice.generators):
-                table.assign(gen, float(values[i]))
-            assert check_additivity(table, lattice).ok
+            for i, block in enumerate(graining.block_projectors()):
+                table.assign(block, float(values[i]))
+            assert check_additivity(table, graining).ok
 
     def test_born_tables_not_dispersion_free(self):
         # a non-eigenstate assigns some ray a weight strictly inside (0,1)
