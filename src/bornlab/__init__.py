@@ -21,7 +21,6 @@ from .emergence import (  # noqa: F401
     MassProfile,
     RationalState,
     born_limit,
-    equal_mass_refine,
     equiprobable_values,
     measure_uniqueness_solve,
     rational_born_values,

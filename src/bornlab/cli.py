@@ -134,8 +134,10 @@ _bool = _where(lambda value: value, lambda value: type(value) is bool, "true or 
 
 
 def _pm_assignment(doc) -> nogo.FrameAssignment:
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"expected an object, not {type(doc).__name__}")
     assignment = nogo.FrameAssignment()
-    for name, value in dict(doc).items():
+    for name, value in doc.items():
         assignment.set({"P1": 0, "P2": 1, "P+": 2, "P-": 3}[name], _finite(value))
     return assignment
 
@@ -312,16 +314,13 @@ def _derive_rational(v: dict, seed: int, csv_dir) -> dict:
     "derive:equiprobable",
     amplitudes=parse_vector,
     block_sizes=(_ints, None),
-    lattice=(_bool, False),
 )
 def _derive_equiprobable(v: dict, seed: int, csv_dir) -> dict:
     amplitudes, sizes = v["amplitudes"], v["block_sizes"]
     graining = CoarseGraining.from_sizes([1] * len(amplitudes) if sizes is None else sizes)
     psi = StateVector(amplitudes)
     separating = hilbert.SeparatingSet.from_graining(psi, graining)
-    table, trace = emergence.equiprobable_values(
-        psi, separating, graining if v["lattice"] else None
-    )
+    table, trace = emergence.equiprobable_values(psi, separating)
     d = separating.size
     ok = all(
         table.value(graining.block_projector(i)) == Fraction(1, d) for i in range(d)

@@ -273,8 +273,8 @@ class _Batch:
     traces: dict  # recorded row -> (steps, states at those steps, rotated back)
 
 
-# a failed step leaves a NaN mass, which the resolution check reports
-@np.errstate(invalid="ignore", divide="ignore")
+# a failed step leaves a NaN or infinite mass, which the resolution check reports
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_batch(
     model: CollapseModel,
     psi0: np.ndarray,
@@ -515,9 +515,10 @@ class EnsembleReport:
 
     Frequencies are over resolved trajectories; the unresolved fraction is
     reported (and flagged above 1%) but never silently dropped.  The band
-    is ``multiplier * 3 * sqrt(p(1-p)/N)``.  ``outcomes`` and
-    ``resolve_steps`` hold each trajectory's outcome index and resolution
-    step (-1 while unresolved) in seed order, ready for frequency auditing.
+    is ``band_multiplier * 3 * sqrt(p(1-p)/N)``, with the multiplier that
+    :func:`ensemble_outcomes` was given.  ``outcomes`` and ``resolve_steps``
+    hold each trajectory's outcome index and resolution step (-1 while
+    unresolved) in seed order, ready for frequency auditing.
     ``trajectory_steps`` counts steps integrated over the whole pass,
     martingale rows included; ``martingale`` is the fused check, if any;
     ``trajectories`` holds the recorded trajectories.
@@ -528,8 +529,6 @@ class EnsembleReport:
     rows: tuple[OutcomeRow, ...]
     unresolved_fraction: float
     unresolved_flagged: bool
-    band_multiplier: float
-    base_seed: int
     passed: bool
     outcomes: tuple[int, ...] = ()
     resolve_steps: tuple[int, ...] = ()
@@ -649,8 +648,6 @@ def ensemble_outcomes(
         rows=tuple(rows),
         unresolved_fraction=unresolved_fraction,
         unresolved_flagged=unresolved_fraction > UNRESOLVED_FLAG_FRACTION,
-        band_multiplier=band_multiplier,
-        base_seed=int(seed),
         passed=all(row.within_band for row in rows),
         outcomes=tuple(int(o) for o in outcome),
         resolve_steps=tuple(int(s) for s in resolve_step),

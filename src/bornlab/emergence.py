@@ -2,14 +2,13 @@
 
 Executable versions of the symmetry constructions that force probability
 weights on a grained configuration space: phase elimination, the
-equiprobable case, equal-mass refinement of a block, rational-weight
-states, the continuity limit to arbitrary states, and a linear-constraint
+equiprobable case, integer-weight states (each block cut into equal-mass
+pieces), the continuity limit to arbitrary states, and a linear-constraint
 solver that decides whether a graining family pins the weight table
 uniquely.
 
-Exact rational arithmetic is used wherever a rank or equality decision
-matters; floating point only enters at the boundary (irrational masses,
-reported values).
+Masses are exact rationals, so every rank or equality decision is exact;
+floating point only enters at the boundary (amplitudes, reported values).
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ from .trace import DERIVATION_RULES, DerivationTrace
 DEFAULT_SUBDIVISION_CAP = 2**40
 DEFAULT_DENOMINATOR_CAP = 10**6
 MAX_TOTAL_WEIGHT = 10**4  # rational derivations cut sum(weights) equal-mass pieces
-# relative accuracy of each piece mass when float masses are split
-FLOAT_MASS_TOL = 1e-10
+MAX_RATIONAL_CELLS = 10**4  # cells of a rational state's grid, sum(block sizes)
 # first denominator cap of the continuity-limit sweep
 START_DENOMINATOR = 64
 
@@ -57,34 +55,20 @@ START_DENOMINATOR = 64
 
 @dataclass(frozen=True)
 class MassProfile:
-    """Per-cell nonnegative masses (|amplitude|^2, cell volume included).
+    """Per-cell nonnegative masses (|amplitude|^2, cell volume included), as
+    Fractions; a float mass converts exactly (base 2)."""
 
-    ``exact`` marks profiles whose masses are Fractions; those flow through
-    the exact refinement and solver paths.
-    """
-
-    masses: tuple
-    exact: bool
+    masses: tuple[Fraction, ...]
 
     def __init__(self, masses):
-        masses = tuple(masses)
+        masses = tuple(Fraction(m) for m in masses)
         if not masses:
             raise InvalidStateError("mass profile needs at least one cell")
-        exact = all(isinstance(m, (Fraction, int)) for m in masses)
-        if exact:
-            masses = tuple(Fraction(m) for m in masses)
-        else:
-            masses = tuple(float(m) for m in masses)
         if any(m < 0 for m in masses):
             raise InvalidStateError("masses must be nonnegative")
         if sum(masses) <= 0:
             raise InvalidStateError("total mass must be positive")
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "exact", exact)
-
-    @classmethod
-    def from_state(cls, psi: StateVector) -> "MassProfile":
-        return cls(psi.masses().tolist())
 
     @property
     def dim(self) -> int:
@@ -96,21 +80,6 @@ class MassProfile:
 
     def block_mass(self, start: int, stop: int):
         return sum(self.masses[start:stop])
-
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        """Masses as exact rationals (floats convert exactly, base 2)."""
-        if self.exact:
-            return self.masses
-        return tuple(Fraction(m) for m in self.masses)
-
-
-def _as_profile(state_or_masses) -> MassProfile:
-    """A state vector's, a profile's or a mass sequence's mass profile."""
-    if isinstance(state_or_masses, StateVector):
-        return MassProfile.from_state(state_or_masses)
-    if isinstance(state_or_masses, MassProfile):
-        return state_or_masses
-    return MassProfile(state_or_masses)
 
 
 @dataclass(frozen=True)
@@ -136,6 +105,11 @@ class RationalState:
             raise InvalidStateError("at least one weight must be positive")
         if sum(weights) > MAX_TOTAL_WEIGHT:
             raise PreconditionError(f"'weights' sum beyond MAX_TOTAL_WEIGHT = {MAX_TOTAL_WEIGHT}")
+        if graining.dim > MAX_RATIONAL_CELLS:
+            raise PreconditionError(
+                f"the grid's {graining.dim} cells (the sum of 'block_sizes') exceed "
+                f"MAX_RATIONAL_CELLS = {MAX_RATIONAL_CELLS}"
+            )
         if profiles is None:
             profiles = tuple(
                 tuple(Fraction(1, stop - start) for _ in range(start, stop))
@@ -169,59 +143,19 @@ class RationalState:
 
 
 # ---------------------------------------------------------------------------
-# equal-mass refinement
+# equal-mass cuts and regridding
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EqualMassRefinement:
-    """Result of splitting one block into equal-mass pieces.
-
-    The refined graining lives on a subdivided grid: every original cell
-    becomes ``subdivision`` sub-cells of equal mass, so each cut lands on a
-    sub-cell boundary.  ``cuts`` are the cut positions in original cell
-    coordinates; ``pieces`` are the new block projectors on the refined
-    grid.
-    """
-
-    graining: CoarseGraining
-    pieces: tuple[Projector, ...]
-    piece_masses: tuple
-    subdivision: int
-    cuts: tuple
-    exact: bool
-
-
-def _resolve_block(graining: CoarseGraining, block) -> int:
-    if isinstance(block, int):
-        if not 0 <= block < graining.n_blocks:
-            raise InvalidGrainingError(f"no block {block} in graining")
-        return block
-    raise TypeError("block must be a block index")
-
-
-def _span_mass_fractional(masses, lo: Fraction, hi: Fraction) -> Fraction:
-    """Mass of [lo, hi] in cell coordinates, uniform density within cells."""
-    total = Fraction(0)
-    for cell in range(math.floor(lo), math.ceil(hi)):
-        overlap = min(hi, Fraction(cell + 1)) - max(lo, Fraction(cell))
-        if overlap > 0:
-            total += masses[cell] * overlap
-    return total
 
 
 def _exact_cuts(masses, start, stop, m) -> list[Fraction]:
     """Cut positions (Fractions, original cell coordinates) splitting the
-    rational masses[start:stop] into m equal-mass runs.
+    rational masses[start:stop], of positive total, into m equal-mass runs.
 
-    A block without mass is cut into m equal widths.  Otherwise every
-    target j/m (j < m) of the block mass is reached by the block's last
-    cell with mass at the latest, so the walk never leaves the block.
+    Each cell's mass spreads uniformly across the cell.  Every target j/m
+    (j < m) of the block mass is reached by the block's last cell with mass
+    at the latest, so the walk never leaves the block.
     """
     total = sum(masses[start:stop])
-    if total == 0:
-        width = Fraction(stop - start, m)
-        return [start + width * j for j in range(1, m)]
     cuts = []
     cum = Fraction(0)
     cell = start
@@ -248,121 +182,6 @@ def _subdivision(cuts, what: str) -> int:
             required_subcells=denom,
         )
     return denom
-
-
-def equal_mass_refine(
-    state_or_masses,
-    graining: CoarseGraining,
-    block,
-    m: int,
-) -> EqualMassRefinement:
-    """Split one block of a graining into ``m`` disjoint equal-mass pieces.
-
-    The running mass of the state over the block is inverted at the m-1
-    equal-mass targets (each cell's mass spreads uniformly across the
-    cell), and the grid is subdivided just enough for every cut to land on
-    a sub-cell boundary.  Rational masses give an exact split; float masses
-    are quantized to relative accuracy ``FLOAT_MASS_TOL``.  A zero-mass
-    block is split into m equal-width pieces.
-
-    Raises :class:`ResolutionError` when the required subdivision exceeds
-    ``DEFAULT_SUBDIVISION_CAP``.
-    """
-    if m < 1:
-        raise ValueError("piece count m must be >= 1")
-    profile = _as_profile(state_or_masses)
-    if profile.dim != graining.dim:
-        raise DimensionMismatchError("mass profile and graining disagree on grid size")
-    index = _resolve_block(graining, block)
-    start, stop = graining.blocks[index]
-    masses = profile.as_fractions()
-    cuts = _exact_cuts(masses, start, stop, m)
-    # a zero-mass block's equal widths are exact whatever the masses' type
-    exact = profile.exact or profile.block_mass(start, stop) == 0
-    if not exact and cuts:  # with no cut to place there is nothing to quantize
-        max_cell = max(masses[start:stop])
-        exact_block = sum(masses[start:stop])
-        allowed = Fraction(FLOAT_MASS_TOL) * exact_block
-
-        def mass_deviation(candidate) -> Fraction:
-            bounds = [Fraction(start)] + list(candidate) + [Fraction(stop)]
-            worst = Fraction(0)
-            for j in range(m):
-                piece = _span_mass_fractional(masses, bounds[j], bounds[j + 1])
-                worst = max(worst, abs(piece - exact_block / m))
-            return worst
-
-        # best small-denominator cuts first (recovers exactly rational
-        # float inputs); fall back to one power-of-two grid meeting
-        # FLOAT_MASS_TOL
-        raw_cuts = cuts
-        cuts = [c.limit_denominator(DEFAULT_SUBDIVISION_CAP) for c in raw_cuts]
-        if not (
-            cuts
-            and math.lcm(*(c.denominator for c in cuts)) <= DEFAULT_SUBDIVISION_CAP
-            and mass_deviation(cuts) <= allowed
-        ):
-            needed = float(2 * max_cell / allowed) if allowed > 0 else math.inf
-            grid = 1
-            while grid < needed:
-                grid *= 2
-                if grid > DEFAULT_SUBDIVISION_CAP:
-                    raise ResolutionError(
-                        f"float split of block {index} into {m} pieces needs "
-                        f"{grid} sub-cells per cell (cap {DEFAULT_SUBDIVISION_CAP})",
-                        required_subcells=grid,
-                    )
-            cuts = [Fraction(round(c * grid), grid) for c in raw_cuts]
-
-    L = _subdivision(cuts, f"splitting block {index} into {m} equal-mass pieces")
-    fine_dim = graining.dim * L
-    cut_positions = [int(c * L) for c in cuts]
-    if any(
-        not (start * L < pos < stop * L) for pos in cut_positions
-    ) or sorted(set(cut_positions)) != cut_positions:
-        raise ResolutionError(
-            f"block {index} cannot support {m} distinct equal-mass pieces at "
-            f"subdivision {L}",
-            required_subcells=L,
-        )
-
-    piece_bounds = [start * L] + cut_positions + [stop * L]
-    pieces = tuple(
-        Projector.from_cells([(piece_bounds[j], piece_bounds[j + 1])], fine_dim)
-        for j in range(m)
-    )
-
-    piece_masses = tuple(
-        _span_mass_fractional(
-            masses, Fraction(piece_bounds[j], L), Fraction(piece_bounds[j + 1], L)
-        )
-        for j in range(m)
-    )
-
-    blocks = []
-    for i, (b_start, b_stop) in enumerate(graining.blocks):
-        if i == index:
-            blocks.extend(
-                (piece_bounds[j], piece_bounds[j + 1]) for j in range(m)
-            )
-        else:
-            blocks.append((b_start * L, b_stop * L))
-    refined = CoarseGraining(fine_dim, blocks)
-
-    if exact:
-        out_masses = piece_masses
-        out_cuts = tuple(cuts)
-    else:
-        out_masses = tuple(float(x) for x in piece_masses)
-        out_cuts = tuple(float(c) for c in cuts)
-    return EqualMassRefinement(
-        graining=refined,
-        pieces=pieces,
-        piece_masses=out_masses,
-        subdivision=L,
-        cuts=out_cuts,
-        exact=exact,
-    )
 
 
 @dataclass(frozen=True)
@@ -398,8 +217,6 @@ class EqualMassGrid:
 
 def equal_mass_grid(profile: MassProfile) -> EqualMassGrid:
     """Regrid a strictly positive rational profile into equal-mass cells."""
-    if not profile.exact:
-        raise PreconditionError("equal-mass regridding needs exact rational masses")
     masses = profile.masses
     if any(m <= 0 for m in masses):
         raise PreconditionError("equal-mass regridding needs strictly positive masses")
@@ -437,25 +254,23 @@ def _component_coefficients(psi: StateVector, separating: SeparatingSet):
 
 
 def equiprobable_values(
-    psi: StateVector,
-    separating: SeparatingSet,
-    graining: CoarseGraining | None = None,
+    psi: StateVector, separating: SeparatingSet
 ) -> tuple[MeasureTable, DerivationTrace]:
     """Weight table forced for a state with equal-modulus coefficients.
 
-    Every projector of the separating family receives 1/d.  Given a
-    graining, its blocks generate the lattice of the argument: blocks
-    orthogonal to the family's sum receive 0.  The trace replays the
-    forcing argument: phase elimination, permutation symmetry, the
-    complement construction, and additivity.  The single-projector case is
-    the eigenvector-eigenvalue rule and needs a lattice with at least three
-    disjoint spare projectors.
+    Every projector of the separating family, of d >= 2, receives 1/d.  The
+    trace replays the forcing argument: phase elimination, permutation
+    symmetry, the complement construction, and additivity.
 
-    A non-constant modulus raises :class:`PreconditionError` naming the
-    offending pair.
+    A one-projector family, or a non-constant modulus, raises
+    :class:`PreconditionError`; the latter names the offending pair.
     """
     psi.require_nonzero()
     d = separating.size
+    if d < 2:
+        raise PreconditionError(
+            f"the equiprobable construction needs at least two projectors, got {d}"
+        )
     coeffs = _component_coefficients(psi, separating)
     norm2 = psi.norm2
     moduli = [abs(c) ** 2 / norm2 for c in coeffs]
@@ -478,9 +293,6 @@ def equiprobable_values(
         payload={"phases": phases},
     )
 
-    if d == 1:
-        return _eigenvector_rule(psi, separating, graining, trace, s_phase, table)
-
     witnessed = _permutation_witnessed(separating)
     s_perm = trace.add(
         "permutation",
@@ -494,7 +306,7 @@ def equiprobable_values(
         "weight, giving d equal projectors that sum to the identity",
         premises=("invariance", s_perm),
     )
-    s_add = trace.add(
+    trace.add(
         "additivity",
         f"d equal weights summing to 1 are each 1/{d}",
         premises=("additivity", "normalization", s_comp),
@@ -502,82 +314,13 @@ def equiprobable_values(
 
     for proj in separating.projectors:
         table.assign(proj, Fraction(1, d))
-    if graining is not None:
-        covered = set()
-        for proj in separating.projectors:
-            if proj.cells is not None:
-                covered |= proj.index_set()
-        zeros = []
-        for gen in graining.block_projectors():
-            if proj_cells_disjoint(gen, covered):
-                table.assign(gen, Fraction(0))
-                zeros.append(gen.key()[2])
-        if zeros:
-            trace.add(
-                "additivity",
-                "projectors orthogonal to the family's span carry weight 0",
-                premises=("additivity", s_add),
-                payload={"zeroed": [str(z) for z in zeros]},
-            )
     return table, trace
-
-
-def proj_cells_disjoint(proj: Projector, covered: set[int]) -> bool:
-    return proj.cells is not None and not (proj.index_set() & covered)
 
 
 def _permutation_witnessed(separating: SeparatingSet) -> bool:
     """True when ``permutation_unitary`` can cycle every block of the family,
     which needs every block to have the same rank."""
     return len({proj.rank for proj in separating.projectors}) == 1
-
-
-def _eigenvector_rule(psi, separating, graining, trace, s_phase, table):
-    proj = separating.projectors[0]
-    inside = born_weight(psi, proj)
-    if abs(inside - 1.0) > DERIVED_TOL:
-        raise PreconditionError(
-            "the single-projector rule needs the state inside the projector's range"
-        )
-    if graining is None:
-        raise PreconditionError(
-            "the single-projector rule needs a lattice with at least three "
-            "disjoint spare projectors"
-        )
-    covered = proj.index_set() if proj.cells is not None else set()
-    spares = [
-        gen for gen in graining.block_projectors() if proj_cells_disjoint(gen, covered)
-    ]
-    if len(spares) < 3:
-        raise PreconditionError(
-            f"only {len(spares)} disjoint spare projectors available; need 3"
-        )
-    s_perm = trace.add(
-        "permutation",
-        "the spare projectors all annihilate the state and are pairwise "
-        "equiprobable under permutations fixing the supporting projector",
-        premises=("invariance", "degeneracy", s_phase),
-    )
-    s_comp = trace.add(
-        "complement",
-        "merging two spares yields a projector equiprobable with a single "
-        "spare; its weight equals both v and 2v",
-        premises=("invariance", "degeneracy", s_perm),
-    )
-    s_zero = trace.add(
-        "additivity",
-        "v = 2v forces every spare weight to 0",
-        premises=("additivity", s_comp),
-    )
-    trace.add(
-        "additivity",
-        "the supporting projector carries the full weight 1",
-        premises=("additivity", "normalization", s_zero),
-    )
-    table.assign(proj, Fraction(1))
-    for gen in spares:
-        table.assign(gen, Fraction(0))
-    return table, trace
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +331,9 @@ def _eigenvector_rule(psi, separating, graining, trace, s_phase, table):
 def rational_born_values(rational: RationalState) -> tuple[MeasureTable, DerivationTrace]:
     """Weight table forced for integer-weight states: m_j / sum(m_k).
 
-    Each block with weight m_k is cut into m_k equal-mass pieces by the
-    cuts of :func:`equal_mass_refine`, on one grid subdivided by the lcm of
-    every cut's denominator; the equiprobable argument runs on the
+    Each block with weight m_k is cut into m_k equal-mass pieces by
+    :func:`_exact_cuts`, on one grid subdivided by the lcm of every cut's
+    denominator; the equiprobable argument runs on the
     sum(m_k) pieces, and additivity reassembles the block weights.  Exact
     rational arithmetic throughout.
 
@@ -664,7 +407,6 @@ class Approximant:
 @dataclass(frozen=True)
 class BornLimitResult:
     value: float
-    exact_value: Fraction
     record: tuple[Approximant, ...]
     converged: bool
 
@@ -708,7 +450,7 @@ def born_limit(psi: StateVector, proj: Projector, tol: float) -> BornLimitResult
         )
         if value_error < tol:
             return BornLimitResult(
-                value=float(best), exact_value=best, record=tuple(record), converged=True
+                value=float(best), record=tuple(record), converged=True
             )
         if cap >= DEFAULT_DENOMINATOR_CAP:
             raise ConvergenceFailureError(
@@ -750,9 +492,7 @@ class UniquenessResult:
         return self.status == "unique"
 
 
-def measure_uniqueness_solve(
-    state_or_profile, family: GrainingFamily
-) -> UniquenessResult:
+def measure_uniqueness_solve(profile: MassProfile, family: GrainingFamily) -> UniquenessResult:
     """Decide whether additivity, invariance, and stability pin the weights.
 
     Unknowns are the block projectors across the family, identified across
@@ -762,8 +502,7 @@ def measure_uniqueness_solve(
     permutation (the constructible invariance unitaries).  The system is
     assembled and solved in exact rational arithmetic.
     """
-    profile = _as_profile(state_or_profile)
-    masses = profile.as_fractions()
+    masses = profile.masses
     total = sum(masses)
     if not family.members:
         raise InvalidGrainingError("the graining family has no members")

@@ -7,8 +7,9 @@ observable describe the same physical process and are recorded as
 equipreferable; two further axioms constrain values across payoff shifts
 (sure-thing) and payoff negation (zero-sum).  A linear solver over the
 generated equivalence closure recovers forced game values, in particular
-the equal-amplitude two-outcome value (half the summed payoffs) and the
-equal-weight equivalence of projector games.
+the equal-amplitude two-outcome value (half the summed payoffs, the chain
+that ``derive_pivotal`` replays for two unit amplitudes and a linear
+payoff) and the equal-weight equivalence of projector games.
 """
 
 from __future__ import annotations
@@ -585,17 +586,9 @@ class PivotalResult:
     value: GameValue
     solver: ValueSolver
     trace: DerivationTrace
-    relation_only: bool = False
 
 
-def derive_pivotal(
-    x1: float,
-    x2: float,
-    payoff: AffinePayoff | None = None,
-    *,
-    amplitudes: Sequence[complex] = (1.0, 1.0),
-    spectator_amplitude: complex = 0.0,
-) -> PivotalResult:
+def derive_pivotal(x1: float, x2: float, payoff: AffinePayoff) -> PivotalResult:
     """Forced value of the equal-amplitude two-outcome game.
 
     Replays the four-step chain: a state-preserving swap of the two
@@ -604,39 +597,16 @@ def derive_pivotal(
     (sure-thing), and payoff negation (zero-sum).  The chain closes to
     2V = payoff(x1) + payoff(x2).  Each step is numerically validated
     against the weight-consistent assignment.
-
-    With a spectator component (a third, zero-labelled outcome holding
-    part of the state), the label swap is no longer affine and only the
-    symmetry relation between the two outcomes is forced.
     """
-    payoff = payoff if payoff is not None else linear_payoff(1.0)
     if not isinstance(payoff, AffinePayoff) or not payoff.is_linear:
         raise LinearityError("the derivation needs a linear payoff")
     if abs(float(x1) - float(x2)) <= SPECTRUM_TOL:
         return _degenerate_pivotal(x1, payoff)
-    a1, a2 = complex(amplitudes[0]), complex(amplitudes[1])
-    if abs(abs(a1) - abs(a2)) > WEIGHT_TOL or abs(a1) == 0.0:
-        raise PreconditionError(
-            "the derivation needs equal-modulus amplitudes on the two outcomes"
-        )
-    c3 = complex(spectator_amplitude)
-    if c3 == 0.0:
-        state = np.array([a1, a2])
-        spectral = [
-            (float(x1), Projector.from_cells([0], 2)),
-            (float(x2), Projector.from_cells([1], 2)),
-        ]
-    else:
-        state = np.array([a1, a2, c3])
-        spectral = [
-            (float(x1), Projector.from_cells([0], 3)),
-            (float(x2), Projector.from_cells([1], 3)),
-            (0.0, Projector.from_cells([2], 3)),
-        ]
-        if any(abs(lam) <= SPECTRUM_TOL for lam in (float(x1), float(x2))):
-            raise PreconditionError(
-                "spectator derivations need both labels distinct from 0"
-            )
+    state = np.ones(2, dtype=complex)
+    spectral = [
+        (float(x1), Projector.from_cells([0], 2)),
+        (float(x2), Projector.from_cells([1], 2)),
+    ]
 
     solver = ValueSolver()
     trace = DerivationTrace(rules=GAME_RULES)
@@ -649,16 +619,6 @@ def derive_pivotal(
 
     relabeled = solver.relabel(conjugated, _label_swap(game.spectrum, float(x1), float(x2)))
     _validate_step(trace, "payoff-equivalence", conjugated, relabeled, 0.0)
-
-    if c3 != 0.0:
-        # the swapped payoff has no affine extension fixing the spectator
-        # label, so the chain stops at the forced symmetry relation
-        return PivotalResult(
-            value=GameValue(None, game.key(), provenance=trace),
-            solver=solver,
-            trace=trace,
-            relation_only=True,
-        )
 
     # relabeled payoff is (payoff o -I) o shift(-(x1+x2)); peel the shift
     negated_payoff_game = game._with_payoff(payoff.compose_affine(-1.0, 0.0))

@@ -437,7 +437,8 @@ def rotation_jump_demo(chi, phi, steps: int) -> RotationJumpReport:
     if abs(overlap) > 1.0 - 1e-14:
         return RotationJumpReport(np.zeros(0))
     # align phase so the geodesic stays real in the (a, b) plane
-    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
+    # a subnormal overlap counts as zero: dividing by it overflows
+    phase = overlap / abs(overlap) if abs(overlap) >= np.finfo(float).tiny else 1.0
     b_aligned = b / phase
     angle = float(np.arccos(min(1.0, abs(overlap))))
 

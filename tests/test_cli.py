@@ -402,6 +402,14 @@ class TestMain:
                 "'profiles'",
             ),
             ("solve-measure", {"masses": [True, 1], "grainings": [[1, 1]]}, "'masses'"),
+            (
+                "derive",
+                {"construction": "rational", "weights": [1, 1], "block_sizes": [10000, 1]},
+                "'block_sizes'",
+            ),
+            ("nogo", {**PM_PARAMS, "assignment": []}, "'assignment'"),
+            ("nogo", {**PM_PARAMS, "assignment": ""}, "'assignment'"),
+            ("nogo", {**PM_PARAMS, "assignment": [["P1", 0], ["P2", 0]]}, "'assignment'"),
         ],
     )
     def test_out_of_range_field_exit_usage(self, tmp_path, capsys, kind, params, field):

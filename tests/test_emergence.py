@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -14,7 +15,6 @@ from bornlab.emergence import (
     RationalState,
     born_limit,
     equal_mass_grid,
-    equal_mass_refine,
     equiprobable_values,
     measure_uniqueness_solve,
     rational_born_values,
@@ -40,85 +40,6 @@ def unit_separating(d):
     return SeparatingSet(np.eye(d), [Projector.from_cells([i], d) for i in range(d)])
 
 
-class TestEqualMassRefine:
-    def test_uniform_block_quarters(self):
-        graining = CoarseGraining(4, [(0, 4)])
-        result = equal_mass_refine(StateVector([1, 1, 1, 1]), graining, 0, 4)
-        fractions_of_block = [float(c) / 4 for c in result.cuts]
-        assert fractions_of_block == pytest.approx([0.25, 0.5, 0.75])
-        assert all(m == result.piece_masses[0] for m in result.piece_masses)
-
-    def test_linear_density_half_mass_point(self):
-        # piecewise-constant discretization of density ~ 2x on [0,1):
-        # cell masses 2i+1; the half-mass point sits at 70 + 100/141 cells,
-        # converging on sqrt(1/2) of the domain
-        masses = [Fraction(2 * i + 1) for i in range(100)]
-        graining = CoarseGraining(100, [(0, 100)])
-        result = equal_mass_refine(MassProfile(masses), graining, 0, 2)
-        assert result.cuts[0] == Fraction(70 * 141 + 100, 141)
-        assert float(result.cuts[0]) / 100 == pytest.approx(math.sqrt(0.5), abs=2e-4)
-        assert result.piece_masses[0] == result.piece_masses[1]
-
-    def test_zero_mass_block_any_split(self):
-        graining = CoarseGraining(4, [(0, 2), (2, 4)])
-        result = equal_mass_refine(StateVector([1, 1, 0, 0]), graining, 1, 3)
-        assert len(result.pieces) == 3
-        assert all(m == 0 for m in result.piece_masses)
-
-    def test_pieces_partition_the_block(self):
-        graining = CoarseGraining(5, [(0, 3), (3, 5)])
-        result = equal_mass_refine(
-            MassProfile([Fraction(1, 7), Fraction(2, 7), Fraction(1, 7),
-                         Fraction(2, 7), Fraction(1, 7)]),
-            graining,
-            0,
-            3,
-        )
-        L = result.subdivision
-        spans = sorted(p.cells[0] for p in result.pieces)
-        assert spans[0][0] == 0
-        assert spans[-1][1] == 3 * L
-        for left, right in zip(spans, spans[1:]):
-            assert left[1] == right[0]
-        assert result.graining.refines(
-            CoarseGraining(5 * L, [(0, 3 * L), (3 * L, 5 * L)])
-        )
-
-    def test_float_masses_hit_tolerance(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            amps = rng.uniform(0.1, 1.0, size=6)
-            psi = StateVector(amps)
-            graining = CoarseGraining(6, [(0, 6)])
-            m = int(rng.integers(2, 7))
-            result = equal_mass_refine(psi, graining, 0, m)
-            total = sum(result.piece_masses)
-            mean = total / m
-            assert max(abs(x - mean) for x in result.piece_masses) < 1e-9 * total
-
-    def test_resolution_cap(self, monkeypatch):
-        monkeypatch.setattr(emergence, "DEFAULT_SUBDIVISION_CAP", 10)
-        graining = CoarseGraining(2, [(0, 2)])
-        profile = MassProfile([Fraction(1, 997), Fraction(996, 997)])
-        with pytest.raises(ResolutionError) as err:
-            equal_mass_refine(profile, graining, 0, 997)
-        assert err.value.required_subcells is not None
-
-    def test_single_float_piece_needs_no_subdivision(self, monkeypatch):
-        # m = 1 places no cut, so a small cap cannot be too small for it
-        graining = CoarseGraining(2, [(0, 2)])
-        uncapped = equal_mass_refine([0.3, 0.7], graining, 0, 1)
-        monkeypatch.setattr(emergence, "DEFAULT_SUBDIVISION_CAP", 1000)
-        capped = equal_mass_refine([0.3, 0.7], graining, 0, 1)
-        assert capped == uncapped
-        assert (capped.subdivision, capped.cuts, capped.exact) == (1, (), False)
-
-    def test_block_is_an_index(self):
-        graining = CoarseGraining(2, [(0, 1), (1, 2)])
-        with pytest.raises(TypeError, match="block index"):
-            equal_mass_refine([0.3, 0.7], graining, graining.block_projector(0), 2)
-
-
 class TestEquiprobableValues:
     def test_two_equal_amplitudes(self):
         table, trace = equiprobable_values(StateVector([1, 1]), unit_separating(2))
@@ -127,21 +48,13 @@ class TestEquiprobableValues:
         rules = [s.rule for s in trace.steps]
         assert rules == ["phase-elim", "permutation", "complement", "additivity"]
 
-    def test_single_projector_eigenvector_rule(self):
-        graining = CoarseGraining.from_sizes([1, 1, 1, 1, 2])
-        sep = SeparatingSet([[1, 0, 0, 0, 0, 0]], [graining.block_projector(0)])
-        table, trace = equiprobable_values(
-            StateVector([1, 0, 0, 0, 0, 0]), sep, graining
-        )
-        assert table.value(graining.block_projector(0)) == 1
-        for k in range(1, 5):
-            assert table.value(graining.block_projector(k)) == 0
-
     def test_single_projector_needs_three_spares(self):
+        # a one-projector family has none of the eigenvector rule's three
+        # spare projectors, so the construction rejects it
         graining = CoarseGraining.from_sizes([1, 1])
         sep = SeparatingSet([[1, 0]], [graining.block_projector(0)])
-        with pytest.raises(PreconditionError, match="spare"):
-            equiprobable_values(StateVector([1, 0]), sep, graining)
+        with pytest.raises(PreconditionError, match="at least two projectors"):
+            equiprobable_values(StateVector([1, 0]), sep)
 
     def test_three_phases(self):
         psi = StateVector([np.exp(0.4j), np.exp(1.9j), 1.0])
@@ -153,22 +66,9 @@ class TestEquiprobableValues:
         with pytest.raises(PreconditionError, match=r"c_0.*c_1"):
             equiprobable_values(StateVector([1, 2]), unit_separating(2))
 
-    def test_zero_assignments_on_orthogonal_lattice(self):
-        graining = CoarseGraining.from_sizes([1, 1, 2])
-        sep = SeparatingSet(
-            [[1, 0, 0, 0], [0, 1, 0, 0]],
-            [graining.block_projector(0), graining.block_projector(1)],
-        )
-        table, _ = equiprobable_values(StateVector([1, 1, 0, 0]), sep, graining)
-        assert table.value(graining.block_projector(2)) == 0
-
     def test_tables_pass_additivity(self):
-        graining = CoarseGraining.unit_cells(3)
-        psi = StateVector([1, 1, 1])
-        table, _ = equiprobable_values(
-            psi, unit_separating(3), graining
-        )
-        assert check_additivity(table, graining).ok
+        table, _ = equiprobable_values(StateVector([1, 1, 1]), unit_separating(3))
+        assert check_additivity(table, CoarseGraining.unit_cells(3)).ok
 
     @pytest.mark.parametrize(
         "sizes, amplitudes, witness",
@@ -195,6 +95,22 @@ class TestEquiprobableValues:
         table2, _ = equiprobable_values(moved, sep)
         for proj in sep.projectors:
             assert abs(float(table.value(proj)) - float(table2.value(proj))) < 1e-10
+
+
+def block_subdivision(masses, m) -> int:
+    """Sub-cells per cell that put the m - 1 equal-mass cuts of one block on
+    sub-cell boundaries, from the block's prefix sums.
+
+    Cut j sits in the first cell i whose prefix sum reaches the target j/m
+    of the block mass, at offset (target - prefix[i]) / masses[i] into it.
+    """
+    prefix = [Fraction(0), *itertools.accumulate(masses)]
+    denominators = []
+    for j in range(1, m):
+        target = prefix[-1] * j / m
+        i = bisect.bisect_left(prefix, target) - 1
+        denominators.append(((target - prefix[i]) / masses[i]).denominator)
+    return math.lcm(*denominators)
 
 
 class TestRationalBornValues:
@@ -259,9 +175,10 @@ class TestRationalBornValues:
             state = RationalState(weights, graining, profiles)
             _, trace = rational_born_values(state)
             (refine,) = (step for step in trace.steps if step.rule == "refinement")
+            masses = state.cell_masses().masses
             per_block = [
-                equal_mass_refine(state.cell_masses(), graining, k, w).subdivision
-                for k, w in enumerate(weights)
+                block_subdivision(masses[a:b], w)
+                for (a, b), w in zip(graining.blocks, weights)
                 if w
             ]
             assert refine.payload["subdivision"] == math.lcm(*per_block)
@@ -331,7 +248,7 @@ def random_equal_mass_instance(rng):
 class TestMeasureUniqueness:
     def test_two_unit_cells(self):
         family = GrainingFamily([CoarseGraining.unit_cells(2)])
-        result = measure_uniqueness_solve(StateVector([1, 1]), family)
+        result = measure_uniqueness_solve(MassProfile([1, 1]), family)
         assert result.unique
         for key in result.unknown_keys:
             assert result.table.value(Projector.from_cells([key], 2)) == Fraction(1, 2)
@@ -403,6 +320,11 @@ class TestMeasureUniqueness:
                     for a, b in coarse.blocks:
                         inner = [blk for blk in fine.blocks if a <= blk[0] and blk[1] <= b]
                         assert value[(a, b)] == sum(value[blk] for blk in inner)
+
+    def test_float_masses_convert_exactly(self):
+        profile = MassProfile([0.1, 1])
+        assert profile.masses == (Fraction(0.1), Fraction(1))
+        assert all(type(m) is Fraction for m in profile.masses)
 
     def test_empty_family_rejected(self):
         with pytest.raises(InvalidGrainingError, match="no members"):

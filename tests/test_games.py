@@ -205,38 +205,9 @@ class TestDerivePivotal:
         result = derive_pivotal(3.0, 3.0, linear_payoff(2.0))
         assert result.value.value == pytest.approx(6.0)
 
-    def test_unequal_amplitudes_rejected(self):
-        with pytest.raises(PreconditionError):
-            derive_pivotal(0.0, 10.0, amplitudes=(1.0, 2.0))
-
-    def test_spectator_component_gives_relation(self):
-        result = derive_pivotal(
-            2.0, 7.0, linear_payoff(1.0), spectator_amplitude=0.5
-        )
-        assert result.relation_only
-        assert result.value.value is None
-        # the symmetry relation is still recorded and sound
-        assert verify_soundness(
-            result.solver.constraints, result.solver.games.values()
-        ) < 1e-10
-
-    def test_spectator_with_negative_label(self):
-        # the swap pairs the two labelled outcomes, not the first two by label order
-        result = derive_pivotal(-1.0, 5.0, linear_payoff(1.0), spectator_amplitude=0.5)
-        assert result.relation_only
-        assert verify_soundness(
-            result.solver.constraints, result.solver.games.values()
-        ) < 1e-10
-
     def test_nonlinear_payoff_rejected(self):
         with pytest.raises(LinearityError):
             derive_pivotal(0.0, 1.0, AffinePayoff(1.0, 3.0))
-
-    def test_phase_decorated_amplitudes(self):
-        result = derive_pivotal(
-            -4.0, 10.0, linear_payoff(0.5), amplitudes=(1.0, np.exp(0.7j))
-        )
-        assert result.value.value == pytest.approx(0.25 * 6.0)
 
     def test_random_draws(self):
         rng = np.random.default_rng(17)

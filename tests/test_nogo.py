@@ -256,6 +256,12 @@ class TestRotationJump:
         with pytest.raises(ValueError):
             report.distances[0] = 1.0
 
+    def test_subnormal_overlap_counts_as_zero(self):
+        # dividing by an overlap of about 1e-320 overflowed and left every distance NaN
+        report = rotation_jump_demo([1, 0], [1e-320, 1], 4)
+        assert report.status == "contradiction"
+        assert np.array_equal(report.distances, rotation_jump_demo([1, 0], [0, 1], 4).distances)
+
     @given(
         st.integers(2, 4),
         st.integers(2, 400),
