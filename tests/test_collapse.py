@@ -447,17 +447,19 @@ class TestRecordedTrajectories:
         with pytest.raises(PreconditionError, match="record_every"):
             simulate(qubit_model, plus_state(), t_max=1.0, dt=1e-3, seed=1, record_every=0)
 
-    @pytest.mark.parametrize("hamiltonian, norm2", [(None, "inf"), (np.diag([0.5, 0.0]), "nan")])
-    def test_overflow_names_seed_and_step_without_warning(self, hamiltonian, norm2):
-        model = CollapseModel(hamiltonian, [np.diag([1e200, -1e200])], gamma=1.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(IntegrationFailureError) as err:
-                ensemble_outcomes(model, plus_state(), 3, t_max=1.0, dt=1e-3, seed=1, record=[1])
-        assert err.value.step == 1
-        assert f"seed 1: squared norm {norm2} at step 1" in str(err.value)
-        # the error reports the failed step, so numpy's overflow warning is silenced
-        assert not caught
+    def test_overflow_names_seed_and_step_without_warning(self):
+        for hamiltonian, norm2 in [(None, "inf"), (np.diag([0.5, 0.0]), "nan")]:
+            model = CollapseModel(hamiltonian, [np.diag([1e200, -1e200])], gamma=1.0)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(IntegrationFailureError) as err:
+                    ensemble_outcomes(
+                        model, plus_state(), 3, t_max=1.0, dt=1e-3, seed=1, record=[1]
+                    )
+            assert err.value.step == 1
+            assert f"seed 1: squared norm {norm2} at step 1" in str(err.value)
+            # the error reports the failed step, so numpy's overflow warning is silenced
+            assert not caught
 
 
 class TestMartingale:
