@@ -5,11 +5,16 @@ function on the spectrum.  Games related by spectrum relabeling (with the
 payoff pre-composed accordingly) or by unitary conjugation of state and
 observable describe the same physical process and are recorded as
 equipreferable; two further axioms constrain values across payoff shifts
-(sure-thing) and payoff negation (zero-sum).  A linear solver over the
-generated equivalence closure recovers forced game values, in particular
+(sure-thing) and payoff negation (zero-sum).
+
+Spectrum labels, relabelings and payoffs are exact rationals, converted
+once from the input floats, so every constraint row has coefficients +-1
+and an exact constant.  ``exactlin.solve_exact`` solves the rows of the
+generated equivalence closure for the forced game values, in particular
 the equal-amplitude two-outcome value (half the summed payoffs, the chain
 that ``derive_pivotal`` replays for two unit amplitudes and a linear
-payoff) and the equal-weight equivalence of projector games.
+payoff) and the equal-weight equivalence of projector games.  States and
+projectors stay floats.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .errors import (
     RelabelingError,
     UnitarityError,
 )
+from .exactlin import require_feasible, solve_exact
 from .hilbert import (
     Projector,
     SeparatingSet,
@@ -42,8 +48,6 @@ from .trace import GAME_RULES, DerivationTrace
 SPECTRUM_TOL = 1e-10
 WEIGHT_TOL = 1e-10
 KEY_DECIMALS = 10
-CLOSURE_TOL = 1e-9  # relative; cycles close only to the rounding of game keys
-EQUIVALENCE_TOL = 1e-9  # solved values closer than this count as equal
 MAX_CLOSURE_DEPTH = 100  # closure rounds; each may add games and rows
 
 
@@ -52,59 +56,70 @@ MAX_CLOSURE_DEPTH = 100  # closure rounds; each may add games and rows
 # ---------------------------------------------------------------------------
 
 
+def _exact(x) -> Fraction:
+    """``x`` as an exact rational: a float converts without rounding."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 @dataclass(frozen=True)
 class AffinePayoff:
-    """Payoff x -> slope*x + offset.
+    """Payoff x -> slope*x + offset, with exact rational coefficients.
 
     Linear (additive over label sums) exactly when the offset vanishes;
     nonzero offsets arise from composing a linear payoff with label shifts.
     """
 
-    slope: float
-    offset: float = 0.0
+    slope: Fraction
+    offset: Fraction = Fraction(0)
 
-    def __call__(self, x: float) -> float:
-        return self.slope * float(x) + self.offset
+    def __post_init__(self):
+        object.__setattr__(self, "slope", _exact(self.slope))
+        object.__setattr__(self, "offset", _exact(self.offset))
+
+    def __call__(self, x) -> Fraction:
+        return self.slope * _exact(x) + self.offset
 
     @property
     def is_linear(self) -> bool:
-        return self.offset == 0.0
+        return not self.offset
 
     def key(self):
-        return ("affine", round(self.slope, 12), round(self.offset, 12))
+        return ("affine", self.slope.as_integer_ratio(), self.offset.as_integer_ratio())
 
-    def compose_affine(self, eps: float, c: float) -> "AffinePayoff":
+    def compose_affine(self, eps, c) -> "AffinePayoff":
         """Payoff composed with the label map x -> eps*x + c."""
         return AffinePayoff(self.slope * eps, self.offset + self.slope * c)
 
 
 @dataclass(frozen=True)
 class TabularPayoff:
-    """Finite payoff table over spectrum values."""
+    """Finite payoff table over exact spectrum labels."""
 
-    table: tuple[tuple[float, float], ...]
+    table: tuple[tuple[Fraction, Fraction], ...]
 
     def __init__(self, mapping):
-        items = tuple(sorted((float(x), float(u)) for x, u in dict(mapping).items()))
+        items = tuple(sorted((_exact(x), _exact(u)) for x, u in dict(mapping).items()))
         object.__setattr__(self, "table", items)
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x) -> Fraction:
+        x = _exact(x)
         for key, value in self.table:
-            if abs(key - float(x)) <= SPECTRUM_TOL:
+            if key == x:
                 return value
-        raise KeyError(f"payoff table has no entry for label {x}")
+        raise KeyError(f"payoff table has no entry for label {float(x)}")
 
     def key(self):
-        return ("table", tuple((round(x, 10), round(u, 10)) for x, u in self.table))
+        pairs = tuple((x.as_integer_ratio(), u.as_integer_ratio()) for x, u in self.table)
+        return ("table", pairs)
 
 
 def linear_payoff(slope: float = 1.0) -> AffinePayoff:
-    return AffinePayoff(float(slope), 0.0)
+    return AffinePayoff(slope)
 
 
 @dataclass(frozen=True)
 class Relabeling:
-    """Invertible map on spectrum labels.
+    """Invertible map on spectrum labels, exact on rationals.
 
     ``shift``, ``negate`` and their compositions stay affine (``eps``,
     ``c``); finite permutations (``mapping``) cover maps with no affine
@@ -112,57 +127,48 @@ class Relabeling:
     """
 
     kind: str
-    eps: float | None = None
-    c: float | None = None
-    mapping: tuple[tuple[float, float], ...] | None = None
+    eps: Fraction | None = None
+    c: Fraction | None = None
+    mapping: tuple[tuple[Fraction, Fraction], ...] | None = None
 
     @classmethod
-    def shift(cls, s: float) -> "Relabeling":
-        return cls(kind="shift", eps=1.0, c=float(s))
+    def shift(cls, s) -> "Relabeling":
+        return cls(kind="shift", eps=Fraction(1), c=_exact(s))
 
     @classmethod
     def negate(cls) -> "Relabeling":
-        return cls(kind="negate", eps=-1.0, c=0.0)
+        return cls(kind="negate", eps=Fraction(-1), c=Fraction(0))
 
     @classmethod
-    def affine(cls, eps: float, c: float) -> "Relabeling":
-        if eps == 0.0:
+    def affine(cls, eps, c) -> "Relabeling":
+        if eps == 0:
             raise RelabelingError("affine relabeling needs a nonzero scale")
-        return cls(kind="affine", eps=float(eps), c=float(c))
+        return cls(kind="affine", eps=_exact(eps), c=_exact(c))
 
     @classmethod
     def permutation(cls, mapping: dict) -> "Relabeling":
-        pairs = tuple(sorted((float(a), float(b)) for a, b in mapping.items()))
+        pairs = tuple(sorted((_exact(a), _exact(b)) for a, b in mapping.items()))
         sources = [a for a, _ in pairs]
         targets = sorted(b for _, b in pairs)
         if len(set(sources)) != len(sources) or targets != sources:
             raise RelabelingError("permutation must be a bijection of the label set")
         return cls(kind="permutation", mapping=pairs)
 
-    def __call__(self, x: float) -> float:
-        x = float(x)
+    def __call__(self, x) -> Fraction:
+        x = _exact(x)
         if self.eps is not None:
             return self.eps * x + self.c
         for a, b in self.mapping:
-            if abs(a - x) <= SPECTRUM_TOL:
+            if a == x:
                 return b
-        raise RelabelingError(f"label {x} outside the permutation's domain")
-
-    def inverse(self, y: float) -> float:
-        y = float(y)
-        if self.eps is not None:
-            return (y - self.c) / self.eps
-        for a, b in self.mapping:
-            if abs(b - y) <= SPECTRUM_TOL:
-                return a
-        raise RelabelingError(f"label {y} outside the permutation's range")
+        raise RelabelingError(f"label {float(x)} outside the permutation's domain")
 
 
-def _label_swap(spectrum: Sequence[float], a: float, b: float) -> Relabeling:
+def _label_swap(spectrum: Sequence[Fraction], a: Fraction, b: Fraction) -> Relabeling:
     """Relabeling exchanging labels ``a`` and ``b`` of ``spectrum``: affine on
     two outcomes, otherwise a permutation fixing every other label."""
     if len(spectrum) == 2:
-        return Relabeling.affine(-1.0, a + b)
+        return Relabeling.affine(-1, a + b)
     mapping = {lam: lam for lam in spectrum}
     mapping[a], mapping[b] = b, a
     return Relabeling.permutation(mapping)
@@ -193,19 +199,19 @@ class Game:
     """Prepared state, spectral observable, payoff.
 
     The observable is stored as spectral pairs (label, projector) with
-    distinct labels and orthogonal projectors summing to the identity; the
-    state is stored normalized.
+    distinct exact labels and orthogonal projectors summing to the identity;
+    the state is stored normalized.
     """
 
     state: np.ndarray
-    spectral: tuple[tuple[float, Projector], ...]
+    spectral: tuple[tuple[Fraction, Projector], ...]
     payoff: object
 
     def __init__(self, state, spectral, payoff):
         state = _unit_state(state)
         state.setflags(write=False)
         spectral = tuple(
-            (float(lam), proj) for lam, proj in sorted(spectral, key=lambda p: -p[0])
+            (_exact(lam), proj) for lam, proj in sorted(spectral, key=lambda p: -p[0])
         )
         if not spectral:
             raise PreconditionError("game needs at least one outcome")
@@ -215,7 +221,7 @@ class Game:
         labels = [lam for lam, _ in spectral]
         for a, b in itertools.combinations(labels, 2):
             if abs(a - b) <= SPECTRUM_TOL:
-                raise PreconditionError(f"spectral labels {a} and {b} coincide")
+                raise PreconditionError(f"spectral labels {float(a)} and {float(b)} coincide")
         total = sum(proj.as_matrix() for _, proj in spectral)
         if np.max(np.abs(total - np.eye(dim))) > 1e-9:
             raise PreconditionError("spectral projectors must sum to the identity")
@@ -223,11 +229,16 @@ class Game:
         object.__setattr__(self, "spectral", spectral)
         object.__setattr__(self, "payoff", payoff)
 
-    def _with_payoff(self, payoff) -> "Game":
-        """This game's validated state and observable under another payoff."""
+    def _with_payoff(self, payoff, labels=None) -> "Game":
+        """This game's validated state and projectors under another payoff
+        and, given ``labels``, new distinct labels for the projectors in order."""
+        spectral = self.spectral
+        if labels is not None:
+            pairs = zip(labels, (proj for _, proj in spectral))
+            spectral = tuple(sorted(pairs, key=lambda p: p[0], reverse=True))
         game = object.__new__(Game)
         object.__setattr__(game, "state", self.state)
-        object.__setattr__(game, "spectral", self.spectral)
+        object.__setattr__(game, "spectral", spectral)
         object.__setattr__(game, "payoff", payoff)
         return game
 
@@ -241,7 +252,7 @@ class Game:
         return self.state.shape[0]
 
     @property
-    def spectrum(self) -> tuple[float, ...]:
+    def spectrum(self) -> tuple[Fraction, ...]:
         return tuple(lam for lam, _ in self.spectral)
 
     def outcome_weights(self) -> tuple[float, ...]:
@@ -255,11 +266,12 @@ class Game:
         )
 
     def key(self):
-        """Rounded state, spectral pairs and payoff; built once, as a game is frozen."""
+        """Rounded state and projectors, exact labels and payoff; built once,
+        as a game is frozen."""
         if "_key" not in self.__dict__:
             key = (
                 _round_key(self.state),
-                tuple((round(lam, KEY_DECIMALS), proj.key()) for lam, proj in self.spectral),
+                tuple((lam.as_integer_ratio(), proj.key()) for lam, proj in self.spectral),
                 self.payoff.key(),
             )
             object.__setattr__(self, "_key", key)
@@ -268,23 +280,23 @@ class Game:
 
 def relabel_game(game: Game, f: Relabeling) -> Game:
     """Relabeled presentation: labels pushed through f, payoff pre-composed
-    with its inverse.  The two games describe the same physical process."""
+    with its inverse.  The two games describe the same physical process.
+
+    An exact affine map or bijection is invertible, so only labels that
+    land within ``SPECTRUM_TOL`` of each other are rejected.
+    """
     new_labels = [f(lam) for lam in game.spectrum]
     for a, b in itertools.combinations(new_labels, 2):
         if abs(a - b) <= SPECTRUM_TOL:
             raise RelabelingError("relabeling collapses two spectrum labels")
-    for lam, new in zip(game.spectrum, new_labels):
-        if abs(f.inverse(new) - lam) > 1e-9:
-            raise RelabelingError("relabeling is not invertible on the spectrum")
     if f.eps is not None and isinstance(game.payoff, AffinePayoff):
         # payoff o f^{-1}: x -> payoff((x - c)/eps)
-        new_payoff = game.payoff.compose_affine(1.0 / f.eps, -f.c / f.eps)
+        new_payoff = game.payoff.compose_affine(1 / f.eps, -f.c / f.eps)
     else:
         new_payoff = TabularPayoff(
             {new: game.payoff(lam) for lam, new in zip(game.spectrum, new_labels)}
         )
-    spectral = tuple((new, proj) for new, (_, proj) in zip(new_labels, game.spectral))
-    return Game(game.state, spectral, new_payoff)
+    return game._with_payoff(new_payoff, new_labels)
 
 
 def transform_game(game: Game, unitary) -> Game:
@@ -308,10 +320,11 @@ def transform_game(game: Game, unitary) -> Game:
 
 @dataclass(frozen=True)
 class Constraint:
-    """Linear relation sum(coeff * V(game)) = const."""
+    """Linear relation sum(coeff * V(game)) = const, with coefficients +-1
+    and an exact rational constant."""
 
-    terms: tuple[tuple[tuple, float], ...]  # (game key, coefficient)
-    const: float
+    terms: tuple[tuple[tuple, int], ...]  # (game key, coefficient)
+    const: Fraction
     kind: str
     note: str = ""
 
@@ -339,7 +352,8 @@ class ValueSolveResult:
     n_unknowns: int
     freedom: int
     constraints: tuple[Constraint, ...]
-    _index: dict | None = None  # key -> (root, sign, offset, exact value or None)
+    # key -> (value in one particular solution, its component in each nullspace vector)
+    _exact: dict
 
     @property
     def full_rank(self) -> bool:
@@ -349,19 +363,25 @@ class ValueSolveResult:
         gv = self.values.get(game.key())
         return gv.value if gv is not None else None
 
-    def difference(self, a: Game, b: Game) -> float | None:
-        """V(a) - V(b) when the constraints pin that difference, else None.
+    def exact_value(self, game: Game) -> Fraction | None:
+        """V(game) when no nullspace vector moves it, else None."""
+        entry = self._exact.get(game.key())
+        return None if entry is None or any(entry[1]) else entry[0]
+
+    def exact_difference(self, a: Game, b: Game) -> Fraction | None:
+        """V(a) - V(b) when every nullspace vector moves both values alike.
 
         A difference can be forced (e.g. by a recorded equivalence) even
         when the individual values float freely.
         """
-        pa, pb = self._index.get(a.key()), self._index.get(b.key())
-        if pa is None or pb is None:
+        pa, pb = self._exact.get(a.key()), self._exact.get(b.key())
+        if pa is None or pb is None or pa[1] != pb[1]:
             return None
-        (ra, sa, oa, xa), (rb, sb, ob, xb) = pa, pb
-        if xa is not None and xb is not None:
-            return float(xa - xb)
-        return float(oa - ob) if (ra, sa) == (rb, sb) else None
+        return pa[0] - pb[0]
+
+    def difference(self, a: Game, b: Game) -> float | None:
+        diff = self.exact_difference(a, b)
+        return None if diff is None else float(diff)
 
 
 def projector_swap(state, p1: Projector, p2: Projector) -> np.ndarray | None:
@@ -408,9 +428,7 @@ class ValueSolver:
         ka, kb = self.register(a), self.register(b)
         if ka == kb:
             return
-        self.constraints.append(
-            Constraint(terms=((ka, 1.0), (kb, -1.0)), const=0.0, kind=kind, note=note)
-        )
+        self.constraints.append(Constraint(((ka, 1), (kb, -1)), 0, kind, note))
 
     def relabel(self, game: Game, f: Relabeling) -> Game:
         moved = relabel_game(game, f)
@@ -422,7 +440,7 @@ class ValueSolver:
         self._equate(game, moved, "measurement-equivalence", "unitary conjugation")
         return moved
 
-    def sure_thing(self, game: Game, s: float) -> Game:
+    def sure_thing(self, game: Game, s) -> Game:
         """Shifted game: same observable, payoff pre-composed with x -> x+s.
 
         The value offset equals the payoff of the shift only for a linear
@@ -430,16 +448,12 @@ class ValueSolver:
         """
         if not (isinstance(game.payoff, AffinePayoff) and game.payoff.is_linear):
             raise LinearityError("the shift axiom needs a linear payoff")
-        shifted = game._with_payoff(game.payoff.compose_affine(1.0, s))
+        s = _exact(s)
+        shifted = game._with_payoff(game.payoff.compose_affine(1, s))
         ka, kb = self.register(game), self.register(shifted)
-        if s != 0.0:
+        if s:
             self.constraints.append(
-                Constraint(
-                    terms=((kb, 1.0), (ka, -1.0)),
-                    const=game.payoff(s),
-                    kind="sure-thing",
-                    note=f"shift {s}",
-                )
+                Constraint(((kb, 1), (ka, -1)), game.payoff(s), "sure-thing", f"shift {float(s)}")
             )
         return shifted
 
@@ -451,16 +465,9 @@ class ValueSolver:
         """
         if not (isinstance(game.payoff, AffinePayoff) and game.payoff.is_linear):
             raise LinearityError("the negation axiom needs a linear payoff")
-        negated = game._with_payoff(game.payoff.compose_affine(-1.0, 0.0))
+        negated = game._with_payoff(game.payoff.compose_affine(-1, 0))
         ka, kb = self.register(game), self.register(negated)
-        self.constraints.append(
-            Constraint(
-                terms=((ka, 1.0), (kb, 1.0)),
-                const=0.0,
-                kind="zero-sum",
-                note="negation",
-            )
-        )
+        self.constraints.append(Constraint(((ka, 1), (kb, 1)), 0, "zero-sum", "negation"))
         return negated
 
     # -- canonical closure ---------------------------------------------------
@@ -486,10 +493,10 @@ class ValueSolver:
                 produced.append(self.transform(game, u))
                 produced.append(self.relabel(game, _label_swap(game.spectrum, lam_j, lam_k)))
         if isinstance(game.payoff, AffinePayoff):
-            if game.payoff.offset != 0.0 and game.payoff.slope != 0.0:
+            if game.payoff.offset and game.payoff.slope:
                 produced.append(
                     self.sure_thing(
-                        game._with_payoff(AffinePayoff(game.payoff.slope, 0.0)),
+                        game._with_payoff(AffinePayoff(game.payoff.slope)),
                         game.payoff.offset / game.payoff.slope,
                     )
                 )
@@ -498,64 +505,37 @@ class ValueSolver:
         return produced
 
     def solve(self) -> ValueSolveResult:
-        """Exact values from the signed constraint graph.
+        """Exact game values from ``exactlin.solve_exact``.
 
-        Every row reads sa*V(a) + sb*V(b) = c with sa, sb = +-1.  Each
-        component is walked from its first game, writing every value as
-        sign*root + offset in fractions: a same-sign cycle must close its
-        constant and an opposite-sign cycle pins the root, both to
-        ``CLOSURE_TOL`` (relative), since game keys are rounded.
+        Every row reads sa*V(a) + sb*V(b) = c with sa, sb = +-1 and c
+        exact.  A value is forced when no nullspace vector moves it, and a
+        difference when every nullspace vector moves both games alike.
+        Rows that contradict each other raise ``InconsistentSystemError``
+        naming them.
         """
-        edges = {key: [] for key in self.games}
-        for i, con in enumerate(self.constraints):
-            (ka, ca), (kb, cb) = con.terms
-            edges[ka].append((i, int(ca), kb, int(cb)))
-            edges[kb].append((i, int(cb), ka, int(ca)))
-        place, pins, done = {}, {}, set()
-        for root in edges:
-            if root in place:
-                continue
-            place[root] = (root, 1, Fraction(0))
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                _, su, ou = place[u]
-                for i, cu, v, cv in edges[u]:
-                    if i in done:  # each row is placed or checked once
-                        continue
-                    done.add(i)
-                    con = self.constraints[i]
-                    const = Fraction(con.const)
-                    if v not in place:
-                        place[v] = (root, -cv * cu * su, cv * (const - cu * ou))
-                        stack.append(v)
-                        continue
-                    k = cu * su + cv * place[v][1]
-                    want, got = const, cu * ou + cv * place[v][2]
-                    if k:  # opposite-sign cycle: pins the root
-                        got = (const - got) / k
-                        want = pins.setdefault(root, got)
-                    if abs(want - got) > CLOSURE_TOL * max(1, abs(want), abs(got)):
-                        raise InconsistentSystemError(
-                            f"{con.kind} row {i} ({con.note}) does not close: "
-                            f"{float(got)} against {float(want)}",
-                            conflict=(f"{con.kind}[{i}]",),
-                        )
-        index, values = {}, {}
-        for key in edges:
-            root, s, o = place[key]
-            exact = s * pins[root] + o if root in pins else None
-            index[key] = (root, s, o, exact)
-            values[key] = GameValue(None if exact is None else float(exact), key)
-        freedom = len({root for root, *_ in place.values()} - pins.keys())
-        return ValueSolveResult(
-            values=values,
-            rank=len(place) - freedom,
-            n_unknowns=len(place),
-            freedom=freedom,
-            constraints=tuple(self.constraints),
-            _index=index,
-        )
+        keys = list(self.games)
+        n = len(keys)
+        if self.constraints:
+            index = {key: j for j, key in enumerate(keys)}
+            rows = []
+            for con in self.constraints:
+                row = [0] * n
+                for key, coeff in con.terms:
+                    row[index[key]] += coeff
+                rows.append(row)
+            labels = [f"{con.kind}[{i}]" for i, con in enumerate(self.constraints)]
+            rhs = [con.const for con in self.constraints]
+            solved = require_feasible(solve_exact(rows, rhs, labels), "game values")
+            rank, solution, nullspace = solved.rank, solved.solution, solved.nullspace
+        else:  # no rows: every value moves freely
+            rank, solution = 0, [0] * n
+            nullspace = [[int(i == j) for j in range(n)] for i in range(n)]
+        exact, values = {}, {}
+        for j, key in enumerate(keys):
+            moves = tuple(vec[j] for vec in nullspace)
+            exact[key] = (solution[j], moves)
+            values[key] = GameValue(None if any(moves) else float(solution[j]), key)
+        return ValueSolveResult(values, rank, n, n - rank, tuple(self.constraints), exact)
 
 
 def born_assignment(games: Iterable[Game]) -> dict:
@@ -594,8 +574,8 @@ def derive_pivotal(x1: float, x2: float, payoff: AffinePayoff) -> PivotalResult:
     Replays the four-step chain: a state-preserving swap of the two
     eigenspaces (measurement equivalence), the matching label swap (payoff
     equivalence), the shift decomposition of the swapped payoff
-    (sure-thing), and payoff negation (zero-sum).  The chain closes to
-    2V = payoff(x1) + payoff(x2).  Each step is numerically validated
+    (sure-thing), and payoff negation (zero-sum).  The chain closes exactly
+    to 2V = payoff(x1) + payoff(x2).  Each step is numerically validated
     against the weight-consistent assignment.
     """
     if not isinstance(payoff, AffinePayoff) or not payoff.is_linear:
@@ -603,53 +583,51 @@ def derive_pivotal(x1: float, x2: float, payoff: AffinePayoff) -> PivotalResult:
     if abs(float(x1) - float(x2)) <= SPECTRUM_TOL:
         return _degenerate_pivotal(x1, payoff)
     state = np.ones(2, dtype=complex)
-    spectral = [
-        (float(x1), Projector.from_cells([0], 2)),
-        (float(x2), Projector.from_cells([1], 2)),
-    ]
+    spectral = [(x1, Projector.from_cells([0], 2)), (x2, Projector.from_cells([1], 2))]
 
     solver = ValueSolver()
     trace = DerivationTrace(rules=GAME_RULES)
     game = Game(state, spectral, payoff)
     solver.register(game)
+    a, b = game.spectrum
 
     u = projector_swap(state, spectral[0][1], spectral[1][1])
     conjugated = solver.transform(game, u)
     _validate_step(trace, "measurement-equivalence", game, conjugated, 0.0)
 
-    relabeled = solver.relabel(conjugated, _label_swap(game.spectrum, float(x1), float(x2)))
+    relabeled = solver.relabel(conjugated, _label_swap(game.spectrum, a, b))
     _validate_step(trace, "payoff-equivalence", conjugated, relabeled, 0.0)
 
     # relabeled payoff is (payoff o -I) o shift(-(x1+x2)); peel the shift
-    negated_payoff_game = game._with_payoff(payoff.compose_affine(-1.0, 0.0))
-    shift = -(float(x1) + float(x2))
+    negated_payoff_game = game._with_payoff(payoff.compose_affine(-1, 0))
+    shift = -(a + b)
     shifted = solver.sure_thing(negated_payoff_game, shift)
-    if shifted.key() != relabeled.key() and shift != 0.0:
-        raise AssertionError("shift decomposition failed to close the chain")
+    if shifted.key() != relabeled.key() and shift:
+        raise InconsistentSystemError("shift decomposition failed to close the chain")
     _validate_step(
         trace,
         "sure-thing",
         shifted,
         negated_payoff_game,
-        negated_payoff_game.payoff(shift),
+        float(negated_payoff_game.payoff(shift)),
     )
 
     negated = solver.zero_sum(game)
     _validate_step(trace, "zero-sum", game, negated, None)
 
     result = solver.solve()
-    value = result.value_of(game)
-    expected = 0.5 * (payoff(x1) + payoff(x2))
-    if value is None or abs(value - expected) > 1e-9:
-        raise AssertionError(
-            f"pivotal chain solved to {value}, expected {expected}"
+    expected = (payoff(a) + payoff(b)) / 2
+    if result.exact_value(game) != expected:
+        raise InconsistentSystemError(
+            f"pivotal chain solved to {result.value_of(game)}, expected {float(expected)}"
         )
+    value = float(expected)
     trace.add(
         "sure-thing",
         f"chain closes: twice the value equals payoff({x1}) + payoff({x2}); "
-        f"value = {expected}",
+        f"value = {value}",
         premises=("sure-thing", "zero-sum"),
-        payload={"value": expected, "rank": result.rank, "unknowns": result.n_unknowns},
+        payload={"value": value, "rank": result.rank, "unknowns": result.n_unknowns},
     )
     return PivotalResult(
         value=GameValue(value, game.key(), provenance=trace),
@@ -661,18 +639,19 @@ def derive_pivotal(x1: float, x2: float, payoff: AffinePayoff) -> PivotalResult:
 def _degenerate_pivotal(x: float, payoff: AffinePayoff) -> PivotalResult:
     """Both labels equal: the game pays payoff(x) on every outcome."""
     state = np.array([1.0, 1.0])
-    game = Game(state, [(float(x), Projector.from_cells([0, 1], 2))], payoff)
+    game = Game(state, [(x, Projector.from_cells([0, 1], 2))], payoff)
     solver = ValueSolver()
     key = solver.register(game)
+    value = float(payoff(x))
     trace = DerivationTrace(rules=GAME_RULES)
     trace.add(
         "sure-thing",
         f"single-outcome game pays payoff({x}) with certainty",
         premises=("sure-thing",),
-        payload={"value": payoff(x)},
+        payload={"value": value},
     )
     return PivotalResult(
-        value=GameValue(payoff(x), key, provenance=trace), solver=solver, trace=trace
+        value=GameValue(value, key, provenance=trace), solver=solver, trace=trace
     )
 
 
@@ -685,7 +664,7 @@ def _validate_step(trace, rule, left: Game, right: Game, offset: float | None) -
     lv, rv = left.born_value(), right.born_value()
     residual = abs(lv + rv) if offset is None else abs(lv - rv - offset)
     if residual > 1e-10:
-        raise AssertionError(f"{rule} step fails under the weight assignment: {residual}")
+        raise InconsistentSystemError(f"{rule} step fails under the weight assignment: {residual}")
     claim = (
         "values negate under payoff reversal"
         if offset is None
@@ -711,7 +690,7 @@ def general_equivalence_check(result: ValueSolveResult, games: Sequence[Game]) -
     def profile(game: Game):
         return tuple(
             sorted(
-                (round(w, 10), round(game.payoff(lam), 10))
+                (round(w, 10), game.payoff(lam))
                 for w, (lam, _) in zip(game.outcome_weights(), game.spectral)
             )
         )
@@ -722,12 +701,12 @@ def general_equivalence_check(result: ValueSolveResult, games: Sequence[Game]) -
         for j in range(i + 1, len(games)):
             if profiles[i] != profiles[j]:
                 continue
-            diff = result.difference(games[i], games[j])
+            diff = result.exact_difference(games[i], games[j])
             rows.append(
                 {
                     "pair": (i, j),
-                    "difference": diff,
-                    "equal": diff is not None and abs(diff) <= EQUIVALENCE_TOL,
+                    "difference": None if diff is None else float(diff),
+                    "equal": diff == 0,
                     "determined": diff is not None,
                 }
             )

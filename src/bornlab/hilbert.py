@@ -292,9 +292,6 @@ class CoarseGraining:
         start, stop = self.blocks[index]
         return Projector.from_cells([(start, stop)], self.dim)
 
-    def block_projectors(self) -> list[Projector]:
-        return [self.block_projector(i) for i in range(self.n_blocks)]
-
     def refines(self, other: "CoarseGraining") -> bool:
         """True when every block of ``other`` is a union of blocks of self."""
         if self.dim != other.dim:

@@ -3,7 +3,8 @@
 ``em_step`` is the scalar Euler-Maruyama step, one state at a time, that
 the batch collapse engine must reproduce row for row.  ``check_additivity``
 checks a measure table for additivity over the unions of a
-coarse-graining's blocks.  Neither is called by the package itself.
+coarse-graining's blocks, which ``block_projectors`` and ``block_union``
+build.  None of them is called by the package itself.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ def em_step(model: CollapseModel, psi, dt: float, noise) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def block_projectors(graining: CoarseGraining) -> list[Projector]:
+    """Cell-form projector onto each block, in block order."""
+    return [graining.block_projector(i) for i in range(graining.n_blocks)]
+
+
 def block_union(graining: CoarseGraining, indices) -> Projector:
     """Cell-form projector onto the union of the blocks at ``indices``."""
     return Projector.from_cells([graining.blocks[i] for i in indices], graining.dim)
@@ -127,7 +133,7 @@ def check_additivity(table: MeasureTable, graining: CoarseGraining) -> Additivit
     additively to unions it does not cover.  The report is empty iff
     mu(P v Q) = mu(P) + mu(Q) for all disjoint unions P, Q and mu(I) = 1.
     """
-    blocks = graining.block_projectors()
+    blocks = block_projectors(graining)
     for block in blocks:
         if not table.covers(block):
             raise IncompleteMeasureError(f"measure undefined on block {block.key()}")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -554,6 +555,42 @@ class TestScenarioKinds:
         assert report["metrics"]["value_difference"] == 0.0
         assert (report["metrics"]["rank"], report["metrics"]["n_unknowns"]) == (3, 4)
         assert report["metrics"]["constraints"] == 8
+
+    def test_games_pivotal_labels_at_a_rounding_half_point(self, tmp_path, capsys):
+        # in floats -x1 + (x1 + x2) is one ulp from x2 here, and labels once
+        # rounded to 10 decimals put the two presentations on either side
+        params = {"mode": "pivotal", "x1": 1.0000000000499998, "x2": 2.00000000005}
+        out = tmp_path / "report.json"
+        assert run_main(tmp_path, "games", params, "--out", str(out)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        verdicts = json.loads(out.read_text())["verdicts"]
+        assert verdicts["pivotal_value"] == verdicts["closure_solve"] == "PASS"
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-20, 20),
+                st.integers(0, 10**10 - 1),
+                st.integers(1, 4),
+                st.sampled_from((-math.inf, math.inf)),
+            ),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    def test_games_pivotal_labels_near_half_points_pass(self, draws):
+        labels = []
+        for whole, digits, ulps, toward in draws:
+            x = float(f"{whole}.{digits:010d}5")  # nearest double to a 10-decimal half-point
+            for _ in range(ulps):
+                x = math.nextafter(x, toward)
+            labels.append(x)
+        doc = {"kind": "games", "parameters": {"mode": "pivotal", "x1": labels[0], "x2": labels[1]}}
+        with tempfile.TemporaryDirectory() as tmp:
+            report, code = run_scenario(write_scenario(Path(tmp), doc))
+        assert code == EXIT_OK
+        assert set(report["verdicts"].values()) == {"PASS"}
 
     def test_histories_interference(self, tmp_path):
         h = 0.7071067811865476

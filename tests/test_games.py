@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -308,8 +310,8 @@ def lstsq_oracle(solver: ValueSolver):
 def signed_systems(draw):
     """Distinct games and two-term +-1 rows that their Born values satisfy.
 
-    Rows may join a game to itself or repeat; constants are perturbed by
-    up to 1e-15 relative, as float products are.
+    Rows may join a game to itself or repeat; each constant is the exact
+    signed sum of the two Born values, each float taken as a rational.
     """
     n = draw(st.integers(1, 6))
     games = [
@@ -324,13 +326,13 @@ def signed_systems(draw):
     solver = ValueSolver()
     for game in games:
         solver.register(game)
-    sign = st.sampled_from((1.0, -1.0))
+    values = [Fraction(game.born_value()) for game in games]
+    sign = st.sampled_from((1, -1))
     index = st.integers(0, n - 1)
-    jitter = st.floats(-1e-15, 1e-15)
-    rows = draw(st.lists(st.tuples(index, index, sign, sign, jitter), max_size=3 * n))
+    rows = draw(st.lists(st.tuples(index, index, sign, sign), max_size=3 * n))
     rows += draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
-    for a, b, sa, sb, jitter in rows:
-        const = (sa * games[a].born_value() + sb * games[b].born_value()) * (1.0 + jitter)
+    for a, b, sa, sb in rows:
+        const = sa * values[a] + sb * values[b]
         terms = ((games[a].key(), sa), (games[b].key(), sb))
         solver.constraints.append(Constraint(terms, const, kind="equivalence"))
     return games, solver
@@ -376,30 +378,34 @@ class TestExactSolve:
                 assert got == pytest.approx(want, abs=1e-9)
 
     def test_same_sign_cycle_must_close(self):
-        game = two_outcome_game()
-        solver = ValueSolver()
-        shifted = solver.sure_thing(game, 1.0)
-        terms = ((shifted.key(), 1.0), (game.key(), -1.0))
-        solver.constraints.append(Constraint(terms, 1.0 + 1e-6, kind="sure-thing"))
-        with pytest.raises(InconsistentSystemError, match="sure-thing row 1") as err:
-            solver.solve()
-        assert err.value.conflict == ("sure-thing[1]",)
+        # a second row for the shift of 1, off by 1e-6 or by one ulp of 1.0
+        for const in (1.0 + 1e-6, math.nextafter(1.0, 2.0)):
+            game = two_outcome_game()
+            solver = ValueSolver()
+            shifted = solver.sure_thing(game, 1.0)
+            terms = ((shifted.key(), 1), (game.key(), -1))
+            solver.constraints.append(Constraint(terms, const, kind="sure-thing"))
+            with pytest.raises(InconsistentSystemError) as err:
+                solver.solve()
+            assert "sure-thing[0], sure-thing[1] conflict" in str(err.value)
+            assert err.value.conflict == ("sure-thing[0]", "sure-thing[1]")
 
     def test_extreme_range_pivotal_closure(self):
-        # a sure-thing row carries a stray shift of -2.3e-13, so the rows
-        # as exact binary fractions are infeasible; cycles close to tolerance
+        # exact labels and payoffs: the depth-5 closure is a feasible exact
+        # system whose forced value is exactly half the summed payoffs
         x1, x2, slope = -64.89728701564388, -1465.7272602194046, 15.622688098359621
         game = two_outcome_game(x1, x2, slope=slope)
         result = value_solve([game], 5)
-        assert (result.rank, result.n_unknowns) == (12, 12)
-        assert result.value_of(game) == pytest.approx(0.5 * slope * (x1 + x2), rel=1e-15)
+        assert (result.rank, result.n_unknowns) == (8, 8)
+        payoff = linear_payoff(slope)
+        assert result.exact_value(game) == (payoff(x1) + payoff(x2)) / 2
         keys = list(result.values)
         rows = [
             [sum(c for k, c in con.terms if k == key) for key in keys]
             for con in result.constraints
         ]
         rhs = [con.const for con in result.constraints]
-        assert solve_exact(rows, rhs).status == "infeasible"
+        assert solve_exact(rows, rhs).status == "unique"
 
     @pytest.mark.parametrize(
         "case",

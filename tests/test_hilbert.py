@@ -27,7 +27,7 @@ from bornlab.hilbert import (
     row_apply,
     row_dots,
 )
-from oracles import block_union, check_additivity
+from oracles import block_projectors, block_union, check_additivity
 
 
 def unit_separating(d: int) -> SeparatingSet:
@@ -153,12 +153,12 @@ class TestSublattice:
     """The lattice of the equiprobable argument is generated by a graining's blocks."""
 
     def test_two_singleton_generators(self):
-        blocks = CoarseGraining.unit_cells(2).block_projectors()
+        blocks = block_projectors(CoarseGraining.unit_cells(2))
         keys = [p.key()[2] for p in blocks]
         assert keys == [((0, 1),), ((1, 2),)]
 
     def test_block_generators(self):
-        blocks = CoarseGraining(3, [(0, 2), (2, 3)]).block_projectors()
+        blocks = block_projectors(CoarseGraining(3, [(0, 2), (2, 3)]))
         assert [p.index_set() for p in blocks] == [{0, 1}, {2}]
 
 
@@ -297,7 +297,7 @@ class TestCheckAdditivity:
     def test_uniform_generator_table_extends(self):
         graining = CoarseGraining.unit_cells(4)
         table = MeasureTable()
-        for block in graining.block_projectors():
+        for block in block_projectors(graining):
             table.assign(block, 0.25)
         report = check_additivity(table, graining)
         assert report.ok
@@ -306,7 +306,7 @@ class TestCheckAdditivity:
         # above ADDITIVITY_ENUMERATION_LIMIT blocks only pairs of blocks are
         # checked, each against its union when the table covers it
         graining = CoarseGraining.unit_cells(11)
-        table = MeasureTable({block: 1 / 11 for block in graining.block_projectors()})
+        table = MeasureTable({block: 1 / 11 for block in block_projectors(graining)})
         assert check_additivity(table, graining).ok
         table.assign(block_union(graining, [0, 1]), 0.5)
         report = check_additivity(table, graining)

@@ -223,13 +223,13 @@ class TestDispersionFreeSearch:
 
     def test_sat_assignments_are_additive_on_contexts(self):
         from bornlab.hilbert import CoarseGraining, MeasureTable
-        from oracles import check_additivity
+        from oracles import block_projectors, check_additivity
 
         result = dispersion_free_search(RaySet(np.eye(3)))
         graining = CoarseGraining.unit_cells(3)
         for values in result.assignments:
             table = MeasureTable()
-            for i, block in enumerate(graining.block_projectors()):
+            for i, block in enumerate(block_projectors(graining)):
                 table.assign(block, float(values[i]))
             assert check_additivity(table, graining).ok
 
