@@ -43,7 +43,6 @@ from .hilbert import (  # noqa: F401
     StateVector,
     SymmetryUnitary,
     born_weight,
-    permutation_unitary,
 )
 from .histories import (  # noqa: F401
     HistorySet,

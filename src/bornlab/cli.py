@@ -367,33 +367,23 @@ def _solve_measure(v: dict, seed: int, csv_dir) -> dict:
 
 @_scenario("games:pivotal", x1=_finite, x2=_finite, slope=(_finite, 1.0), depth=(_int, 4))
 def _games_pivotal(v: dict, seed: int, csv_dir) -> dict:
-    x1, x2 = v["x1"], v["x2"]
-    payoff = games.linear_payoff(v["slope"])
-    result = games.derive_pivotal(x1, x2, payoff)
-    expected = 0.5 * (payoff(x1) + payoff(x2))
-    solve_ok, solved = True, None
-    if abs(x1 - x2) > games.SPECTRUM_TOL:
-        game = result.solver.games[result.value.game_key]
-        solved = games.value_solve([game], v["depth"])
-        value = solved.value_of(game)
-        solve_ok = value is not None and abs(value - expected) < 1e-9
-    ok = result.value.known and abs(result.value.value - expected) < 1e-9
-    sound = games.verify_soundness(result.solver.constraints, result.solver.games.values())
+    check = games.check_pivotal(v["x1"], v["x2"], games.linear_payoff(v["slope"]), v["depth"])
+    solved = check.solved
     return {
         "verdicts": {
-            "pivotal_value": _verdict(ok),
-            "closure_solve": _verdict(solve_ok),
-            "soundness": _verdict(sound <= 1e-10),
+            "pivotal_value": _verdict(check.value_forced),
+            "closure_solve": _verdict(check.closure_forced),
+            "soundness": _verdict(check.sound),
         },
         "metrics": {
-            "value": result.value.value,
-            "expected": expected,
+            "value": check.derived.value.value,
+            "expected": float(check.expected),
             "solver_rank": solved and solved.rank,
             "n_unknowns": solved and solved.n_unknowns,
             "constraints": solved and len(solved.constraints),
-            "soundness_residual": sound,
+            "soundness_residual": check.soundness_residual,
         },
-        "traces": [result.trace.to_dict()],
+        "traces": [check.derived.trace.to_dict()],
     }
 
 
@@ -407,29 +397,22 @@ def _games_pivotal(v: dict, seed: int, csv_dir) -> dict:
 )
 def _games_special_equivalence(v: dict, seed: int, csv_dir) -> dict:
     state = v["state"]
-    payoff = games.linear_payoff(v["slope"])
     p1 = Projector.from_cells(v["p1_cells"], len(state))
     p2 = Projector.from_cells(v["p2_cells"], len(state))
     if p1.index_set() & p2.index_set():
         raise ScenarioError("'p1_cells' and 'p2_cells' must not overlap")
-    psi = StateVector(state)
-    w1, w2 = hilbert.born_weight(psi, p1), hilbert.born_weight(psi, p2)
-    game_a = games.Game.projector_game(state, p1, payoff)
-    game_b = games.Game.projector_game(state, p2, payoff)
-    swap = games.projector_swap(state, p1, p2)
-    unitaries = [swap] if swap is not None else []
-    solved = games.value_solve([game_a, game_b], v["depth"], unitaries=unitaries)
-    diff = solved.difference(game_a, game_b)
-    ok = abs(w1 - w2) < 1e-10 and diff is not None and abs(diff) < 1e-9
+    payoff = games.linear_payoff(v["slope"])
+    check = games.special_equivalence(state, p1, p2, payoff, v["depth"])
+    diff = check.difference
     return {
-        "verdicts": {"special_equivalence": _verdict(ok)},
+        "verdicts": {"special_equivalence": _verdict(check.holds)},
         "metrics": {
-            **_attrs(solved, "rank", "n_unknowns"),
-            "weight_1": w1,
-            "weight_2": w2,
-            "value_difference": diff,
-            "constraints": len(solved.constraints),
-            "general_equivalence": games.general_equivalence_check(solved, [game_a, game_b]),
+            **_attrs(check.solved, "rank", "n_unknowns"),
+            "weight_1": check.weights[0],
+            "weight_2": check.weights[1],
+            "value_difference": None if diff is None else float(diff),
+            "constraints": len(check.solved.constraints),
+            "general_equivalence": check.general,
         },
     }
 

@@ -318,8 +318,9 @@ def equiprobable_values(
 
 
 def _permutation_witnessed(separating: SeparatingSet) -> bool:
-    """True when ``permutation_unitary`` can cycle every block of the family,
-    which needs every block to have the same rank."""
+    """True when a unitary can cycle every block of the family onto the
+    next, carrying separating vector onto separating vector; a unitary maps
+    a range only onto one of the same rank, so every block needs it."""
     return len({proj.rank for proj in separating.projectors}) == 1
 
 

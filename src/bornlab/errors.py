@@ -19,10 +19,6 @@ class InvalidGrainingError(BornLabError, ValueError):
     """A coarse-graining has empty, overlapping, or non-exhaustive blocks."""
 
 
-class DegeneracyViolationError(BornLabError, ValueError):
-    """A symmetry construction needs equal-dimensional blocks and got unequal ones."""
-
-
 class IncompleteMeasureError(BornLabError, KeyError):
     """A measure table is queried on a projector it does not cover."""
 

@@ -13,8 +13,12 @@ and an exact constant.  ``exactlin.solve_exact`` solves the rows of the
 generated equivalence closure for the forced game values, in particular
 the equal-amplitude two-outcome value (half the summed payoffs, the chain
 that ``derive_pivotal`` replays for two unit amplitudes and a linear
-payoff) and the equal-weight equivalence of projector games.  States and
-projectors stay floats.
+payoff) and the equal-weight equivalence of projector games.
+
+Every measurement equivalence is a swap of two cell projectors of equal
+rank that hold equal weight.  Its unitary fixes the state, so a swapped
+game keeps its input game's state array and trades cells exactly: every
+game of a closure shares one state, and game keys are exact.
 """
 
 from __future__ import annotations
@@ -32,22 +36,14 @@ from .errors import (
     LinearityError,
     PreconditionError,
     RelabelingError,
-    UnitarityError,
 )
 from .exactlin import require_feasible, solve_exact
-from .hilbert import (
-    Projector,
-    SeparatingSet,
-    StateVector,
-    SymmetryUnitary,
-    born_weight,
-    permutation_unitary,
-)
+from .hilbert import Projector, StateVector, born_weight
 from .trace import GAME_RULES, DerivationTrace
 
 SPECTRUM_TOL = 1e-10
 WEIGHT_TOL = 1e-10
-KEY_DECIMALS = 10
+SOUNDNESS_TOL = 1e-10  # largest residual the weight assignment may leave on a row
 MAX_CLOSURE_DEPTH = 100  # closure rounds; each may add games and rows
 
 
@@ -106,7 +102,7 @@ class TabularPayoff:
         for key, value in self.table:
             if key == x:
                 return value
-        raise KeyError(f"payoff table has no entry for label {float(x)}")
+        raise PreconditionError(f"payoff table has no entry for label {float(x)}")
 
     def key(self):
         pairs = tuple((x.as_integer_ratio(), u.as_integer_ratio()) for x, u in self.table)
@@ -179,11 +175,6 @@ def _label_swap(spectrum: Sequence[Fraction], a: Fraction, b: Fraction) -> Relab
 # ---------------------------------------------------------------------------
 
 
-def _round_key(values) -> tuple:
-    arr = np.round(np.asarray(values, dtype=complex), KEY_DECIMALS) + 0.0
-    return tuple(complex(v) for v in arr.ravel())
-
-
 def _unit_state(state) -> np.ndarray:
     if isinstance(state, StateVector):
         state = state.amplitudes
@@ -229,12 +220,15 @@ class Game:
         object.__setattr__(self, "spectral", spectral)
         object.__setattr__(self, "payoff", payoff)
 
-    def _with_payoff(self, payoff, labels=None) -> "Game":
-        """This game's validated state and projectors under another payoff
-        and, given ``labels``, new distinct labels for the projectors in order."""
+    def _with_payoff(self, payoff, labels=None, projectors=None) -> "Game":
+        """This game's validated state under another payoff, with new distinct
+        ``labels`` or new ``projectors`` resolving the identity, each given in
+        the order of the spectral pairs."""
         spectral = self.spectral
-        if labels is not None:
-            pairs = zip(labels, (proj for _, proj in spectral))
+        if labels is not None or projectors is not None:
+            labels = self.spectrum if labels is None else labels
+            projectors = [proj for _, proj in spectral] if projectors is None else projectors
+            pairs = zip(labels, projectors)
             spectral = tuple(sorted(pairs, key=lambda p: p[0], reverse=True))
         game = object.__new__(Game)
         object.__setattr__(game, "state", self.state)
@@ -266,11 +260,11 @@ class Game:
         )
 
     def key(self):
-        """Rounded state and projectors, exact labels and payoff; built once,
-        as a game is frozen."""
+        """Exact state bytes, projectors, labels and payoff; built once, as a
+        game is frozen.  Games derived from one another share the state array."""
         if "_key" not in self.__dict__:
             key = (
-                _round_key(self.state),
+                self.state.tobytes(),
                 tuple((lam.as_integer_ratio(), proj.key()) for lam, proj in self.spectral),
                 self.payoff.key(),
             )
@@ -299,18 +293,28 @@ def relabel_game(game: Game, f: Relabeling) -> Game:
     return game._with_payoff(new_payoff, new_labels)
 
 
-def transform_game(game: Game, unitary) -> Game:
-    """Conjugated presentation: state and observable moved by one unitary."""
-    if not isinstance(unitary, SymmetryUnitary):
-        if np.shape(unitary) != (game.dim, game.dim):
-            raise UnitarityError("transformation must be unitary on the game's space")
-        unitary = SymmetryUnitary(unitary, tol=1e-10)
-    matrix = unitary.matrix
-    spectral = []
-    for lam, proj in game.spectral:
-        moved = matrix @ proj.as_matrix() @ matrix.conj().T
-        spectral.append((lam, Projector.from_matrix(moved, tol=1e-9)))
-    return Game(matrix @ game.state, spectral, game.payoff)
+def transform_game(game: Game, swap: tuple[Projector, Projector]) -> Game:
+    """Conjugated presentation under a swap from ``projector_swap``.
+
+    The swap's unitary fixes the game's state and exchanges the two ranges,
+    so it carries a projector that holds or misses each range whole onto
+    the same cells with the two ranges traded; the state stays the same
+    array.  Ranges of unequal rank, or a projector that splits a swapped
+    range, raise ``PreconditionError``.
+    """
+    first, second = (p.index_set() for p in swap)
+    if len(first) != len(second) or first & second:
+        raise PreconditionError("a swap exchanges disjoint ranges of equal rank")
+    projectors = []
+    for _, proj in game.spectral:
+        cells = proj.index_set()
+        holds = first <= cells, second <= cells
+        if (not holds[0] and cells & first) or (not holds[1] and cells & second):
+            raise PreconditionError("a game projector splits a swapped range")
+        if holds[0] != holds[1]:
+            proj = Projector.from_cells(cells ^ first ^ second, game.dim)
+        projectors.append(proj)
+    return game._with_payoff(game.payoff, projectors=projectors)
 
 
 # ---------------------------------------------------------------------------
@@ -384,32 +388,28 @@ class ValueSolveResult:
         return None if diff is None else float(diff)
 
 
-def projector_swap(state, p1: Projector, p2: Projector) -> np.ndarray | None:
-    """State-preserving unitary exchanging the ranges of two orthogonal projectors.
+def projector_swap(
+    state, p1: Projector, p2: Projector
+) -> tuple[Projector, Projector] | None:
+    """The pair ``(p1, p2)`` when a unitary fixing the state exchanges their ranges.
 
-    Exists when the projectors have equal rank and the state's components
-    in them have equal norm: the normalised components map onto each other,
-    the remaining range directions pair off, and everything outside the two
-    ranges stays fixed (``permutation_unitary`` on the pair).  A component
-    with no weight is replaced by a unit vector of its range.
+    Two orthogonal cell projectors admit one when they have equal rank and
+    the state's components in them have equal norm (within ``WEIGHT_TOL``):
+    the normalised components map onto each other, the remaining range
+    directions pair off, and everything outside the two ranges stays fixed.
+    ``transform_game`` applies the swap; ``None`` means there is none.
     """
+    if p1.cells is None or p2.cells is None:
+        raise PreconditionError("a swap exchanges cell-form projectors")
+    if p1.index_set() & p2.index_set():
+        raise PreconditionError("swapped projectors must be orthogonal")
     state = _unit_state(state)
     if p1.rank != p2.rank:
         return None
-    comps = [p1.apply(state), p2.apply(state)]
-    norms = [np.linalg.norm(comp) for comp in comps]
+    norms = [np.linalg.norm(p.apply(state)) for p in (p1, p2)]
     if abs(norms[0] - norms[1]) > WEIGHT_TOL:
         return None
-    if p1.rank == 0:
-        return np.eye(p1.dim, dtype=complex)
-    vectors = []
-    for proj, comp, norm in zip((p1, p2), comps, norms):
-        if norm <= WEIGHT_TOL:
-            mat = proj.as_matrix()
-            comp = mat[:, np.argmax(np.linalg.norm(mat, axis=0))]
-            norm = np.linalg.norm(comp)
-        vectors.append(comp / norm)
-    return permutation_unitary((1, 0), SeparatingSet(vectors, (p1, p2))).matrix
+    return p1, p2
 
 
 class ValueSolver:
@@ -435,8 +435,8 @@ class ValueSolver:
         self._equate(game, moved, "payoff-equivalence", f"relabel {f.kind}")
         return moved
 
-    def transform(self, game: Game, unitary) -> Game:
-        moved = transform_game(game, unitary)
+    def transform(self, game: Game, swap) -> Game:
+        moved = transform_game(game, swap)
         self._equate(game, moved, "measurement-equivalence", "unitary conjugation")
         return moved
 
@@ -487,10 +487,10 @@ class ValueSolver:
                 if abs(weights[j] - weights[k]) > WEIGHT_TOL:
                     continue
                 (lam_j, p_j), (lam_k, p_k) = game.spectral[j], game.spectral[k]
-                u = projector_swap(game.state, p_j, p_k)
-                if u is None:
+                swap = projector_swap(game.state, p_j, p_k)
+                if swap is None:
                     continue
-                produced.append(self.transform(game, u))
+                produced.append(self.transform(game, swap))
                 produced.append(self.relabel(game, _label_swap(game.spectrum, lam_j, lam_k)))
         if isinstance(game.payoff, AffinePayoff):
             if game.payoff.offset and game.payoff.slope:
@@ -547,7 +547,7 @@ def verify_soundness(constraints: Iterable[Constraint], games: Iterable[Game]) -
 
     The assignment V(g) = sum of projector weights times payoffs satisfies
     every recorded equivalence and axiom; the return value is the worst
-    residual, which callers compare with their own bound.
+    residual, which a sound constraint set keeps within ``SOUNDNESS_TOL``.
     """
     assignment = born_assignment(games)
     worst = 0.0
@@ -564,6 +564,7 @@ def verify_soundness(constraints: Iterable[Constraint], games: Iterable[Game]) -
 @dataclass(frozen=True)
 class PivotalResult:
     value: GameValue
+    exact: Fraction  # the forced value; ``value.value`` is its float
     solver: ValueSolver
     trace: DerivationTrace
 
@@ -581,7 +582,7 @@ def derive_pivotal(x1: float, x2: float, payoff: AffinePayoff) -> PivotalResult:
     if not isinstance(payoff, AffinePayoff) or not payoff.is_linear:
         raise LinearityError("the derivation needs a linear payoff")
     if abs(float(x1) - float(x2)) <= SPECTRUM_TOL:
-        return _degenerate_pivotal(x1, payoff)
+        return _degenerate_pivotal((_exact(x1) + _exact(x2)) / 2, payoff)
     state = np.ones(2, dtype=complex)
     spectral = [(x1, Projector.from_cells([0], 2)), (x2, Projector.from_cells([1], 2))]
 
@@ -591,8 +592,8 @@ def derive_pivotal(x1: float, x2: float, payoff: AffinePayoff) -> PivotalResult:
     solver.register(game)
     a, b = game.spectrum
 
-    u = projector_swap(state, spectral[0][1], spectral[1][1])
-    conjugated = solver.transform(game, u)
+    swap = projector_swap(state, spectral[0][1], spectral[1][1])
+    conjugated = solver.transform(game, swap)
     _validate_step(trace, "measurement-equivalence", game, conjugated, 0.0)
 
     relabeled = solver.relabel(conjugated, _label_swap(game.spectrum, a, b))
@@ -631,13 +632,15 @@ def derive_pivotal(x1: float, x2: float, payoff: AffinePayoff) -> PivotalResult:
     )
     return PivotalResult(
         value=GameValue(value, game.key(), provenance=trace),
+        exact=expected,
         solver=solver,
         trace=trace,
     )
 
 
-def _degenerate_pivotal(x: float, payoff: AffinePayoff) -> PivotalResult:
-    """Both labels equal: the game pays payoff(x) on every outcome."""
+def _degenerate_pivotal(x: Fraction, payoff: AffinePayoff) -> PivotalResult:
+    """Labels within ``SPECTRUM_TOL``: one outcome at their midpoint ``x``,
+    which a linear payoff pays the mean of the two payoffs."""
     state = np.array([1.0, 1.0])
     game = Game(state, [(x, Projector.from_cells([0, 1], 2))], payoff)
     solver = ValueSolver()
@@ -646,12 +649,15 @@ def _degenerate_pivotal(x: float, payoff: AffinePayoff) -> PivotalResult:
     trace = DerivationTrace(rules=GAME_RULES)
     trace.add(
         "sure-thing",
-        f"single-outcome game pays payoff({x}) with certainty",
+        f"single-outcome game pays payoff({float(x)}) with certainty",
         premises=("sure-thing",),
         payload={"value": value},
     )
     return PivotalResult(
-        value=GameValue(value, key, provenance=trace), solver=solver, trace=trace
+        value=GameValue(value, key, provenance=trace),
+        exact=payoff(x),
+        solver=solver,
+        trace=trace,
     )
 
 
@@ -663,7 +669,7 @@ def _validate_step(trace, rule, left: Game, right: Game, offset: float | None) -
     """
     lv, rv = left.born_value(), right.born_value()
     residual = abs(lv + rv) if offset is None else abs(lv - rv - offset)
-    if residual > 1e-10:
+    if residual > SOUNDNESS_TOL:
         raise InconsistentSystemError(f"{rule} step fails under the weight assignment: {residual}")
     claim = (
         "values negate under payoff reversal"
@@ -681,25 +687,29 @@ def _validate_step(trace, rule, left: Game, right: Game, offset: float | None) -
 def general_equivalence_check(result: ValueSolveResult, games: Sequence[Game]) -> list[dict]:
     """Check solved values across games with matching outcome statistics.
 
-    Two games whose (weight, payoff) outcome profiles coincide — possibly
-    with different states and observables — should be valued equally.
-    This is checked on solved values, never assumed as an axiom; pairs
-    whose difference the constraints leave open are reported as such.
+    Two games whose outcomes pair off with equal exact payoffs and weights
+    within ``WEIGHT_TOL`` — possibly with different states and observables —
+    should be valued equally.  This is checked on solved values, never
+    assumed as an axiom; pairs whose difference the constraints leave open
+    are reported as such.
     """
 
     def profile(game: Game):
-        return tuple(
-            sorted(
-                (round(w, 10), game.payoff(lam))
-                for w, (lam, _) in zip(game.outcome_weights(), game.spectral)
-            )
+        pairs = zip(game.outcome_weights(), game.spectral)
+        return sorted((game.payoff(lam), w) for w, (lam, _) in pairs)
+
+    def matches(a, b) -> bool:
+        # sorted by payoff, then weight: if any pairing of the outcomes
+        # keeps every weight within the tolerance, this one does
+        return len(a) == len(b) and all(
+            pa == pb and abs(wa - wb) <= WEIGHT_TOL for (pa, wa), (pb, wb) in zip(a, b)
         )
 
     rows = []
     profiles = [profile(g) for g in games]
     for i in range(len(games)):
         for j in range(i + 1, len(games)):
-            if profiles[i] != profiles[j]:
+            if not matches(profiles[i], profiles[j]):
                 continue
             diff = result.exact_difference(games[i], games[j])
             rows.append(
@@ -717,14 +727,15 @@ def value_solve(
     games: Sequence[Game],
     closure_depth: int,
     *,
-    unitaries: Sequence[np.ndarray] = (),
+    unitaries: Sequence[tuple[Projector, Projector]] = (),
 ) -> ValueSolveResult:
     """Solve for game values over the generated equivalence closure.
 
     Canonical moves (eigenspace swaps, label swaps, shift decompositions,
-    negations) are applied ``closure_depth`` times, together with any
-    explicitly supplied unitaries.  Depth zero emits no constraints and
-    leaves everything undetermined.
+    negations) are applied ``closure_depth`` times, together with the
+    supplied ``unitaries``: swaps from ``projector_swap``, each applied to
+    every game of its dimension whose state it fixes.  Depth zero emits no
+    constraints and leaves everything undetermined.
     """
     if not 0 <= closure_depth <= MAX_CLOSURE_DEPTH:
         raise PreconditionError(f"'depth' must be in [0, {MAX_CLOSURE_DEPTH}]: {closure_depth}")
@@ -736,9 +747,80 @@ def value_solve(
         seen = len(solver.games)
         for game in frontier:
             solver.expand_game(game)
-            for u in unitaries:
-                if np.asarray(u).shape == (game.dim, game.dim):
-                    solver.transform(game, u)
+            for p1, p2 in unitaries:
+                if p1.dim == game.dim and projector_swap(game.state, p1, p2) is not None:
+                    solver.transform(game, (p1, p2))
         # re-expanding a game re-emits only rows already present
         frontier = list(solver.games.values())[seen:]
     return solver.solve()
+
+
+# ---------------------------------------------------------------------------
+# the games scenarios' verdicts
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PivotalCheck:
+    """The pivotal derivation, the closure solve of its game and their verdicts."""
+
+    derived: PivotalResult
+    expected: Fraction  # half the summed payoffs
+    solved: ValueSolveResult | None  # None when the labels coincide
+    soundness_residual: float
+
+    @property
+    def value_forced(self) -> bool:
+        return self.derived.exact == self.expected
+
+    @property
+    def closure_forced(self) -> bool:
+        if self.solved is None:
+            return True
+        game = self.derived.solver.games[self.derived.value.game_key]
+        return self.solved.exact_value(game) == self.expected
+
+    @property
+    def sound(self) -> bool:
+        return self.soundness_residual <= SOUNDNESS_TOL
+
+
+def check_pivotal(x1: float, x2: float, payoff: AffinePayoff, depth: int) -> PivotalCheck:
+    """Derive the pivotal value, solve the depth-``depth`` closure of its game
+    when the labels differ, and measure the derivation's soundness residual."""
+    derived = derive_pivotal(x1, x2, payoff)
+    solved = None
+    if abs(x1 - x2) > SPECTRUM_TOL:
+        solved = value_solve([derived.solver.games[derived.value.game_key]], depth)
+    residual = verify_soundness(derived.solver.constraints, derived.solver.games.values())
+    return PivotalCheck(derived, (payoff(x1) + payoff(x2)) / 2, solved, residual)
+
+
+@dataclass(frozen=True)
+class SpecialEquivalence:
+    """Two projector games of one state, their closure solve and its verdict."""
+
+    solved: ValueSolveResult
+    weights: tuple[float, float]
+    difference: Fraction | None  # V(first) - V(second) when forced
+    general: list[dict]  # ``general_equivalence_check`` rows
+
+    @property
+    def holds(self) -> bool:
+        """Equal weights, and values forced exactly equal."""
+        return abs(self.weights[0] - self.weights[1]) <= WEIGHT_TOL and self.difference == 0
+
+
+def special_equivalence(
+    state, p1: Projector, p2: Projector, payoff, depth: int
+) -> SpecialEquivalence:
+    """Solve the games measuring ``p1`` and ``p2`` on ``state`` over their
+    depth-``depth`` closure, with the swap of the two when one exists."""
+    psi = StateVector(state)
+    weights = (born_weight(psi, p1), born_weight(psi, p2))
+    pair = [Game.projector_game(state, p, payoff) for p in (p1, p2)]
+    swap = projector_swap(state, p1, p2)
+    solved = value_solve(pair, depth, unitaries=[] if swap is None else [swap])
+    return SpecialEquivalence(
+        solved, weights, solved.exact_difference(*pair), general_equivalence_check(solved, pair)
+    )

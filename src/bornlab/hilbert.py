@@ -1,17 +1,16 @@
 """Finite-dimensional Hilbert-space kernel.
 
 States, projectors, coarse-grainings of a discretized configuration space,
-separating sets, permutation unitaries, measure tables and the Born rule.
+separating sets, unitaries, measure tables and the Born rule.
 Configuration space is modelled as ``d`` grid cells; a projector is either
 a set of cells (lattice form) or a dense Hermitian idempotent matrix
-(general form).
+(general form).  Every projector a scenario builds is in cell form.
 
 All types are immutable values after construction and safe to share across
 threads.  Tolerances follow a two-level policy: structural identities are
 checked at ``STRUCT_TOL`` (1e-12), derived numerical identities at
-``DERIVED_TOL`` (1e-10).  Only ``Projector.from_matrix`` and
-``SymmetryUnitary`` take a ``tol`` of their own, for matrices that were
-rotated or assembled in floating point.
+``DERIVED_TOL`` (1e-10).  Only ``SymmetryUnitary`` takes a ``tol`` of its
+own, for matrices that were assembled in floating point.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    DegeneracyViolationError,
     DimensionMismatchError,
     IncompleteMeasureError,
     InvalidGrainingError,
@@ -137,21 +135,14 @@ class StateVector:
         return hash(self.amplitudes.tobytes())
 
 
-def _check_projector_matrix(matrix: np.ndarray, tol: float) -> None:
-    if np.max(np.abs(matrix - matrix.conj().T)) > tol:
-        raise InvalidStateError("projector matrix is not Hermitian within tolerance")
-    if np.max(np.abs(matrix @ matrix - matrix)) > tol:
-        raise InvalidStateError("projector matrix is not idempotent within tolerance")
-
-
 @dataclass(frozen=True)
 class Projector:
     """A projector, in cell form, matrix form, or both.
 
     Cell form is a canonical tuple of disjoint index ranges on the grid and
-    is exact; matrix form is a dense Hermitian idempotent checked at
-    construction.  Lattice members (coarse-graining blocks and their unions)
-    use cell form; general projectors use matrix form.
+    is exact; matrix form is a dense Hermitian idempotent, taken as given.
+    Lattice members (coarse-graining blocks and their unions) use cell
+    form; general projectors use matrix form.
     """
 
     dim: int
@@ -161,21 +152,6 @@ class Projector:
     @classmethod
     def from_cells(cls, cells: Iterable, dim: int) -> "Projector":
         return cls(dim=dim, cells=_normalize_ranges(cells, dim))
-
-    @classmethod
-    def from_matrix(cls, matrix, *, tol: float = STRUCT_TOL) -> "Projector":
-        arr = _as_complex_matrix(matrix)
-        _check_projector_matrix(arr, tol)
-        # canonicalize lattice-aligned projectors so that cell-form and
-        # matrix-form presentations of the same projector share a key
-        diag = np.real(np.diag(arr)).copy()
-        off = arr - np.diag(np.diag(arr))
-        if np.max(np.abs(off)) <= 1e-10 and np.all(
-            (np.abs(diag) <= 1e-10) | (np.abs(diag - 1.0) <= 1e-10)
-        ):
-            cells = [i for i, v in enumerate(diag) if v > 0.5]
-            return cls(dim=arr.shape[0], cells=_normalize_ranges(cells, arr.shape[0]))
-        return cls(dim=arr.shape[0], matrix=arr)
 
     def __post_init__(self):
         if self.cells is None and self.matrix is None:
@@ -439,7 +415,7 @@ class MeasureTable:
 
 
 # ---------------------------------------------------------------------------
-# the Born rule and permutation unitaries
+# the Born rule
 # ---------------------------------------------------------------------------
 
 
@@ -465,62 +441,3 @@ def born_weight(psi: StateVector, proj: Projector) -> float:
         num = float(np.real(np.vdot(amp, proj.matrix @ amp)))
     weight = num / psi.norm2
     return min(1.0, max(0.0, weight))
-
-
-def permutation_unitary(
-    permutation: Sequence[int], separating: SeparatingSet
-) -> SymmetryUnitary:
-    """Unitary sending vector ``k`` to vector ``pi(k)`` and conjugating the
-    projector family accordingly.
-
-    ``permutation[k]`` is the image of index ``k`` (0-based).  Projector
-    ranges swapped into each other must have equal dimension; unequal block
-    dimensions raise :class:`DegeneracyViolationError`.
-    """
-    n = separating.size
-    perm = tuple(int(p) for p in permutation)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    dim = separating.dim
-    for k, target in enumerate(perm):
-        if separating.projectors[k].rank != separating.projectors[target].rank:
-            raise DegeneracyViolationError(
-                f"blocks {k} and {target} have unequal dimension "
-                f"({separating.projectors[k].rank} vs {separating.projectors[target].rank})"
-            )
-
-    matrix = np.zeros((dim, dim), dtype=complex)
-    bases = [_range_basis(separating, k) for k in range(n)]
-    for k, target in enumerate(perm):
-        src = bases[k]
-        dst = bases[target]
-        for col_src, col_dst in zip(src.T, dst.T):
-            matrix += np.outer(col_dst, col_src.conj())
-    total = sum(p.as_matrix() for p in separating.projectors)
-    matrix += np.eye(dim, dtype=complex) - total
-    return SymmetryUnitary(matrix, tol=DERIVED_TOL)
-
-
-def _range_basis(separating: SeparatingSet, k: int) -> np.ndarray:
-    """Orthonormal basis of ran(P_k) whose first column is vector k.
-
-    Vector k is completed by Gram-Schmidt over the unit cells of a
-    cell-form projector, or over the range eigenvectors of a matrix-form one.
-    """
-    proj = separating.projectors[k]
-    vec = separating.vectors[k].amplitudes
-    if proj.cells is not None:
-        candidates = np.eye(len(vec), dtype=complex)[sorted(proj.indices())]
-    else:
-        eigvals, eigvecs = np.linalg.eigh(proj.as_matrix())
-        candidates = eigvecs[:, eigvals > 0.5].T
-    cols = [vec]
-    for e in candidates:
-        if len(cols) >= proj.rank:
-            break
-        for c in cols:
-            e = e - np.vdot(c, e) * c
-        norm = np.linalg.norm(e)
-        if norm > 1e-9:
-            cols.append(e / norm)
-    return np.array(cols[: proj.rank]).T

@@ -4,12 +4,16 @@
 the batch collapse engine must reproduce row for row.  ``check_additivity``
 checks a measure table for additivity over the unions of a
 coarse-graining's blocks, which ``block_projectors`` and ``block_union``
-build.  None of them is called by the package itself.
+build.  ``swap_unitary`` is the dense unitary of a ``games.projector_swap``
+pair, built by ``permutation_unitary``, which ``games.transform_game`` must
+match by conjugation; ``projector_from_matrix`` builds the matrix-form
+projectors of the tests.  None of them is called by the package itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -18,9 +22,19 @@ from bornlab.errors import (
     DimensionMismatchError,
     IncompleteMeasureError,
     IntegrationFailureError,
+    InvalidStateError,
     PreconditionError,
 )
-from bornlab.hilbert import DERIVED_TOL, CoarseGraining, MeasureTable, Projector, StateVector
+from bornlab.hilbert import (
+    DERIVED_TOL,
+    STRUCT_TOL,
+    CoarseGraining,
+    MeasureTable,
+    Projector,
+    SeparatingSet,
+    StateVector,
+    SymmetryUnitary,
+)
 
 # ``check_additivity`` tests every pair of unions up to this many blocks,
 # and only the blocks and the identity above it.
@@ -174,3 +188,93 @@ def check_additivity(table: MeasureTable, graining: CoarseGraining) -> Additivit
     total = union_value(frozenset(range(n)))
     normalization_ok = abs(total - 1.0) <= DERIVED_TOL
     return AdditivityReport(tuple(violations), normalization_ok)
+
+
+# ---------------------------------------------------------------------------
+# matrix-form projectors and the swap unitary
+# ---------------------------------------------------------------------------
+
+
+def projector_from_matrix(matrix, *, tol: float = STRUCT_TOL) -> Projector:
+    """Projector from a Hermitian idempotent checked within ``tol``.
+
+    A diagonal 0/1 matrix becomes the cell-form projector on its ones, so
+    both presentations of a lattice projector share a key.
+    """
+    arr = np.array(matrix, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
+    if np.max(np.abs(arr - arr.conj().T)) > tol:
+        raise InvalidStateError("projector matrix is not Hermitian within tolerance")
+    if np.max(np.abs(arr @ arr - arr)) > tol:
+        raise InvalidStateError("projector matrix is not idempotent within tolerance")
+    diag = np.real(np.diag(arr))
+    off = arr - np.diag(np.diag(arr))
+    if np.max(np.abs(off)) <= 1e-10 and np.all(
+        (np.abs(diag) <= 1e-10) | (np.abs(diag - 1.0) <= 1e-10)
+    ):
+        return Projector.from_cells(np.flatnonzero(diag > 0.5), arr.shape[0])
+    arr.setflags(write=False)
+    return Projector(dim=arr.shape[0], matrix=arr)
+
+
+def _range_basis(separating: SeparatingSet, k: int) -> np.ndarray:
+    """Orthonormal basis of ran(P_k) whose first column is vector k.
+
+    Vector k is completed by Gram-Schmidt over the unit cells of the
+    cell-form projector P_k.
+    """
+    proj = separating.projectors[k]
+    vec = separating.vectors[k].amplitudes
+    cols = [vec]
+    for e in np.eye(len(vec), dtype=complex)[sorted(proj.indices())]:
+        if len(cols) >= proj.rank:
+            break
+        for c in cols:
+            e = e - np.vdot(c, e) * c
+        norm = np.linalg.norm(e)
+        if norm > 1e-9:
+            cols.append(e / norm)
+    return np.array(cols[: proj.rank]).T
+
+
+def permutation_unitary(permutation: Sequence[int], separating: SeparatingSet) -> SymmetryUnitary:
+    """Unitary sending vector ``k`` to vector ``pi(k)`` and conjugating the
+    projector family accordingly; the identity outside every range.
+
+    ``permutation[k]`` is the image of index ``k`` (0-based).  Projector
+    ranges swapped into each other must have equal dimension.
+    """
+    n = separating.size
+    perm = tuple(int(p) for p in permutation)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
+    ranks = [proj.rank for proj in separating.projectors]
+    for k, target in enumerate(perm):
+        if ranks[k] != ranks[target]:
+            raise ValueError(f"blocks {k} and {target} have unequal dimension")
+    dim = separating.dim
+    matrix = np.eye(dim, dtype=complex) - sum(p.as_matrix() for p in separating.projectors)
+    bases = [_range_basis(separating, k) for k in range(n)]
+    for k, target in enumerate(perm):
+        for col_src, col_dst in zip(bases[k].T, bases[target].T):
+            matrix += np.outer(col_dst, col_src.conj())
+    return SymmetryUnitary(matrix, tol=DERIVED_TOL)
+
+
+def swap_unitary(state, p1: Projector, p2: Projector) -> np.ndarray:
+    """The unitary of a ``projector_swap`` pair: it maps the state's
+    normalised component in each range onto the other's, pairs off the
+    remaining range directions and fixes everything outside both ranges.
+    A component with no weight is replaced by a unit vector of its range.
+    """
+    state = np.asarray(state, dtype=complex)
+    if p1.rank == 0:
+        return np.eye(p1.dim, dtype=complex)
+    vectors = []
+    for proj in (p1, p2):
+        comp = proj.apply(state)
+        if np.linalg.norm(comp) <= 1e-10 * np.linalg.norm(state):
+            comp = np.eye(proj.dim, dtype=complex)[next(proj.indices())]
+        vectors.append(comp / np.linalg.norm(comp))
+    return permutation_unitary((1, 0), SeparatingSet(vectors, (p1, p2))).matrix

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import tempfile
@@ -60,6 +61,38 @@ SEPARATION_PARAMS = {"check": "separation", "chi": [1, 0], "phi": [0.6, 0.8]}
 ROTATION_PARAMS = {"check": "rotation", "chi": [1, 0], "phi": [0, 1], "steps": 8}
 SEARCH_PARAMS = {"check": "search", "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 PIVOTAL_PARAMS = {"mode": "pivotal", "x1": 0.0, "x2": 1.0}
+
+
+def half_points(wholes, digits_below=10**10):
+    """(whole, digits, ulps, direction): a float 1-4 ulps from a 10-decimal half-point."""
+    return st.tuples(
+        wholes,
+        st.integers(0, digits_below - 1),
+        st.integers(1, 4),
+        st.sampled_from((-math.inf, math.inf)),
+    )
+
+
+HALF_POINT = half_points(st.integers(-20, 20))
+# within (0, 0.3), so that four complex entries fit in a unit state
+UNIT_HALF_POINT = half_points(st.just(0), 3 * 10**9)
+
+
+def near_half_point(whole, digits, ulps, toward, last_digit=5) -> float:
+    x = float(f"{whole}.{digits:010d}{last_digit}")  # nearest double to the decimal
+    for _ in range(ulps):
+        x = math.nextafter(x, toward)
+    return x
+
+
+# each keeps |a + bi| bit for bit: times 1, i, -1, -i, and conjugation
+MODULUS_PHASES = (
+    lambda a, b: [a, b],
+    lambda a, b: [-b, a],
+    lambda a, b: [-a, -b],
+    lambda a, b: [b, -a],
+    lambda a, b: [a, -b],
+)
 
 
 class TestRunScenario:
@@ -567,30 +600,72 @@ class TestScenarioKinds:
         assert verdicts["pivotal_value"] == verdicts["closure_solve"] == "PASS"
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(-20, 20),
-                st.integers(0, 10**10 - 1),
-                st.integers(1, 4),
-                st.sampled_from((-math.inf, math.inf)),
-            ),
-            min_size=2,
-            max_size=2,
-        )
-    )
+    @given(st.lists(HALF_POINT, min_size=2, max_size=2))
     def test_games_pivotal_labels_near_half_points_pass(self, draws):
-        labels = []
-        for whole, digits, ulps, toward in draws:
-            x = float(f"{whole}.{digits:010d}5")  # nearest double to a 10-decimal half-point
-            for _ in range(ulps):
-                x = math.nextafter(x, toward)
-            labels.append(x)
+        labels = [near_half_point(*draw) for draw in draws]
         doc = {"kind": "games", "parameters": {"mode": "pivotal", "x1": labels[0], "x2": labels[1]}}
         with tempfile.TemporaryDirectory() as tmp:
             report, code = run_scenario(write_scenario(Path(tmp), doc))
         assert code == EXIT_OK
         assert set(report["verdicts"].values()) == {"PASS"}
+
+    def test_games_special_equivalence_state_at_a_rounding_half_point(self, tmp_path, capsys):
+        # both weights are equal bit for bit; a float swap of the state once
+        # moved its first entry to the other side of a 10-decimal half-point
+        params = {
+            "mode": "special-equivalence",
+            "state": [0.3123456789499999, 0.3123456789499999, 0.8971512434826845],
+            "p1_cells": [0],
+            "p2_cells": [1],
+        }
+        out = tmp_path / "report.json"
+        assert run_main(tmp_path, "games", params, "--out", str(out)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["verdicts"]["special_equivalence"] == "PASS"
+        metrics = report["metrics"]
+        assert (metrics["rank"], metrics["n_unknowns"], metrics["value_difference"]) == (3, 4, 0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 2),
+        st.lists(
+            st.tuples(UNIT_HALF_POINT, UNIT_HALF_POINT, st.sampled_from(MODULUS_PHASES)),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    def test_games_special_equivalence_states_near_half_points_pass(self, rank, parts):
+        # the second range holds the first range's entries under phases
+        # that keep each modulus exactly, and a last entry completes a unit
+        # norm, so the normalised state keeps its entries at the
+        # half-points; the verdict and counters must match those of the
+        # same state moved off the half-points
+        def report_for(last_digit):
+            first = [
+                [near_half_point(*re, last_digit), near_half_point(*im, last_digit)]
+                for re, im, _ in parts[:rank]
+            ]
+            second = [phase(*entry) for entry, (_, _, phase) in zip(first, parts)]
+            rest = math.sqrt(1.0 - 2.0 * sum(re * re + im * im for re, im in first))
+            params = {
+                "mode": "special-equivalence",
+                "state": [*first, *second, rest],
+                "p1_cells": list(range(rank)),
+                "p2_cells": list(range(rank, 2 * rank)),
+            }
+            with tempfile.TemporaryDirectory() as tmp:
+                doc = {"kind": "games", "parameters": params}
+                return run_scenario(write_scenario(Path(tmp), doc))
+
+        report, code = report_for(5)
+        off_boundary, _ = report_for(3)
+        assert code == EXIT_OK
+        assert report["verdicts"] == off_boundary["verdicts"] == {"special_equivalence": "PASS"}
+        counters = ("rank", "n_unknowns", "constraints", "value_difference")
+        assert [report["metrics"][c] for c in counters] == [
+            off_boundary["metrics"][c] for c in counters
+        ]
 
     def test_histories_interference(self, tmp_path):
         h = 0.7071067811865476
@@ -833,6 +908,60 @@ class TestScenarioTable:
         scenario = write_scenario(tmp_path, doc)
         assert main(["simulate", "--scenario", str(scenario)]) == EXIT_USAGE
         assert "'seed'" in capsys.readouterr().err
+
+
+# games scenarios whose rendered reports, less ``wall_clock_s``, are pinned by
+# one digest: distinct, coinciding and extreme labels, one- and two-cell swaps
+# with phases, a range without weight, unequal weights and a depth-0 closure
+GAMES_DIGEST_SCENARIOS = [
+    {"mode": "pivotal", "x1": 0.0, "x2": 10.0},
+    {"mode": "pivotal", "x1": -3.5, "x2": 2.25, "slope": 2.0, "depth": 3},
+    {"mode": "pivotal", "x1": 4.0, "x2": 4.0, "slope": 0.5},
+    {"mode": "pivotal", "x1": 0.1, "x2": 0.7, "depth": 1},
+    {
+        "mode": "pivotal",
+        "x1": -64.89728701564388,
+        "x2": -1465.7272602194046,
+        "slope": 15.622688098359621,
+        "depth": 5,
+    },
+    {"mode": "special-equivalence", "state": [1, 1, 1], "p1_cells": [0], "p2_cells": [1]},
+    {
+        "mode": "special-equivalence",
+        "state": [[0.3, 0.4], [-0.4, 0.3], 0.2, [0.1, -0.6]],
+        "p1_cells": [1],
+        "p2_cells": [0],
+        "slope": 2.5,
+        "depth": 3,
+    },
+    {
+        "mode": "special-equivalence",
+        "state": [0.5, [0, 0.5], [0.3, 0.4], -0.5, 0.1],
+        "p1_cells": [0, 1],
+        "p2_cells": [2, 3],
+    },
+    {"mode": "special-equivalence", "state": [0, 0, 1, 2], "p1_cells": [0], "p2_cells": [1]},
+    {"mode": "special-equivalence", "state": [1, 2, 1], "p1_cells": [0], "p2_cells": [1]},
+    {
+        "mode": "special-equivalence",
+        "state": [1, 1, 1],
+        "p1_cells": [0],
+        "p2_cells": [2],
+        "depth": 0,
+    },
+]
+GAMES_REPORTS_DIGEST = "eef2becb0f520a1377d96ac341e43b6f601124640f16648e5bf5d679ec0e2fea"
+
+
+class TestGamesReportDigest:
+    def test_rendered_reports_are_pinned(self, tmp_path):
+        h = hashlib.sha256()
+        for i, params in enumerate(GAMES_DIGEST_SCENARIOS):
+            doc = {"kind": "games", "seed": 7, "parameters": params}
+            report, code = run_scenario(write_scenario(tmp_path, doc, f"games-{i}.json"))
+            del report["wall_clock_s"]
+            h.update(f"{code}\n{render_report(report)}".encode())
+        assert h.hexdigest() == GAMES_REPORTS_DIGEST
 
 
 # one small valid document per table entry; the fuzz corrupts one field at a time

@@ -14,7 +14,6 @@ from bornlab.errors import (
     LinearityError,
     PreconditionError,
     RelabelingError,
-    UnitarityError,
 )
 from bornlab.exactlin import solve_exact
 from bornlab.games import (
@@ -28,6 +27,7 @@ from bornlab.games import (
     ValueSolveResult,
     born_assignment,
     derive_pivotal,
+    general_equivalence_check,
     linear_payoff,
     projector_swap,
     relabel_game,
@@ -36,6 +36,7 @@ from bornlab.games import (
     verify_soundness,
 )
 from bornlab.hilbert import Projector, StateVector, born_weight
+from oracles import swap_unitary
 
 
 def two_outcome_game(x1=0.0, x2=10.0, amplitudes=(1.0, 1.0), slope=1.0) -> Game:
@@ -49,10 +50,11 @@ def two_outcome_game(x1=0.0, x2=10.0, amplitudes=(1.0, 1.0), slope=1.0) -> Game:
     )
 
 
-def haar_unitary(rng, d):
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(m)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def cells_swap(state, first, second):
+    d = len(state)
+    swap = projector_swap(state, Projector.from_cells(first, d), Projector.from_cells(second, d))
+    assert swap is not None
+    return swap
 
 
 class TestGameConstruction:
@@ -105,6 +107,11 @@ class TestRelabelGame:
                 moved = relabel_game(game, f)
                 assert moved.born_value() == pytest.approx(game.born_value(), abs=1e-10)
 
+    def test_tabular_payoff_outside_its_table(self):
+        payoff = TabularPayoff({1.0: 5.0})
+        with pytest.raises(PreconditionError, match="no entry for label 2.0"):
+            payoff(2.0)
+
     def test_tabular_payoff_composition(self):
         game = Game(
             np.array([1.0, 1.0]),
@@ -116,35 +123,87 @@ class TestRelabelGame:
         assert moved.payoff(12.0) == -3.0
 
 
+def swap_game_case(seed):
+    """A game whose projectors hold or miss each of two equal-weight cell
+    ranges whole, and the swap of the two ranges."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    rank = int(rng.integers(0, d // 2 + 1))
+    cells = rng.permutation(d)
+    first, second, rest = cells[:rank], cells[rank : 2 * rank], cells[2 * rank :]
+    state = rng.normal(size=d) + 1j * rng.normal(size=d)
+    if rest.size and rng.random() < 0.3:
+        state[first] = state[second] = 0.0
+    elif rank:  # rescale the second range to the first range's norm
+        state[second] *= np.linalg.norm(state[first]) / np.linalg.norm(state[second])
+    # outcomes: unions of whole ranges and of the remaining cells
+    units = [list(first), list(second), *([int(c)] for c in rest)]
+    units = [u for u in units if u]
+    groups = [[] for _ in range(int(rng.integers(1, len(units) + 1)))]
+    for unit in units:
+        groups[int(rng.integers(len(groups)))].extend(unit)
+    groups = [g for g in groups if g]
+    labels = rng.permutation(len(groups)) * 1.5 - 2.0
+    spectral = [(float(x), Projector.from_cells(g, d)) for x, g in zip(labels, groups)]
+    game = Game(state, spectral, linear_payoff(float(rng.uniform(0.5, 2.0))))
+    swap = projector_swap(state, Projector.from_cells(first, d), Projector.from_cells(second, d))
+    return game, swap
+
+
 class TestTransformGame:
     def test_identity(self):
         game = two_outcome_game()
-        assert transform_game(game, np.eye(2)).key() == game.key()
+        assert transform_game(game, cells_swap(game.state, [], [])).key() == game.key()
 
     def test_permutation_leaves_symmetric_state(self):
         game = two_outcome_game(0.0, 10.0)
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        moved = transform_game(game, swap)
-        assert np.allclose(moved.state, game.state)
+        moved = transform_game(game, cells_swap(game.state, [0], [1]))
+        assert moved.state is game.state
         # labels ride along with their eigenspaces
         assert moved.spectral[0][1].index_set() == {0}
         assert moved.spectral[0][0] == 10.0
 
     def test_nonunitary_rejected(self):
-        with pytest.raises(UnitarityError):
-            transform_game(two_outcome_game(), np.diag([1.0, 2.0]))
+        # no unitary maps a range onto one of another rank
+        game = Game.projector_game(np.ones(3), Projector.from_cells([0], 3), linear_payoff())
+        wider = (Projector.from_cells([0], 3), Projector.from_cells([1, 2], 3))
+        with pytest.raises(PreconditionError, match="equal rank"):
+            transform_game(game, wider)
 
     def test_preserves_weights_and_value(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            game = two_outcome_game(1.0, 4.0, amplitudes=rng.normal(size=2) + 0.2)
-            u = haar_unitary(rng, 2)
-            moved = transform_game(game, u)
+            phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+            modulus = abs(rng.normal()) + 0.2
+            game = two_outcome_game(1.0, 4.0, amplitudes=(modulus, modulus * phase))
+            moved = transform_game(game, cells_swap(game.state, [0], [1]))
             for (_, proj), (_, moved_proj) in zip(game.spectral, moved.spectral):
                 w0 = born_weight(StateVector(game.state), proj)
                 w1 = born_weight(StateVector(moved.state), moved_proj)
                 assert w1 == pytest.approx(w0, abs=1e-10)
             assert moved.born_value() == pytest.approx(game.born_value(), abs=1e-10)
+
+    def test_projector_splitting_a_range_rejected(self):
+        # the outcome on cells {0, 2} holds half of the rank-2 range {0, 1}
+        state = np.ones(4)
+        cells = [(0.0, Projector.from_cells([0, 2], 4)), (1.0, Projector.from_cells([1, 3], 4))]
+        game = Game(state, cells, linear_payoff())
+        with pytest.raises(PreconditionError, match="splits a swapped range"):
+            transform_game(game, cells_swap(state, [0, 1], [2, 3]))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_conjugation_by_the_oracle_unitary(self, seed):
+        game, swap = swap_game_case(seed)
+        assert swap is not None
+        u = swap_unitary(game.state, *swap)
+        assert np.max(np.abs(u @ game.state - game.state)) <= 1e-10
+        moved = transform_game(game, swap)
+        assert moved.state is game.state
+        assert moved.spectrum == game.spectrum
+        for (_, proj), (_, moved_proj) in zip(game.spectral, moved.spectral):
+            conjugated = u @ proj.as_matrix() @ u.conj().T
+            assert np.max(np.abs(conjugated - moved_proj.as_matrix())) <= 1e-9
 
 
 class TestAxiomConstraints:
@@ -346,9 +405,8 @@ def reexpanding_solve(games, depth, *, unitaries=()) -> ValueSolveResult:
     for _ in range(depth):
         for game in list(solver.games.values()):
             solver.expand_game(game)
-            for u in unitaries:
-                if np.asarray(u).shape == (game.dim, game.dim):
-                    solver.transform(game, u)
+            for swap in unitaries:
+                solver.transform(game, swap)
     return solver.solve()
 
 
@@ -425,21 +483,18 @@ class TestExactSolve:
         assert len(new.constraints) < len(old.constraints)
 
 
-def swap_case(seed, d, rotated, zero_weight):
-    """Two orthogonal projectors of equal rank and a state with equal weight in each."""
+def swap_case(seed, d, zero_weight):
+    """Two orthogonal cell projectors of equal rank and a state with equal weight in each."""
     rng = np.random.default_rng(seed)
     rank = 1 + seed % (d // 2)
     if zero_weight and 2 * rank == d:
         rank -= 1  # leave room outside the two ranges for the state
     if rank == 0:
         rank, zero_weight = 1, False
-    basis = haar_unitary(rng, d) if rotated else np.eye(d, dtype=complex)
+    basis = np.eye(d, dtype=complex)
     cols = rng.permutation(d)
     ranges = [basis[:, cols[:rank]], basis[:, cols[rank : 2 * rank]]]
-    if rotated:
-        p1, p2 = (Projector.from_matrix(b @ b.conj().T, tol=1e-9) for b in ranges)
-    else:
-        p1, p2 = (Projector.from_cells(cols[i * rank : (i + 1) * rank], d) for i in (0, 1))
+    p1, p2 = (Projector.from_cells(cols[i * rank : (i + 1) * rank], d) for i in (0, 1))
     weight = 0.0 if zero_weight else rng.uniform(0.05, 0.5)
     blocks = [(weight, ranges[0]), (weight, ranges[1])]
     if 2 * rank < d:
@@ -452,12 +507,12 @@ def swap_case(seed, d, rotated, zero_weight):
 
 
 class TestProjectorSwap:
-    @given(st.integers(0, 10_000), st.integers(2, 5), st.booleans(), st.booleans())
+    @given(st.integers(0, 10_000), st.integers(2, 5), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_swap_properties(self, seed, d, rotated, zero_weight):
-        state, p1, p2 = swap_case(seed, d, rotated, zero_weight)
-        u = projector_swap(state, p1, p2)
-        assert u is not None
+    def test_swap_properties(self, seed, d, zero_weight):
+        state, p1, p2 = swap_case(seed, d, zero_weight)
+        assert projector_swap(state, p1, p2) == (p1, p2)
+        u = swap_unitary(state, p1, p2)
         eye = np.eye(d)
         assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10
         psi = state / np.linalg.norm(state)
@@ -467,10 +522,10 @@ class TestProjectorSwap:
         outside = eye - m1 - m2
         assert np.max(np.abs(u @ outside - outside)) <= 1e-10
 
-    @given(st.integers(0, 10_000), st.integers(3, 5), st.booleans())
+    @given(st.integers(0, 10_000), st.integers(3, 5))
     @settings(max_examples=30, deadline=None)
-    def test_no_swap_without_equal_rank_and_weight(self, seed, d, rotated):
-        state, p1, p2 = swap_case(seed, d, rotated, False)
+    def test_no_swap_without_equal_rank_and_weight(self, seed, d):
+        state, p1, p2 = swap_case(seed, d, False)
         tilted = state + 0.5 * p1.apply(state)
         assert projector_swap(tilted, p1, p2) is None
         wider = Projector.from_cells(range(1, d), d)
@@ -478,7 +533,20 @@ class TestProjectorSwap:
 
     def test_empty_ranges_swap_to_identity(self):
         empty = Projector.from_cells([], 3)
-        assert np.array_equal(projector_swap([1.0, 2.0, 3.0], empty, empty), np.eye(3))
+        state = [1.0, 2.0, 3.0]
+        assert projector_swap(state, empty, empty) == (empty, empty)
+        assert np.array_equal(swap_unitary(state, empty, empty), np.eye(3))
+        game = Game.projector_game(state, Projector.from_cells([0], 3), linear_payoff())
+        assert transform_game(game, (empty, empty)).key() == game.key()
+
+    def test_needs_orthogonal_cell_projectors(self):
+        state = np.ones(3)
+        p01, p12 = Projector.from_cells([0, 1], 3), Projector.from_cells([1, 2], 3)
+        with pytest.raises(PreconditionError, match="orthogonal"):
+            projector_swap(state, p01, p12)
+        rotated = Projector(dim=3, matrix=np.diag([0.0, 0.0, 1.0]).astype(complex))
+        with pytest.raises(PreconditionError, match="cell-form"):
+            projector_swap(state, Projector.from_cells([0], 3), rotated)
 
     def test_no_swap_between_ranks_of_equal_weight(self):
         state = np.array([1.0, np.sqrt(0.5), np.sqrt(0.5)])
@@ -492,8 +560,6 @@ class TestGeneralEquivalence:
         # two pivotal games with different (but equal-weight) states and
         # different observables; both solve to the half-sum, so any pair
         # with matching outcome statistics is valued equally
-        from bornlab.games import general_equivalence_check
-
         game_a = two_outcome_game(0.0, 10.0, amplitudes=(1.0, 1.0))
         game_b = Game(
             np.array([1.0, 1.0j]),
@@ -508,23 +574,38 @@ class TestGeneralEquivalence:
         assert rows and rows[0]["equal"]
 
     def test_mismatched_statistics_not_compared(self):
-        from bornlab.games import general_equivalence_check
-
         game_a = two_outcome_game(0.0, 10.0)
         game_b = two_outcome_game(0.0, 11.0)
         result = value_solve([game_a, game_b], 4)
         assert general_equivalence_check(result, [game_a, game_b]) == []
+
+    def test_weights_either_side_of_a_rounding_half_point_match(self):
+        # the two weights differ by a few ulps and once rounded to 10
+        # decimals fall in different buckets
+        state = np.array([0.35136418293559724, 0.35136418293559746, 0.8678055207821624])
+        p1, p2 = Projector.from_cells([0], 3), Projector.from_cells([1], 3)
+        weights = [born_weight(StateVector(state), p) for p in (p1, p2)]
+        assert round(weights[0], 10) != round(weights[1], 10)
+        pair = [Game.projector_game(state, p, linear_payoff()) for p in (p1, p2)]
+        result = value_solve(pair, 2, unitaries=[projector_swap(state, p1, p2)])
+        rows = general_equivalence_check(result, pair)
+        assert [(row["pair"], row["equal"]) for row in rows] == [((0, 1), True)]
 
 
 class TestSoundness:
     def test_random_constraint_instances(self):
         rng = np.random.default_rng(41)
         solver = ValueSolver()
-        for _ in range(50):
+        for i in range(50):
+            modulus = abs(rng.normal()) + 0.1
+            if i % 2:  # equal weights, so the two cells swap
+                second = modulus * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            else:
+                second = abs(rng.normal()) + 0.1
             game = two_outcome_game(
                 rng.normal() * 8,
                 rng.normal() * 8 + 17,
-                amplitudes=(abs(rng.normal()) + 0.1, abs(rng.normal()) + 0.1),
+                amplitudes=(modulus, second),
                 slope=float(rng.uniform(0.2, 3.0)),
             )
             solver.register(game)
@@ -532,7 +613,11 @@ class TestSoundness:
             solver.zero_sum(game)
             solver.relabel(game, Relabeling.shift(float(rng.normal())))
             solver.relabel(game, Relabeling.negate())
-            solver.transform(game, haar_unitary(rng, 2))
+            swap = projector_swap(game.state, *(proj for _, proj in game.spectral))
+            if swap is not None:
+                solver.transform(game, swap)
+        kinds = [con.kind for con in solver.constraints]
+        assert kinds.count("measurement-equivalence") == 25
         worst = verify_soundness(solver.constraints, solver.games.values())
         assert worst < 1e-10
 

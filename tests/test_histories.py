@@ -19,6 +19,7 @@ from bornlab.histories import (
     _worst_pair,
     consistency_check,
 )
+from oracles import projector_from_matrix
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -109,7 +110,7 @@ def random_resolution(draw, rng, d):
         return [Projector.from_cells(cells, d) for cells in groups]
     basis = random_unitary(rng, d)
     return [
-        Projector.from_matrix(basis[:, cells] @ basis[:, cells].conj().T) for cells in groups
+        projector_from_matrix(basis[:, cells] @ basis[:, cells].conj().T) for cells in groups
     ]
 
 
