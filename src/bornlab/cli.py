@@ -185,10 +185,10 @@ def _attrs(obj, *names) -> dict:
 def _table_to_dict(table: hilbert.MeasureTable) -> dict:
     """Table values keyed by cell list; a non-integral Fraction is written as a string."""
     return {
-        json.dumps(key[2] if key[0] == "cells" else "matrix"): (
+        json.dumps(proj.cells): (
             str(value) if isinstance(value, Fraction) and value.denominator != 1 else float(value)
         )
-        for key, value in table.items()
+        for proj, value in table.items()
     }
 
 
@@ -440,7 +440,7 @@ def _histories(v: dict, seed: int, csv_dir) -> dict:
     return {
         "verdicts": {
             "expectation": _verdict(report.verdict == v["expect"]),
-            "collapsed_sum": _verdict(abs(report.collapsed_sum - 1.0) <= 1e-9),
+            "collapsed_sum": _verdict(report.collapsed_sum_ok),
         },
         "metrics": {
             **_attrs(report, "verdict", "max_discrepancy", "collapsed_sum", "uncollapsed_sum"),

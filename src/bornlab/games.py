@@ -38,7 +38,7 @@ from .errors import (
     RelabelingError,
 )
 from .exactlin import require_feasible, solve_exact
-from .hilbert import Projector, StateVector, born_weight
+from .hilbert import Projector, StateVector, born_weight, resolves_identity
 from .trace import GAME_RULES, DerivationTrace
 
 SPECTRUM_TOL = 1e-10
@@ -213,8 +213,7 @@ class Game:
         for a, b in itertools.combinations(labels, 2):
             if abs(a - b) <= SPECTRUM_TOL:
                 raise PreconditionError(f"spectral labels {float(a)} and {float(b)} coincide")
-        total = sum(proj.as_matrix() for _, proj in spectral)
-        if np.max(np.abs(total - np.eye(dim))) > 1e-9:
+        if not resolves_identity((proj for _, proj in spectral), dim):
             raise PreconditionError("spectral projectors must sum to the identity")
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "spectral", spectral)
@@ -265,7 +264,7 @@ class Game:
         if "_key" not in self.__dict__:
             key = (
                 self.state.tobytes(),
-                tuple((lam.as_integer_ratio(), proj.key()) for lam, proj in self.spectral),
+                tuple((lam.as_integer_ratio(), proj.cells) for lam, proj in self.spectral),
                 self.payoff.key(),
             )
             object.__setattr__(self, "_key", key)
@@ -399,8 +398,6 @@ def projector_swap(
     directions pair off, and everything outside the two ranges stays fixed.
     ``transform_game`` applies the swap; ``None`` means there is none.
     """
-    if p1.cells is None or p2.cells is None:
-        raise PreconditionError("a swap exchanges cell-form projectors")
     if p1.index_set() & p2.index_set():
         raise PreconditionError("swapped projectors must be orthogonal")
     state = _unit_state(state)

@@ -2,20 +2,21 @@
 
 States, projectors, coarse-grainings of a discretized configuration space,
 separating sets, unitaries, measure tables and the Born rule.
-Configuration space is modelled as ``d`` grid cells; a projector is either
-a set of cells (lattice form) or a dense Hermitian idempotent matrix
-(general form).  Every projector a scenario builds is in cell form.
+Configuration space is modelled as ``d`` grid cells, and a projector is a
+set of cells: every projector lies in the lattice that a coarse-graining's
+blocks generate.  A family of projectors resolves the identity when its
+ranges tile the grid, which ``resolves_identity`` decides exactly.
 
 All types are immutable values after construction and safe to share across
 threads.  Tolerances follow a two-level policy: structural identities are
 checked at ``STRUCT_TOL`` (1e-12), derived numerical identities at
-``DERIVED_TOL`` (1e-10).  Only ``SymmetryUnitary`` takes a ``tol`` of its
-own, for matrices that were assembled in floating point.
+``DERIVED_TOL`` (1e-10), among them the unitarity of a ``SymmetryUnitary``,
+whose matrix was assembled in floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -137,84 +138,58 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Projector:
-    """A projector, in cell form, matrix form, or both.
+    """The projector onto a set of grid cells.
 
-    Cell form is a canonical tuple of disjoint index ranges on the grid and
-    is exact; matrix form is a dense Hermitian idempotent, taken as given.
-    Lattice members (coarse-graining blocks and their unions) use cell
-    form; general projectors use matrix form.
+    ``cells`` is a canonical tuple of sorted, merged, disjoint index ranges,
+    so two projectors are equal exactly when they project onto the same
+    cells of the same grid.
     """
 
     dim: int
-    cells: tuple[tuple[int, int], ...] | None = None
-    matrix: np.ndarray | None = field(default=None, compare=False)
+    cells: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_cells(cls, cells: Iterable, dim: int) -> "Projector":
         return cls(dim=dim, cells=_normalize_ranges(cells, dim))
 
-    def __post_init__(self):
-        if self.cells is None and self.matrix is None:
-            raise InvalidStateError("projector needs a cell or matrix representation")
-
     @property
     def rank(self) -> int:
-        if self.cells is not None:
-            return sum(stop - start for start, stop in self.cells)
-        return int(round(np.real(np.trace(self.matrix))))
+        return sum(stop - start for start, stop in self.cells)
 
     def indices(self) -> Iterator[int]:
-        if self.cells is None:
-            raise InvalidStateError("matrix-form projector has no cell indices")
         for start, stop in self.cells:
             yield from range(start, stop)
 
     def index_set(self) -> frozenset[int]:
         return frozenset(self.indices())
 
-    def as_matrix(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        diag = np.zeros(self.dim)
-        for start, stop in self.cells:
-            diag[start:stop] = 1.0
-        return np.diag(diag).astype(complex)
-
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         if amplitudes.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"projector on {self.dim} cells applied to vector of length {amplitudes.shape[0]}"
             )
-        if self.cells is not None:
-            out = np.zeros(amplitudes.shape, dtype=amplitudes.dtype)
-            for start, stop in self.cells:
-                out[start:stop] = amplitudes[start:stop]
-            return out
-        return self.matrix @ amplitudes
+        out = np.zeros(amplitudes.shape, dtype=amplitudes.dtype)
+        for start, stop in self.cells:
+            out[start:stop] = amplitudes[start:stop]
+        return out
 
     def complement(self) -> "Projector":
-        if self.cells is not None:
-            inside = set(self.indices())
-            return Projector.from_cells(
-                (i for i in range(self.dim) if i not in inside), self.dim
-            )
-        return Projector(dim=self.dim, matrix=np.eye(self.dim, dtype=complex) - self.matrix)
+        inside = self.index_set()
+        return Projector.from_cells((i for i in range(self.dim) if i not in inside), self.dim)
 
-    def key(self):
-        """Canonical hashable identity used by measure tables.
 
-        Cell-form projectors are identified by their ranges; matrix-form
-        ones by their rounded entries.
-        """
-        if self.cells is not None:
-            return ("cells", self.dim, self.cells)
-        return ("matrix", self.dim, tuple(np.round(self.matrix, 10).ravel().tolist()))
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __eq__(self, other):
-        return isinstance(other, Projector) and self.key() == other.key()
+def resolves_identity(projectors: Iterable[Projector], dim: int) -> bool:
+    """True when the projectors act on ``dim`` cells and their ranges tile
+    ``[0, dim)`` once: they are orthogonal and sum to the identity."""
+    projectors = tuple(projectors)
+    if any(proj.dim != dim for proj in projectors):
+        return False
+    edge = 0
+    for start, stop in sorted(r for proj in projectors for r in proj.cells):
+        if start != edge:
+            return False
+        edge = stop
+    return edge == dim
 
 
 @dataclass(frozen=True)
@@ -292,14 +267,14 @@ class GrainingFamily:
 
 @dataclass(frozen=True)
 class SymmetryUnitary:
-    """A square matrix checked to be unitary within ``tol``."""
+    """A square matrix checked to be unitary within ``DERIVED_TOL``."""
 
     matrix: np.ndarray
 
-    def __init__(self, matrix, *, tol: float = STRUCT_TOL):
+    def __init__(self, matrix):
         arr = _as_complex_matrix(matrix)
         dev = np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])))
-        if dev > tol:
+        if dev > DERIVED_TOL:
             raise UnitarityError(f"matrix deviates from unitarity by {dev:.3e}")
         object.__setattr__(self, "matrix", arr)
 
@@ -339,15 +314,10 @@ class SeparatingSet:
                 raise InvalidStateError(
                     f"projector {j} does not separate vector {np.argmax(misses)} within tolerance"
                 )
-        # sum_{i != j} ||P_i P_j||_F^2: the squared norm of the sum less the
-        # ranks, or for cell form the cells counted twice
+        # the projectors are orthogonal when no cell is counted twice
         ranks = sum(proj.rank for proj in projectors)
-        if all(proj.cells is not None for proj in projectors):
-            overlap = ranks - len(frozenset().union(*(proj.index_set() for proj in projectors)))
-        else:
-            overlap = np.linalg.norm(sum(proj.as_matrix() for proj in projectors)) ** 2 - ranks
-        if overlap > DERIVED_TOL:
-            raise InvalidStateError("projectors are not mutually orthogonal within tolerance")
+        if ranks != len(frozenset().union(*(proj.index_set() for proj in projectors))):
+            raise InvalidStateError("projectors are not mutually orthogonal")
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "projectors", projectors)
 
@@ -384,7 +354,7 @@ class SeparatingSet:
 class MeasureTable:
     """A finite candidate probability assignment over projectors.
 
-    Keys are canonical projector identities; values must lie in [0, 1].
+    Keys are the projectors themselves; values must lie in [0, 1].
     Shared by the constraint-propagation and derivation modules.
     """
 
@@ -399,16 +369,15 @@ class MeasureTable:
             value = float(value)
         if not 0 <= value <= 1 and (value < -STRUCT_TOL or value > 1 + STRUCT_TOL):
             raise ValueError(f"measure value {value} outside [0,1]")
-        self._entries[proj.key()] = value
+        self._entries[proj] = value
 
     def value(self, proj: Projector):
-        key = proj.key()
-        if key not in self._entries:
-            raise IncompleteMeasureError(f"measure undefined on projector {key}")
-        return self._entries[key]
+        if proj not in self._entries:
+            raise IncompleteMeasureError(f"measure undefined on cells {proj.cells}")
+        return self._entries[proj]
 
     def covers(self, proj: Projector) -> bool:
-        return proj.key() in self._entries
+        return proj in self._entries
 
     def items(self):
         return self._entries.items()
@@ -431,13 +400,9 @@ def born_weight(psi: StateVector, proj: Projector) -> float:
         raise DimensionMismatchError(
             f"projector dimension {proj.dim} != state dimension {psi.dim}"
         )
-    amp = psi.amplitudes
-    if proj.cells is not None:
-        num = 0.0
-        for start, stop in proj.cells:
-            seg = amp[start:stop]
-            num += float(np.real(np.vdot(seg, seg)))
-    else:
-        num = float(np.real(np.vdot(amp, proj.matrix @ amp)))
+    num = 0.0
+    for start, stop in proj.cells:
+        seg = psi.amplitudes[start:stop]
+        num += float(np.real(np.vdot(seg, seg)))
     weight = num / psi.norm2
     return min(1.0, max(0.0, weight))

@@ -24,12 +24,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, HistoryCountError, InvalidStateError
-from .hilbert import Projector, StateVector, SymmetryUnitary, row_apply, row_dots
+from .hilbert import (
+    Projector,
+    StateVector,
+    SymmetryUnitary,
+    resolves_identity,
+    row_apply,
+    row_dots,
+)
 
 DEFAULT_EPSILON = 1e-8
 DEFAULT_HISTORY_CAP = 10**6
 DEFAULT_PAIR_CAP = 4096
-RESOLUTION_TOL = 1e-10
+# the stepwise-collapse probabilities of every history sum to one within this
+COLLAPSED_SUM_TOL = 1e-9
 # rows of the decoherence functional reduced at once, over the columns j >= the block's first
 # row, so the working set is O(64 n); at least 2, as a one-row block would go through a
 # matrix-vector product, which rounds differently from the full matrix product
@@ -39,7 +47,7 @@ PAIR_BLOCK_ROWS = 64
 def _as_unitary(matrix, dim: int) -> np.ndarray:
     if np.shape(matrix) != (dim, dim):
         raise DimensionMismatchError(f"unitary must be {dim}x{dim}")
-    return SymmetryUnitary(matrix, tol=1e-10).matrix
+    return SymmetryUnitary(matrix).matrix
 
 
 @dataclass(frozen=True)
@@ -54,12 +62,7 @@ class HistoryStep:
         if not resolution:
             raise InvalidStateError("a step needs at least one projector")
         dim = resolution[0].dim
-        total = np.zeros((dim, dim), dtype=complex)
-        for proj in resolution:
-            if proj.dim != dim:
-                raise DimensionMismatchError("projectors in a step must share a dimension")
-            total = total + proj.as_matrix()
-        if np.max(np.abs(total - np.eye(dim))) > RESOLUTION_TOL:
+        if not resolves_identity(resolution, dim):
             raise InvalidStateError("step projectors must sum to the identity")
         unitary = np.eye(dim, dtype=complex) if unitary is None else _as_unitary(unitary, dim)
         object.__setattr__(self, "resolution", resolution)
@@ -108,8 +111,6 @@ class HistorySet:
 
 
 def _project(proj: Projector, rows: np.ndarray) -> np.ndarray:
-    if proj.cells is None:
-        return row_apply(proj.matrix, rows)
     out = np.zeros_like(rows)
     for start, stop in proj.cells:
         out[:, start:stop] = rows[:, start:stop]
@@ -175,6 +176,11 @@ class ConsistencyReport:
     @property
     def consistent(self) -> bool:
         return self.verdict == "CONSISTENT"
+
+    @property
+    def collapsed_sum_ok(self) -> bool:
+        """The stepwise-collapse probabilities sum to one within ``COLLAPSED_SUM_TOL``."""
+        return abs(self.collapsed_sum - 1.0) <= COLLAPSED_SUM_TOL
 
 
 def _worst_pair(choices, chains, collapsed, chained, epsilon: float):

@@ -6,8 +6,9 @@ checks a measure table for additivity over the unions of a
 coarse-graining's blocks, which ``block_projectors`` and ``block_union``
 build.  ``swap_unitary`` is the dense unitary of a ``games.projector_swap``
 pair, built by ``permutation_unitary``, which ``games.transform_game`` must
-match by conjugation; ``projector_from_matrix`` builds the matrix-form
-projectors of the tests.  None of them is called by the package itself.
+match by conjugation; ``cell_matrix`` is the dense matrix of a cell
+projector that the conjugations compare.  None of them is called by the
+package itself.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from bornlab.errors import (
     DimensionMismatchError,
     IncompleteMeasureError,
     IntegrationFailureError,
-    InvalidStateError,
     PreconditionError,
 )
 from bornlab.hilbert import (
     DERIVED_TOL,
-    STRUCT_TOL,
     CoarseGraining,
     MeasureTable,
     Projector,
@@ -106,12 +105,12 @@ def em_step(model: CollapseModel, psi, dt: float, noise) -> np.ndarray:
 
 
 def block_projectors(graining: CoarseGraining) -> list[Projector]:
-    """Cell-form projector onto each block, in block order."""
+    """Projector onto each block, in block order."""
     return [graining.block_projector(i) for i in range(graining.n_blocks)]
 
 
 def block_union(graining: CoarseGraining, indices) -> Projector:
-    """Cell-form projector onto the union of the blocks at ``indices``."""
+    """Projector onto the union of the blocks at ``indices``."""
     return Projector.from_cells([graining.blocks[i] for i in indices], graining.dim)
 
 
@@ -150,7 +149,7 @@ def check_additivity(table: MeasureTable, graining: CoarseGraining) -> Additivit
     blocks = block_projectors(graining)
     for block in blocks:
         if not table.covers(block):
-            raise IncompleteMeasureError(f"measure undefined on block {block.key()}")
+            raise IncompleteMeasureError(f"measure undefined on block {block.cells}")
 
     def union_value(indices: frozenset[int]) -> float:
         proj = block_union(graining, indices)
@@ -191,38 +190,21 @@ def check_additivity(table: MeasureTable, graining: CoarseGraining) -> Additivit
 
 
 # ---------------------------------------------------------------------------
-# matrix-form projectors and the swap unitary
+# the dense matrix of a cell projector and the swap unitary
 # ---------------------------------------------------------------------------
 
 
-def projector_from_matrix(matrix, *, tol: float = STRUCT_TOL) -> Projector:
-    """Projector from a Hermitian idempotent checked within ``tol``.
-
-    A diagonal 0/1 matrix becomes the cell-form projector on its ones, so
-    both presentations of a lattice projector share a key.
-    """
-    arr = np.array(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
-    if np.max(np.abs(arr - arr.conj().T)) > tol:
-        raise InvalidStateError("projector matrix is not Hermitian within tolerance")
-    if np.max(np.abs(arr @ arr - arr)) > tol:
-        raise InvalidStateError("projector matrix is not idempotent within tolerance")
-    diag = np.real(np.diag(arr))
-    off = arr - np.diag(np.diag(arr))
-    if np.max(np.abs(off)) <= 1e-10 and np.all(
-        (np.abs(diag) <= 1e-10) | (np.abs(diag - 1.0) <= 1e-10)
-    ):
-        return Projector.from_cells(np.flatnonzero(diag > 0.5), arr.shape[0])
-    arr.setflags(write=False)
-    return Projector(dim=arr.shape[0], matrix=arr)
+def cell_matrix(proj: Projector) -> np.ndarray:
+    """The dense 0/1 diagonal matrix of a cell projector."""
+    diag = np.zeros(proj.dim, dtype=complex)
+    diag[list(proj.indices())] = 1.0
+    return np.diag(diag)
 
 
 def _range_basis(separating: SeparatingSet, k: int) -> np.ndarray:
     """Orthonormal basis of ran(P_k) whose first column is vector k.
 
-    Vector k is completed by Gram-Schmidt over the unit cells of the
-    cell-form projector P_k.
+    Vector k is completed by Gram-Schmidt over the unit cells of P_k.
     """
     proj = separating.projectors[k]
     vec = separating.vectors[k].amplitudes
@@ -254,12 +236,12 @@ def permutation_unitary(permutation: Sequence[int], separating: SeparatingSet) -
         if ranks[k] != ranks[target]:
             raise ValueError(f"blocks {k} and {target} have unequal dimension")
     dim = separating.dim
-    matrix = np.eye(dim, dtype=complex) - sum(p.as_matrix() for p in separating.projectors)
+    matrix = np.eye(dim, dtype=complex) - sum(cell_matrix(p) for p in separating.projectors)
     bases = [_range_basis(separating, k) for k in range(n)]
     for k, target in enumerate(perm):
         for col_src, col_dst in zip(bases[k].T, bases[target].T):
             matrix += np.outer(col_dst, col_src.conj())
-    return SymmetryUnitary(matrix, tol=DERIVED_TOL)
+    return SymmetryUnitary(matrix)
 
 
 def swap_unitary(state, p1: Projector, p2: Projector) -> np.ndarray:

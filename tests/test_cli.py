@@ -289,6 +289,14 @@ class TestMain:
         assert main(["histories", "--scenario", str(scenario)]) == EXIT_USAGE
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("resolution", [[[0], [0, 1]], [[0]]])
+    def test_resolution_off_the_identity_exit_usage(self, tmp_path, capsys, resolution):
+        params = {"psi0": [0.6, 0.8], "steps": [{"resolution": resolution}]}
+        scenario = write_scenario(tmp_path, {"kind": "histories", "parameters": params})
+        assert main(["histories", "--scenario", str(scenario)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "must sum to the identity" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "kind, params, field",
         [
@@ -962,6 +970,65 @@ class TestGamesReportDigest:
             del report["wall_clock_s"]
             h.update(f"{code}\n{render_report(report)}".encode())
         assert h.hexdigest() == GAMES_REPORTS_DIGEST
+
+
+# derive and solve-measure scenarios whose rendered measure tables, less
+# ``wall_clock_s``, are pinned by one digest: blocks of one and several cells,
+# profiles, complex amplitudes, unique tables over two grainings and the two
+# witnesses of underdetermined systems, one of them of float masses
+TABLES_DIGEST_SCENARIOS = [
+    ("derive", {"construction": "rational", "weights": [2, 1]}),
+    ("derive", {"construction": "rational", "weights": [3, 1, 2], "block_sizes": [3, 1, 2]}),
+    (
+        "derive",
+        {
+            "construction": "rational",
+            "weights": [1, 2],
+            "block_sizes": [1, 2],
+            "profiles": [["1"], ["1/3", "2/3"]],
+        },
+    ),
+    ("derive", {"construction": "equiprobable", "amplitudes": [1, 1]}),
+    ("derive", {"construction": "equiprobable", "amplitudes": [[0.6, 0.8], [0, 1], -1]}),
+    (
+        "derive",
+        {
+            "construction": "equiprobable",
+            "amplitudes": [0.5, 0.5, [0, 0.5], -0.5],
+            "block_sizes": [2, 2],
+        },
+    ),
+    ("solve-measure", {"masses": ["1/2", "1/2"], "grainings": [[1, 1]]}),
+    ("solve-measure", {"masses": ["1/4"] * 4, "grainings": [[1, 1, 1, 1], [2, 2]]}),
+    (
+        "solve-measure",
+        {
+            "masses": ["1/6", "1/3", "1/6", "1/3"],
+            "grainings": [[1, 1, 1, 1], [2, 2], [1, 3]],
+            "expect": "underdetermined",
+        },
+    ),
+    (
+        "solve-measure",
+        {
+            "masses": [0.1, 0.2, 0.3, 0.4, "0"],
+            "grainings": [[1, 2, 2], [3, 2]],
+            "expect": "underdetermined",
+        },
+    ),
+]
+TABLES_REPORTS_DIGEST = "d1b5a7a62fb8c0b017c9e00d0c01408bc40e28bd596ee5ebb85b2da628da97a1"
+
+
+class TestMeasureTableReportDigest:
+    def test_rendered_reports_are_pinned(self, tmp_path):
+        h = hashlib.sha256()
+        for i, (kind, params) in enumerate(TABLES_DIGEST_SCENARIOS):
+            doc = {"kind": kind, "seed": 7, "parameters": params}
+            report, code = run_scenario(write_scenario(tmp_path, doc, f"tables-{i}.json"))
+            del report["wall_clock_s"]
+            h.update(f"{code}\n{render_report(report)}".encode())
+        assert h.hexdigest() == TABLES_REPORTS_DIGEST
 
 
 # one small valid document per table entry; the fuzz corrupts one field at a time

@@ -36,7 +36,7 @@ from bornlab.games import (
     verify_soundness,
 )
 from bornlab.hilbert import Projector, StateVector, born_weight
-from oracles import swap_unitary
+from oracles import cell_matrix, swap_unitary
 
 
 def two_outcome_game(x1=0.0, x2=10.0, amplitudes=(1.0, 1.0), slope=1.0) -> Game:
@@ -72,6 +72,23 @@ class TestGameConstruction:
     def test_born_value(self):
         game = two_outcome_game(0.0, 10.0, amplitudes=(np.sqrt(0.3), np.sqrt(0.7)))
         assert game.born_value() == pytest.approx(7.0)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [([0], 2)],  # gap
+            [([0], 2), ([0, 1], 2)],  # overlap
+            [([0, 1], 2), ([], 3)],  # another dim
+        ],
+    )
+    def test_projectors_must_partition_the_cells(self, cells):
+        spectral = [(float(-k), Projector.from_cells(c, d)) for k, (c, d) in enumerate(cells)]
+        with pytest.raises(PreconditionError, match="must sum to the identity"):
+            Game(np.ones(2), spectral, linear_payoff())
+
+    def test_empty_projector_beside_a_partition(self):
+        spectral = [(0.0, Projector.from_cells([0, 1], 2)), (1.0, Projector.from_cells([], 2))]
+        assert Game(np.ones(2), spectral, linear_payoff()).born_value() == 0.0
 
 
 class TestRelabelGame:
@@ -202,8 +219,8 @@ class TestTransformGame:
         assert moved.state is game.state
         assert moved.spectrum == game.spectrum
         for (_, proj), (_, moved_proj) in zip(game.spectral, moved.spectral):
-            conjugated = u @ proj.as_matrix() @ u.conj().T
-            assert np.max(np.abs(conjugated - moved_proj.as_matrix())) <= 1e-9
+            conjugated = u @ cell_matrix(proj) @ u.conj().T
+            assert np.max(np.abs(conjugated - cell_matrix(moved_proj))) <= 1e-9
 
 
 class TestAxiomConstraints:
@@ -517,7 +534,7 @@ class TestProjectorSwap:
         assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10
         psi = state / np.linalg.norm(state)
         assert np.max(np.abs(u @ psi - psi)) <= 1e-10
-        m1, m2 = p1.as_matrix(), p2.as_matrix()
+        m1, m2 = cell_matrix(p1), cell_matrix(p2)
         assert np.max(np.abs(u @ m1 @ u.conj().T - m2)) <= 1e-9
         outside = eye - m1 - m2
         assert np.max(np.abs(u @ outside - outside)) <= 1e-10
@@ -544,9 +561,6 @@ class TestProjectorSwap:
         p01, p12 = Projector.from_cells([0, 1], 3), Projector.from_cells([1, 2], 3)
         with pytest.raises(PreconditionError, match="orthogonal"):
             projector_swap(state, p01, p12)
-        rotated = Projector(dim=3, matrix=np.diag([0.0, 0.0, 1.0]).astype(complex))
-        with pytest.raises(PreconditionError, match="cell-form"):
-            projector_swap(state, Projector.from_cells([0], 3), rotated)
 
     def test_no_swap_between_ranks_of_equal_weight(self):
         state = np.array([1.0, np.sqrt(0.5), np.sqrt(0.5)])

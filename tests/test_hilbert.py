@@ -22,15 +22,16 @@ from bornlab.hilbert import (
     StateVector,
     SymmetryUnitary,
     born_weight,
+    resolves_identity,
     row_apply,
     row_dots,
 )
 from oracles import (
     block_projectors,
     block_union,
+    cell_matrix,
     check_additivity,
     permutation_unitary,
-    projector_from_matrix,
 )
 
 
@@ -43,12 +44,6 @@ def unit_separating(d: int) -> SeparatingSet:
 def random_state(rng, d: int) -> StateVector:
     vec = rng.normal(size=d) + 1j * rng.normal(size=d)
     return StateVector(vec)
-
-
-def haar_unitary(rng, d: int) -> np.ndarray:
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(m)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestBornWeight:
@@ -106,35 +101,43 @@ class TestBornWeight:
             born_weight(psi, proj), abs=1e-12
         )
 
-    @given(st.integers(2, 5), st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_unitary_covariance(self, d, seed):
-        rng = np.random.default_rng(seed)
-        psi = random_state(rng, d)
-        proj = Projector.from_cells([0, 1], d)
-        u = haar_unitary(rng, d)
-        moved_psi = StateVector(u @ psi.amplitudes)
-        moved_proj = projector_from_matrix(
-            u @ proj.as_matrix() @ u.conj().T, tol=1e-9
-        )
-        assert born_weight(moved_psi, moved_proj) == pytest.approx(
-            born_weight(psi, proj), abs=1e-10
-        )
-
-
 class TestProjector:
-    def test_matrix_form_validated(self):
-        with pytest.raises(InvalidStateError):
-            projector_from_matrix([[0.5, 0.5], [0.5, 0.6]])
-
-    def test_diagonal_matrix_canonicalizes_to_cells(self):
-        proj = projector_from_matrix(np.diag([1.0, 0.0, 1.0]))
-        assert proj.cells == ((0, 1), (2, 3))
-
     def test_rank_and_complement(self):
         proj = Projector.from_cells([0, 2], 4)
         assert proj.rank == 2
         assert proj.complement().index_set() == {1, 3}
+
+    def test_identity_is_dim_and_cells(self):
+        proj = Projector.from_cells([1, 0], 3)
+        same = Projector.from_cells([(0, 2)], 3)
+        assert proj == same and hash(proj) == hash(same)
+        assert proj != Projector.from_cells([(0, 2)], 4)
+        assert proj != Projector.from_cells([0], 3)
+
+
+class TestResolvesIdentity:
+    def test_partition(self):
+        parts = [Projector.from_cells([0, 2], 3), Projector.from_cells([1], 3)]
+        assert resolves_identity(parts, 3)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [([0], 2)],  # gap
+            [([0], 2), ([0, 1], 2)],  # overlap
+            [([0], 2), ([0], 2), ([1], 2)],  # one cell twice
+            [([0, 1], 2), ([], 3)],  # another dim
+        ],
+    )
+    def test_rejects(self, cells):
+        assert not resolves_identity([Projector.from_cells(c, d) for c, d in cells], 2)
+
+    @given(st.integers(1, 5), st.lists(st.lists(st.integers(0, 4), max_size=5), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dense_sum(self, dim, groups):
+        parts = [Projector.from_cells({i for i in g if i < dim}, dim) for g in groups]
+        dense = sum((cell_matrix(p) for p in parts), np.zeros((dim, dim)))
+        assert resolves_identity(parts, dim) == np.array_equal(dense, np.eye(dim))
 
 
 class TestGraining:
@@ -158,8 +161,7 @@ class TestSublattice:
 
     def test_two_singleton_generators(self):
         blocks = block_projectors(CoarseGraining.unit_cells(2))
-        keys = [p.key()[2] for p in blocks]
-        assert keys == [((0, 1),), ((1, 2),)]
+        assert [p.cells for p in blocks] == [((0, 1),), ((1, 2),)]
 
     def test_block_generators(self):
         blocks = block_projectors(CoarseGraining(3, [(0, 2), (2, 3)]))
@@ -181,8 +183,8 @@ class TestPermutationUnitary:
         sep = unit_separating(3)
         u = permutation_unitary([1, 2, 0], sep)
         for k in range(3):
-            moved = u.matrix @ sep.projectors[k].as_matrix() @ u.matrix.conj().T
-            target = sep.projectors[(k + 1) % 3].as_matrix()
+            moved = u.matrix @ cell_matrix(sep.projectors[k]) @ u.matrix.conj().T
+            target = cell_matrix(sep.projectors[(k + 1) % 3])
             assert np.max(np.abs(moved - target)) < 1e-10
             assert np.allclose(
                 u.matrix @ sep.vectors[k].amplitudes,
@@ -194,8 +196,8 @@ class TestPermutationUnitary:
         psi = StateVector([1, 2, 1, 2])
         sep = SeparatingSet.from_graining(psi, graining)
         u = permutation_unitary([1, 0], sep)
-        moved = u.matrix @ sep.projectors[0].as_matrix() @ u.matrix.conj().T
-        assert np.max(np.abs(moved - sep.projectors[1].as_matrix())) < 1e-10
+        moved = u.matrix @ cell_matrix(sep.projectors[0]) @ u.matrix.conj().T
+        assert np.max(np.abs(moved - cell_matrix(sep.projectors[1]))) < 1e-10
 
     def test_unequal_blocks_rejected(self):
         graining = CoarseGraining(3, [(0, 2), (2, 3)])
@@ -257,22 +259,6 @@ class TestSeparatingSet:
                 [e[0], e[1]],
                 [Projector.from_cells([0, 2], 3), Projector.from_cells([1, 2], 3)],
             )
-
-    def test_rejects_overlapping_matrix_projectors(self):
-        # ran(P0) = span(e0, (e2 + e3)/sqrt2) meets ran(P1) = span(e1, e2)
-        # at an angle; each still separates the two vectors
-        e = np.eye(4)
-        tilted = (e[2] + e[3]) / np.sqrt(2)
-        p0 = projector_from_matrix(np.outer(e[0], e[0]) + np.outer(tilted, tilted))
-        p1 = Projector.from_cells([1, 2], 4)
-        with pytest.raises(InvalidStateError, match="orthogonal"):
-            SeparatingSet([e[0], e[1]], [p0, p1])
-
-    def test_accepts_orthogonal_matrix_projectors(self):
-        e = np.eye(3)
-        plus, minus = (e[0] + e[1]) / np.sqrt(2), (e[0] - e[1]) / np.sqrt(2)
-        projectors = [projector_from_matrix(np.outer(v, v)) for v in (plus, minus)]
-        assert SeparatingSet([plus, minus], projectors).size == 2
 
 
 class TestCheckAdditivity:

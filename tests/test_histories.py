@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import histories as histories_module
-from bornlab.errors import DimensionMismatchError, HistoryCountError, UnitarityError
+from bornlab.errors import (
+    DimensionMismatchError,
+    HistoryCountError,
+    InvalidStateError,
+    UnitarityError,
+)
 from bornlab.hilbert import Projector, StateVector
 from bornlab.histories import (
+    COLLAPSED_SUM_TOL,
     EventDiscrepancy,
     HistorySet,
     HistoryStep,
@@ -19,7 +26,6 @@ from bornlab.histories import (
     _worst_pair,
     consistency_check,
 )
-from oracles import projector_from_matrix
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -100,18 +106,11 @@ def history_rows(history_set, psi0):
 
 
 def random_resolution(draw, rng, d):
-    """Cell projectors over a random labelling, or matrix projectors onto the same groups of
-    columns of a random unitary."""
+    """Cell projectors over a random labelling of the d cells."""
     n_cells = draw(st.integers(1, d))
     labels = np.concatenate([np.arange(n_cells), rng.integers(0, n_cells, d - n_cells)])
     rng.shuffle(labels)
-    groups = [[int(i) for i in np.flatnonzero(labels == c)] for c in range(n_cells)]
-    if not draw(st.booleans()):
-        return [Projector.from_cells(cells, d) for cells in groups]
-    basis = random_unitary(rng, d)
-    return [
-        projector_from_matrix(basis[:, cells] @ basis[:, cells].conj().T) for cells in groups
-    ]
+    return [Projector.from_cells(np.flatnonzero(labels == c), d) for c in range(n_cells)]
 
 
 def random_unitary(rng, d):
@@ -122,8 +121,8 @@ def random_unitary(rng, d):
 
 @st.composite
 def history_problems(draw):
-    """Up to 64 histories over d in 2..4: identity, diagonal-phase or dense unitaries,
-    cell or matrix resolutions, and states that may have zero amplitudes."""
+    """Up to 64 histories over d in 2..4: identity, diagonal-phase or dense unitaries, cell
+    resolutions, and states that may have zero amplitudes."""
     d = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     steps, count = [], 1
@@ -377,8 +376,36 @@ class TestPairReduction:
 
 class TestHistorySetValidation:
     def test_resolution_must_sum_to_identity(self):
-        with pytest.raises(Exception):
-            HistoryStep([Projector.from_cells([0], 2)])
+        with pytest.raises(InvalidStateError, match="must sum to the identity"):
+            HistoryStep([Projector.from_cells([0], 2)])  # a gap
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [([0], 2), ([0, 1], 2)],  # overlap
+            [([0, 1], 2), ([], 3)],  # another dim
+        ],
+    )
+    def test_projectors_must_partition_the_cells(self, cells):
+        with pytest.raises(InvalidStateError, match="must sum to the identity"):
+            HistoryStep([Projector.from_cells(c, d) for c, d in cells])
+
+    def test_empty_projector_beside_a_partition(self):
+        step = HistoryStep([Projector.from_cells([], 2), *z_resolution()])
+        report = consistency_check(HistorySet([step]), plus())
+        assert report.n_histories == 3
+        assert report.collapsed_sum_ok
+
+    @pytest.mark.parametrize("deviation, accepted", [(0.5e-10, True), (2e-10, False)])
+    def test_unitarity_bound(self, deviation, accepted):
+        # U^dagger U - I = diag(2 delta + delta^2, 0) for U = diag(1 + delta, 1)
+        delta = np.sqrt(1.0 + deviation) - 1.0
+        unitary = np.diag([1.0 + delta, 1.0])
+        if accepted:
+            assert np.array_equal(HistoryStep(z_resolution(), unitary).unitary, unitary)
+        else:
+            with pytest.raises(UnitarityError):
+                HistoryStep(z_resolution(), unitary)
 
     def test_enumeration_order(self):
         hs = HistorySet([HistoryStep(z_resolution()), HistoryStep(z_resolution())])
@@ -389,3 +416,14 @@ class TestHistorySetValidation:
             (1, 1),
         ]
         assert hs.n_histories == 4
+
+
+class TestCollapsedSumVerdict:
+    @pytest.mark.parametrize(
+        "offset, ok", [(0.5e-9, True), (-0.5e-9, True), (2e-9, False), (-2e-9, False)]
+    )
+    def test_bound(self, offset, ok):
+        assert COLLAPSED_SUM_TOL == 1e-9
+        report = consistency_check(HistorySet([HistoryStep(z_resolution())]), plus())
+        assert report.collapsed_sum_ok
+        assert replace(report, collapsed_sum=1.0 + offset).collapsed_sum_ok is ok

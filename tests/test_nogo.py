@@ -26,7 +26,6 @@ from bornlab.nogo import (
     rotation_jump_demo,
     separation_check,
 )
-from oracles import projector_from_matrix
 
 
 def per_pair_sweep(chi, phi, steps):
@@ -115,7 +114,7 @@ class TestPMPropagation:
         for _ in range(20):
             psi = StateVector(rng.normal(size=3) + 1j * rng.normal(size=3))
             values = {
-                i: born_weight(psi, projector_from_matrix(np.outer(ray, ray.conj())))
+                i: abs(np.vdot(ray, psi.amplitudes)) ** 2 / psi.norm2
                 for i, ray in enumerate(pm_system.rays.rays)
             }
             result = propagate_pm_constraint(pm_system, FrameAssignment(values))
