@@ -131,6 +131,7 @@ _count = _where(_int, lambda n: n >= 1, "at least 1")
 _index = _where(_int, lambda n: n >= 0, "at least 0")
 _nonnegative = _where(_finite, lambda x: x >= 0, "at least 0")
 _bool = _where(lambda value: value, lambda value: type(value) is bool, "true or false")
+_cells = _where(_list_of(_index), lambda cells: len(set(cells)) == len(cells), "distinct cells")
 
 
 def _pm_assignment(doc) -> nogo.FrameAssignment:
@@ -390,8 +391,8 @@ def _games_pivotal(v: dict, seed: int, csv_dir) -> dict:
 @_scenario(
     "games:special-equivalence",
     state=parse_vector,
-    p1_cells=_ints,
-    p2_cells=_ints,
+    p1_cells=_cells,
+    p2_cells=_cells,
     slope=(_finite, 1.0),
     depth=(_int, 2),
 )
@@ -417,14 +418,14 @@ def _games_special_equivalence(v: dict, seed: int, csv_dir) -> dict:
     }
 
 
-_STEP = {"resolution": _list_of(_ints), "unitary": (parse_matrix, None)}
+_STEP = {"resolution": _list_of(_cells), "unitary": (parse_matrix, None)}
 
 
 @_scenario(
     "histories",
     psi0=parse_vector,
     steps=_where(_list_of(_record(_STEP)), len, "a non-empty list of steps"),
-    epsilon=(_nonnegative, 1e-8),
+    epsilon=(_nonnegative, histories.DEFAULT_EPSILON),
     expect=(_one_of("CONSISTENT", "INCONSISTENT"), "CONSISTENT"),
 )
 def _histories(v: dict, seed: int, csv_dir) -> dict:
@@ -459,7 +460,13 @@ def _lln_tail(v: dict, seed: int, csv_dir) -> dict:
     }
 
 
-@_scenario("lln:scan", p=_finite, delta=_finite, ns=_ints, threshold=(_finite, 1e-3))
+@_scenario(
+    "lln:scan",
+    p=_finite,
+    delta=_finite,
+    ns=_ints,
+    threshold=(_finite, lln.DEFAULT_SCAN_THRESHOLD),
+)
 def _lln_scan(v: dict, seed: int, csv_dir) -> dict:
     p, delta = v["p"], v["delta"]
     report = lln.lln_limit_scan(p, delta, v["ns"], threshold=v["threshold"])

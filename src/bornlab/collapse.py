@@ -36,6 +36,7 @@ from .hilbert import StateVector, row_apply
 COMMUTE_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 NORM_TOL = 1e-12
+MARTINGALE_FLOOR = 1e-12  # band floor of a zero-variance martingale row: summation noise
 DEFAULT_COLLAPSE_EPS = 1e-6
 UNRESOLVED_FLAG_FRACTION = 0.01
 STEP_WARN_THRESHOLD = 0.1
@@ -498,8 +499,7 @@ class MartingaleRow:
 
     @property
     def within_band(self) -> bool:
-        # absolute floor covers zero-variance rows up to float summation noise
-        return abs(self.mean - self.born) < max(4.0 * self.sigma_mean, 1e-12)
+        return abs(self.mean - self.born) < max(4.0 * self.sigma_mean, MARTINGALE_FLOOR)
 
 
 @dataclass(frozen=True)

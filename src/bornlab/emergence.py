@@ -38,7 +38,7 @@ from .hilbert import (
     StateVector,
     born_weight,
 )
-from .trace import DERIVATION_RULES, DerivationTrace
+from .trace import DerivationTrace
 
 DEFAULT_SUBDIVISION_CAP = 2**40
 DEFAULT_DENOMINATOR_CAP = 10**6
@@ -282,7 +282,7 @@ def equiprobable_values(
                     f"differ; the equiprobable construction needs a constant modulus"
                 )
 
-    trace = DerivationTrace(rules=DERIVATION_RULES)
+    trace = DerivationTrace()
     table = MeasureTable()
 
     phases = [float(np.angle(c)) if abs(c) > 0 else 0.0 for c in coeffs]
@@ -353,7 +353,7 @@ def rational_born_values(rational: RationalState) -> tuple[MeasureTable, Derivat
     ]
     L = _subdivision(cuts, "equal-mass refinement")
 
-    trace = DerivationTrace(rules=DERIVATION_RULES)
+    trace = DerivationTrace()
     s_refine = trace.add(
         "refinement",
         f"each weight-m block split into m equal-mass pieces "
@@ -425,7 +425,7 @@ def born_limit(psi: StateVector, proj: Projector, tol: float) -> BornLimitResult
     ``tol``.
     """
     if tol <= 0:
-        raise ValueError("tolerance must be positive")
+        raise PreconditionError("tolerance must be positive")
     psi.require_nonzero()
     target = born_weight(psi, proj)
     exact_target = Fraction(target)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InconsistentSystemError
+from .errors import InconsistentSystemError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def solve_exact(
     """
     m = len(rows)
     if m == 0:
-        raise ValueError("no constraints given")
+        raise PreconditionError("no constraints given")
     n = len(rows[0])
     # sparse integer rows; column n holds the right-hand side
     work = [_integer_row(row, rhs[i]) for i, row in enumerate(rows)]

@@ -23,7 +23,6 @@ game of a closure shares one state, and game keys are exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -39,9 +38,8 @@ from .errors import (
 )
 from .exactlin import require_feasible, solve_exact
 from .hilbert import Projector, StateVector, born_weight, resolves_identity
-from .trace import GAME_RULES, DerivationTrace
+from .trace import DerivationTrace
 
-SPECTRUM_TOL = 1e-10
 WEIGHT_TOL = 1e-10
 SOUNDNESS_TOL = 1e-10  # largest residual the weight assignment may leave on a row
 MAX_CLOSURE_DEPTH = 100  # closure rounds; each may add games and rows
@@ -176,8 +174,6 @@ def _label_swap(spectrum: Sequence[Fraction], a: Fraction, b: Fraction) -> Relab
 
 
 def _unit_state(state) -> np.ndarray:
-    if isinstance(state, StateVector):
-        state = state.amplitudes
     state = np.asarray(state, dtype=complex).reshape(-1)
     norm = np.linalg.norm(state)
     if norm == 0.0:
@@ -209,9 +205,8 @@ class Game:
         dim = spectral[0][1].dim
         if dim != state.shape[0]:
             raise DimensionMismatchError("state and observable dimensions differ")
-        labels = [lam for lam, _ in spectral]
-        for a, b in itertools.combinations(labels, 2):
-            if abs(a - b) <= SPECTRUM_TOL:
+        for (a, _), (b, _) in zip(spectral, spectral[1:]):
+            if a == b:
                 raise PreconditionError(f"spectral labels {float(a)} and {float(b)} coincide")
         if not resolves_identity((proj for _, proj in spectral), dim):
             raise PreconditionError("spectral projectors must sum to the identity")
@@ -275,13 +270,13 @@ def relabel_game(game: Game, f: Relabeling) -> Game:
     """Relabeled presentation: labels pushed through f, payoff pre-composed
     with its inverse.  The two games describe the same physical process.
 
-    An exact affine map or bijection is invertible, so only labels that
-    land within ``SPECTRUM_TOL`` of each other are rejected.
+    An exact affine map or bijection is invertible, so only a map that
+    sends two labels to one (a zero scale built past ``Relabeling.affine``)
+    is rejected.
     """
     new_labels = [f(lam) for lam in game.spectrum]
-    for a, b in itertools.combinations(new_labels, 2):
-        if abs(a - b) <= SPECTRUM_TOL:
-            raise RelabelingError("relabeling collapses two spectrum labels")
+    if len(set(new_labels)) < len(new_labels):
+        raise RelabelingError("relabeling collapses two spectrum labels")
     if f.eps is not None and isinstance(game.payoff, AffinePayoff):
         # payoff o f^{-1}: x -> payoff((x - c)/eps)
         new_payoff = game.payoff.compose_affine(1 / f.eps, -f.c / f.eps)
@@ -337,38 +332,35 @@ class Constraint:
 
 @dataclass(frozen=True)
 class GameValue:
-    """Solved value of one game, with the trace that produced it."""
+    """Solved value of one game."""
 
-    value: float | None
+    value: float
     game_key: tuple
-    provenance: DerivationTrace | None = None
-
-    @property
-    def known(self) -> bool:
-        return self.value is not None
 
 
 @dataclass(frozen=True)
 class ValueSolveResult:
-    values: dict
     rank: int
     n_unknowns: int
-    freedom: int
     constraints: tuple[Constraint, ...]
     # key -> (value in one particular solution, its component in each nullspace vector)
-    _exact: dict
+    exact: dict
+
+    @property
+    def freedom(self) -> int:
+        return self.n_unknowns - self.rank
 
     @property
     def full_rank(self) -> bool:
         return self.freedom == 0
 
     def value_of(self, game: Game) -> float | None:
-        gv = self.values.get(game.key())
-        return gv.value if gv is not None else None
+        value = self.exact_value(game)
+        return None if value is None else float(value)
 
     def exact_value(self, game: Game) -> Fraction | None:
         """V(game) when no nullspace vector moves it, else None."""
-        entry = self._exact.get(game.key())
+        entry = self.exact.get(game.key())
         return None if entry is None or any(entry[1]) else entry[0]
 
     def exact_difference(self, a: Game, b: Game) -> Fraction | None:
@@ -377,7 +369,7 @@ class ValueSolveResult:
         A difference can be forced (e.g. by a recorded equivalence) even
         when the individual values float freely.
         """
-        pa, pb = self._exact.get(a.key()), self._exact.get(b.key())
+        pa, pb = self.exact.get(a.key()), self.exact.get(b.key())
         if pa is None or pb is None or pa[1] != pb[1]:
             return None
         return pa[0] - pb[0]
@@ -527,12 +519,10 @@ class ValueSolver:
         else:  # no rows: every value moves freely
             rank, solution = 0, [0] * n
             nullspace = [[int(i == j) for j in range(n)] for i in range(n)]
-        exact, values = {}, {}
-        for j, key in enumerate(keys):
-            moves = tuple(vec[j] for vec in nullspace)
-            exact[key] = (solution[j], moves)
-            values[key] = GameValue(None if any(moves) else float(solution[j]), key)
-        return ValueSolveResult(values, rank, n, n - rank, tuple(self.constraints), exact)
+        exact = {
+            key: (solution[j], tuple(vec[j] for vec in nullspace)) for j, key in enumerate(keys)
+        }
+        return ValueSolveResult(rank, n, tuple(self.constraints), exact)
 
 
 def born_assignment(games: Iterable[Game]) -> dict:
@@ -578,13 +568,13 @@ def derive_pivotal(x1: float, x2: float, payoff: AffinePayoff) -> PivotalResult:
     """
     if not isinstance(payoff, AffinePayoff) or not payoff.is_linear:
         raise LinearityError("the derivation needs a linear payoff")
-    if abs(float(x1) - float(x2)) <= SPECTRUM_TOL:
-        return _degenerate_pivotal((_exact(x1) + _exact(x2)) / 2, payoff)
+    if x1 == x2:
+        return _degenerate_pivotal(_exact(x1), payoff)
     state = np.ones(2, dtype=complex)
     spectral = [(x1, Projector.from_cells([0], 2)), (x2, Projector.from_cells([1], 2))]
 
     solver = ValueSolver()
-    trace = DerivationTrace(rules=GAME_RULES)
+    trace = DerivationTrace()
     game = Game(state, spectral, payoff)
     solver.register(game)
     a, b = game.spectrum
@@ -628,7 +618,7 @@ def derive_pivotal(x1: float, x2: float, payoff: AffinePayoff) -> PivotalResult:
         payload={"value": value, "rank": result.rank, "unknowns": result.n_unknowns},
     )
     return PivotalResult(
-        value=GameValue(value, game.key(), provenance=trace),
+        value=GameValue(value, game.key()),
         exact=expected,
         solver=solver,
         trace=trace,
@@ -636,14 +626,13 @@ def derive_pivotal(x1: float, x2: float, payoff: AffinePayoff) -> PivotalResult:
 
 
 def _degenerate_pivotal(x: Fraction, payoff: AffinePayoff) -> PivotalResult:
-    """Labels within ``SPECTRUM_TOL``: one outcome at their midpoint ``x``,
-    which a linear payoff pays the mean of the two payoffs."""
+    """Equal labels ``x``: one outcome, paid with certainty."""
     state = np.array([1.0, 1.0])
     game = Game(state, [(x, Projector.from_cells([0, 1], 2))], payoff)
     solver = ValueSolver()
     key = solver.register(game)
     value = float(payoff(x))
-    trace = DerivationTrace(rules=GAME_RULES)
+    trace = DerivationTrace()
     trace.add(
         "sure-thing",
         f"single-outcome game pays payoff({float(x)}) with certainty",
@@ -651,7 +640,7 @@ def _degenerate_pivotal(x: Fraction, payoff: AffinePayoff) -> PivotalResult:
         payload={"value": value},
     )
     return PivotalResult(
-        value=GameValue(value, key, provenance=trace),
+        value=GameValue(value, key),
         exact=payoff(x),
         solver=solver,
         trace=trace,
@@ -787,7 +776,7 @@ def check_pivotal(x1: float, x2: float, payoff: AffinePayoff, depth: int) -> Piv
     when the labels differ, and measure the derivation's soundness residual."""
     derived = derive_pivotal(x1, x2, payoff)
     solved = None
-    if abs(x1 - x2) > SPECTRUM_TOL:
+    if x1 != x2:
         solved = value_solve([derived.solver.games[derived.value.game_key]], depth)
     residual = verify_soundness(derived.solver.constraints, derived.solver.games.values())
     return PivotalCheck(derived, (payoff(x1) + payoff(x2)) / 2, solved, residual)

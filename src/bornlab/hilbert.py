@@ -27,6 +27,7 @@ from .errors import (
     IncompleteMeasureError,
     InvalidGrainingError,
     InvalidStateError,
+    PreconditionError,
     UnitarityError,
 )
 
@@ -89,7 +90,7 @@ def _normalize_ranges(cells: Iterable, dim: int) -> tuple[tuple[int, int], ...]:
     return tuple(merged)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """A vector of complex amplitudes over ``dim`` grid cells.
 
@@ -122,18 +123,6 @@ class StateVector:
     def normalized(self) -> "StateVector":
         self.require_nonzero()
         return StateVector(self.amplitudes / np.sqrt(self.norm2))
-
-    def masses(self) -> np.ndarray:
-        """Per-cell mass |amplitude|^2."""
-        return np.abs(self.amplitudes) ** 2
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StateVector) and np.array_equal(
-            self.amplitudes, other.amplitudes
-        )
-
-    def __hash__(self):
-        return hash(self.amplitudes.tobytes())
 
 
 @dataclass(frozen=True)
@@ -368,7 +357,7 @@ class MeasureTable:
         if not isinstance(value, Fraction):
             value = float(value)
         if not 0 <= value <= 1 and (value < -STRUCT_TOL or value > 1 + STRUCT_TOL):
-            raise ValueError(f"measure value {value} outside [0,1]")
+            raise PreconditionError(f"measure value {value} outside [0,1]")
         self._entries[proj] = value
 
     def value(self, proj: Projector):
@@ -393,8 +382,6 @@ def born_weight(psi: StateVector, proj: Projector) -> float:
 
     Returns ``<psi, P psi> / <psi, psi>``, clamped to [0, 1].
     """
-    if not isinstance(psi, StateVector):
-        psi = StateVector(psi)
     psi.require_nonzero()
     if proj.dim != psi.dim:
         raise DimensionMismatchError(

@@ -25,6 +25,8 @@ from .errors import OutcomeIndexError, PreconditionError
 
 MAX_TRIALS = 10**5  # trial count n; each walk of a tail takes at most n steps
 MAX_AUDIT_WEIGHTS = 100  # weight-table entries of one audit; each costs one tail
+WEIGHT_SUM_TOL = 1e-9  # how far an audit's weight table may sum from 1
+DEFAULT_SCAN_THRESHOLD = 1e-3  # a limit scan converges when its last tail is below this
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,7 @@ class LimitScanReport:
 
 
 def lln_limit_scan(
-    p: float, delta: float, ns: Sequence[int], *, threshold: float = 1e-3
+    p: float, delta: float, ns: Sequence[int], *, threshold: float = DEFAULT_SCAN_THRESHOLD
 ) -> LimitScanReport:
     """Tail values along increasing n, with a convergence verdict.
 
@@ -226,14 +228,10 @@ class AuditRow:
 
 @dataclass(frozen=True)
 class FrequencyAudit:
+    """One row per outcome of the weight table, in outcome order."""
+
     rows: tuple[AuditRow, ...]
     n: int
-
-    def row(self, outcome: int) -> AuditRow:
-        for row in self.rows:
-            if row.outcome == outcome:
-                return row
-        raise KeyError(outcome)
 
 
 def frequency_audit(outcomes: Sequence[int], weights: Sequence[float]) -> FrequencyAudit:
@@ -249,7 +247,7 @@ def frequency_audit(outcomes: Sequence[int], weights: Sequence[float]) -> Freque
     if len(weights) > MAX_AUDIT_WEIGHTS:
         raise PreconditionError(f"'weights' must hold at most {MAX_AUDIT_WEIGHTS} entries")
     weights = [float(w) for w in weights]
-    if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
+    if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= WEIGHT_SUM_TOL:
         raise PreconditionError(f"'weights' must be a probability table, got {weights}")
     counts = Counter(outcomes)  # keys in order of first appearance
     for o in counts:

@@ -19,6 +19,8 @@ from .hilbert import row_dots
 
 ORTHO_TOL = 1e-10
 PM_TOL = 1e-12  # slack of the unit interval and of a zero pair sum
+PM_AGREE_TOL = 1e-9  # gap at which a forced value, or a pair sum, contradicts a known one
+SAME_RAY_TOL = 1e-14  # |<a, b>| above 1 - SAME_RAY_TOL: one ray, an empty rotation sweep
 SEPARATION_THRESHOLD = 0.5
 MAX_ROTATION_STEPS = 10**6  # the sweep holds all steps + 1 rays at once
 SOLUTION_CAP = 10_000  # satisfying assignments a dispersion-free search keeps
@@ -32,7 +34,7 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _ray_pair(chi, phi) -> np.ndarray:
-    a, b = (np.asarray(getattr(v, "amplitudes", v), dtype=complex).reshape(-1) for v in (chi, phi))
+    a, b = (np.asarray(v, dtype=complex).reshape(-1) for v in (chi, phi))
     if a.shape != b.shape:
         raise DimensionMismatchError("rays live in different dimensions")
     return np.stack([a, b])
@@ -73,7 +75,7 @@ class FrameAssignment:
 
     def set(self, index: int, value: float) -> None:
         if not 0.0 <= value <= 1.0:
-            raise ValueError(f"frame value {value} outside [0,1]")
+            raise PreconditionError(f"frame value {value} outside [0,1]")
         self.values[int(index)] = float(value)
 
     def get(self, index: int) -> float | None:
@@ -154,7 +156,7 @@ def propagate_pm_constraint(system: PMSystem, f: FrameAssignment) -> PMPropagati
             out.set(idx, value)
             derived.append((_PM_NAMES[idx], value, reason))
             return None
-        if abs(current - value) > 1e-9:
+        if abs(current - value) > PM_AGREE_TOL:
             return (
                 f"{_PM_NAMES[idx]} already {current:.6g} but forced to {value:.6g} ({reason})"
             )
@@ -167,7 +169,7 @@ def propagate_pm_constraint(system: PMSystem, f: FrameAssignment) -> PMPropagati
         before = len(derived)
         s12 = known_sum(P1, P2)
         spm = known_sum(PLUS, MINUS)
-        if s12 is not None and spm is not None and abs(s12 - spm) > 1e-9:
+        if s12 is not None and spm is not None and abs(s12 - spm) > PM_AGREE_TOL:
             return PMPropagation(
                 out,
                 tuple(derived),
@@ -434,7 +436,7 @@ def rotation_jump_demo(chi, phi, steps: int) -> RotationJumpReport:
         )
     a, b = _unit_rows(_ray_pair(chi, phi))
     overlap = np.vdot(a, b)
-    if abs(overlap) > 1.0 - 1e-14:
+    if abs(overlap) > 1.0 - SAME_RAY_TOL:
         return RotationJumpReport(np.zeros(0))
     # align phase so the geodesic stays real in the (a, b) plane
     # a subnormal overlap counts as zero: dividing by it overflows

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bornlab import histories, lln
 from bornlab.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -281,6 +282,8 @@ class TestMain:
             ({"steps": [[[0], [1]]]}, "'steps'"),
             ({"steps": [{"resolution": [["a"], [1]]}]}, "'resolution'"),
             ({"steps": [{"resolution": [[0.5], [1]]}]}, "'resolution'"),
+            ({"steps": [{"resolution": [[0, 0], [1]]}]}, "'resolution'"),
+            ({"steps": [{"resolution": [[-1], [0, 1]]}]}, "'resolution'"),
         ],
     )
     def test_malformed_histories_exit_usage(self, tmp_path, capsys, change, field):
@@ -452,6 +455,37 @@ class TestMain:
             ("nogo", {**PM_PARAMS, "assignment": []}, "'assignment'"),
             ("nogo", {**PM_PARAMS, "assignment": ""}, "'assignment'"),
             ("nogo", {**PM_PARAMS, "assignment": [["P1", 0], ["P2", 0]]}, "'assignment'"),
+            ("nogo", {**PM_PARAMS, "assignment": {"P1": 1.5}}, "'assignment'"),
+            (
+                "games",
+                {
+                    "mode": "special-equivalence",
+                    "state": [1, 0, 1],
+                    "p1_cells": [0, 0],
+                    "p2_cells": [2],
+                },
+                "'p1_cells'",
+            ),
+            (
+                "games",
+                {
+                    "mode": "special-equivalence",
+                    "state": [1, 0, 1],
+                    "p1_cells": [0],
+                    "p2_cells": [2, 2],
+                },
+                "'p2_cells'",
+            ),
+            (
+                "games",
+                {
+                    "mode": "special-equivalence",
+                    "state": [1, 0, 1],
+                    "p1_cells": [0],
+                    "p2_cells": [-1],
+                },
+                "'p2_cells'",
+            ),
         ],
     )
     def test_out_of_range_field_exit_usage(self, tmp_path, capsys, kind, params, field):
@@ -607,6 +641,18 @@ class TestScenarioKinds:
         verdicts = json.loads(out.read_text())["verdicts"]
         assert verdicts["pivotal_value"] == verdicts["closure_solve"] == "PASS"
 
+    def test_games_pivotal_labels_one_ulp_apart_run_the_closure(self, tmp_path, capsys):
+        # distinct labels are two outcomes however close: the closure runs
+        params = {"mode": "pivotal", "x1": 1.0, "x2": math.nextafter(1.0, 2.0), "slope": 3.0}
+        out = tmp_path / "report.json"
+        assert run_main(tmp_path, "games", params, "--out", str(out)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert set(report["verdicts"].values()) == {"PASS"}
+        metrics = report["metrics"]
+        assert metrics["value"] == metrics["expected"] == 3.0000000000000004
+        assert metrics["solver_rank"] == metrics["n_unknowns"] == 8
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.lists(HALF_POINT, min_size=2, max_size=2))
     def test_games_pivotal_labels_near_half_points_pass(self, draws):
@@ -751,6 +797,10 @@ def run_main(tmp_path, kind, params, *extra):
 
 
 class TestScenarioTable:
+    def test_defaults_are_the_library_constants(self):
+        assert SCENARIOS["histories"][0]["epsilon"][1] == histories.DEFAULT_EPSILON
+        assert SCENARIOS["lln:scan"][0]["threshold"][1] == lln.DEFAULT_SCAN_THRESHOLD
+
     @pytest.mark.parametrize(
         "kind, params, field",
         [
@@ -1029,6 +1079,55 @@ class TestMeasureTableReportDigest:
             del report["wall_clock_s"]
             h.update(f"{code}\n{render_report(report)}".encode())
         assert h.hexdigest() == TABLES_REPORTS_DIGEST
+
+
+# the operational axioms a derivation may cite, and each construction's rules
+AXIOMS = {
+    "degeneracy",
+    "invariance",
+    "stability",
+    "additivity",
+    "normalization",
+    "continuity",
+    "linearity",
+    "sure-thing",
+    "zero-sum",
+    "payoff-equivalence",
+    "measurement-equivalence",
+}
+DERIVATION_RULES = {
+    "phase-elim",
+    "permutation",
+    "complement",
+    "additivity",
+    "refinement",
+    "continuity",
+}
+GAME_RULES = {"measurement-equivalence", "payoff-equivalence", "sure-thing", "zero-sum"}
+
+
+class TestTracePremises:
+    def test_every_derivation_keeps_the_premise_discipline(self, tmp_path):
+        cases = [("games", params, GAME_RULES) for params in GAMES_DIGEST_SCENARIOS] + [
+            (kind, params, DERIVATION_RULES)
+            for kind, params in TABLES_DIGEST_SCENARIOS
+            if kind == "derive"
+        ]
+        traced = 0
+        for i, (kind, params, rules) in enumerate(cases):
+            doc = {"kind": kind, "seed": 7, "parameters": params}
+            report, _ = run_scenario(write_scenario(tmp_path, doc, f"trace-{i}.json"))
+            for trace in report.get("traces", []):
+                traced += 1
+                assert trace["steps"]
+                for n, step in enumerate(trace["steps"], start=1):
+                    assert step["id"] == f"s{n}"
+                    assert step["rule"] in rules
+                    earlier = {f"s{k}" for k in range(1, n)}
+                    for premise in step["premises"]:
+                        assert premise in AXIOMS or premise in earlier, (kind, params, step)
+        # every pivotal and every derive scenario records one trace
+        assert traced == len(cases) - sum(p["mode"] != "pivotal" for p in GAMES_DIGEST_SCENARIOS)
 
 
 # one small valid document per table entry; the fuzz corrupts one field at a time

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from bornlab.collapse import (
+    MARTINGALE_FLOOR,
     MAX_NOISE_STREAMS,
     MAX_STEPS,
     MAX_TRAJECTORY_STEPS,
     CollapseModel,
+    MartingaleRow,
     _check_run,
     _eigen_frame,
     _run_batch,
@@ -489,6 +491,13 @@ class TestMartingale:
         assert report.passed
         for row in report.rows:
             assert row.sigma_mean == 0.0
+
+    @pytest.mark.parametrize(
+        "gap, within", [(MARTINGALE_FLOOR / 2, True), (2 * MARTINGALE_FLOOR, False)]
+    )
+    def test_zero_variance_band_floor(self, gap, within):
+        row = MartingaleRow(time=0.1, outcome=0, mean=0.5 + gap, born=0.5, sigma_mean=0.0)
+        assert row.within_band is within
 
 
 class TestRunBounds:

@@ -112,7 +112,7 @@ class TestRelabelGame:
     def test_relabeling_must_stay_invertible(self):
         game = two_outcome_game(1.0, -1.0)
         with pytest.raises(RelabelingError, match="collapses two spectrum labels"):
-            relabel_game(game, Relabeling.affine(1e-12, 0.0))
+            relabel_game(game, Relabeling("affine", Fraction(0), Fraction(1)))
 
     def test_preserves_born_value(self):
         rng = np.random.default_rng(3)
@@ -382,6 +382,11 @@ def lstsq_oracle(solver: ValueSolver):
     return rank, values, difference
 
 
+def forced_values(result: ValueSolveResult, games) -> dict:
+    """Each game's float value, for the games whose value the solve forces."""
+    return {g.key(): result.value_of(g) for g in games if result.exact_value(g) is not None}
+
+
 @st.composite
 def signed_systems(draw):
     """Distinct games and two-term +-1 rows that their Born values satisfy.
@@ -442,10 +447,10 @@ class TestExactSolve:
         result = solver.solve()
         rank, values, difference = lstsq_oracle(solver)
         assert (result.rank, result.freedom) == (rank, len(games) - rank)
-        forced = {key for key, value in values.items() if value is not None}
-        assert {key for key, gv in result.values.items() if gv.known} == forced
-        for key in forced:
-            assert result.values[key].value == pytest.approx(values[key], abs=1e-9)
+        forced = {key: value for key, value in values.items() if value is not None}
+        assert forced_values(result, games).keys() == forced.keys()
+        for key, value in forced_values(result, games).items():
+            assert value == pytest.approx(forced[key], abs=1e-9)
         for i, j in itertools.product(range(len(games)), repeat=2):
             want, got = difference(i, j), result.difference(games[i], games[j])
             assert (got is None) == (want is None)
@@ -474,7 +479,7 @@ class TestExactSolve:
         assert (result.rank, result.n_unknowns) == (8, 8)
         payoff = linear_payoff(slope)
         assert result.exact_value(game) == (payoff(x1) + payoff(x2)) / 2
-        keys = list(result.values)
+        keys = list(result.exact)
         rows = [
             [sum(c for k, c in con.terms if k == key) for key in keys]
             for con in result.constraints
@@ -496,7 +501,7 @@ class TestExactSolve:
         new = value_solve(games, depth, **moves)
         assert new.n_unknowns == old.n_unknowns
         assert list(dict.fromkeys(new.constraints)) == list(dict.fromkeys(old.constraints))
-        assert new.values == old.values
+        assert new.exact == old.exact
         assert len(new.constraints) < len(old.constraints)
 
 
@@ -660,12 +665,12 @@ class TestSoundness:
         assert any(con.note == "relabel permutation" for con in solver.constraints)
         result = solver.solve()
         assert (result.rank, result.n_unknowns, len(solver.constraints)) == (7, 8, 11)
-        assert value_solve([game], 2).values == result.values
+        assert value_solve([game], 2).exact == result.exact
         rank, values, difference = lstsq_oracle(solver)
         assert rank == result.rank
-        forced = {key for key, value in values.items() if value is not None}
-        assert {key for key, gv in result.values.items() if gv.known} == forced
         games = list(solver.games.values())
+        forced = {key for key, value in values.items() if value is not None}
+        assert forced_values(result, games).keys() == forced
         for i, j in itertools.product(range(len(games)), repeat=2):
             want, got = difference(i, j), result.difference(games[i], games[j])
             assert (got is None) == (want is None)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from bornlab.errors import BornLabError, OutcomeIndexError, PreconditionError
 from bornlab import lln
 from bornlab.lln import (
+    DEFAULT_SCAN_THRESHOLD,
     MAX_AUDIT_WEIGHTS,
     MAX_TRIALS,
+    WEIGHT_SUM_TOL,
     LlnQuery,
     frequency_audit,
     lln_limit_scan,
@@ -285,28 +287,32 @@ class TestLimitScan:
         with pytest.raises(ValueError):
             lln_limit_scan(0.5, 0.1, (100, 10))
 
+    def test_default_threshold(self):
+        report = lln_limit_scan(0.5, 0.1, (10, 100))
+        assert report.threshold == DEFAULT_SCAN_THRESHOLD
+
 
 class TestFrequencyAudit:
     def test_certain_outcome(self):
         audit = frequency_audit([0, 0, 0, 0], [1.0, 0.0])
-        row = audit.row(0)
+        row = audit.rows[0]
         assert row.deviation == 0.0
         assert row.surprise == 0.0
 
     def test_adversarial_sequence(self):
         audit = frequency_audit([0] * 100, [0.5, 0.5])
-        assert audit.row(0).surprise < 1e-20
+        assert audit.rows[0].surprise < 1e-20
 
     def test_balanced_sequence_unsurprising(self):
         audit = frequency_audit([0, 1] * 50, [0.5, 0.5])
-        assert audit.row(0).deviation == 0.0
-        assert audit.row(0).surprise > 0.9
+        assert audit.rows[0].deviation == 0.0
+        assert audit.rows[0].surprise > 0.9
 
     def test_surprise_is_strict_tail(self):
         # 6 of 10 against weight 0.3: deviations strictly larger than the
         # observed one are K >= 7, so the observed count is excluded
         audit = frequency_audit([1] * 6 + [0] * 4, [0.7, 0.3])
-        row = audit.row(1)
+        row = audit.rows[1]
         assert row.deviation == 0.6 - 0.3
         assert row.surprise == float(fraction_tail(10, Fraction(6, 10) - Fraction(0.3), 0.3))
         assert row.surprise == pytest.approx(0.0106, abs=5e-5)
@@ -343,6 +349,11 @@ class TestFrequencyAudit:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             frequency_audit([0], [0.5, 0.4])
+
+    def test_weight_sum_tolerance(self):
+        assert frequency_audit([0, 1], [0.5, 0.5 + WEIGHT_SUM_TOL / 2]).n == 2
+        with pytest.raises(PreconditionError, match="probability table"):
+            frequency_audit([0, 1], [0.5, 0.5 + 2 * WEIGHT_SUM_TOL])
 
 
 class TestTrialBounds:

@@ -16,6 +16,8 @@ from bornlab.errors import (
 from bornlab.hilbert import Projector, StateVector, born_weight
 from bornlab.nogo import (
     MAX_ROTATION_STEPS,
+    PM_AGREE_TOL,
+    SAME_RAY_TOL,
     SOLUTION_CAP,
     FrameAssignment,
     PMSystem,
@@ -52,6 +54,10 @@ def ray_at(theta):
 BOUNDARY_ANGLE = 6 * math.asin(0.25)
 
 
+# a gap on either side of PM_AGREE_TOL, and whether the propagation stays consistent
+AGREE_SIDES = [(PM_AGREE_TOL / 2, True), (2 * PM_AGREE_TOL, False)]
+
+
 @pytest.fixture
 def pm_system():
     return PMSystem.from_generators([1, 0, 0], [0, 1, 0])
@@ -83,6 +89,23 @@ class TestPMPropagation:
             "additivity requires f(P1)+f(P2) = f(P+)+f(P-) but 0.5 != 0.2"
         )
         assert result.derived == ()
+
+    @pytest.mark.parametrize("gap, consistent", AGREE_SIDES)
+    def test_forced_value_agrees_within_tolerance(self, pm_system, gap, consistent):
+        # the zero sum f(P1) + f(P2) forces f(P+) to 0, where it is known as ``gap``
+        f = FrameAssignment({0: 0.0, 1: 0.0, 2: gap})
+        result = propagate_pm_constraint(pm_system, f)
+        assert result.consistent is consistent
+        if not consistent:
+            assert result.contradiction.startswith("P+ already")
+
+    @pytest.mark.parametrize("gap, consistent", AGREE_SIDES)
+    def test_pair_sums_agree_within_tolerance(self, pm_system, gap, consistent):
+        f = FrameAssignment({0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25 + gap})
+        result = propagate_pm_constraint(pm_system, f)
+        assert result.consistent is consistent
+        if not consistent:
+            assert result.contradiction.startswith("additivity requires")
 
     def test_reverse_direction(self, pm_system):
         result = propagate_pm_constraint(pm_system, FrameAssignment({2: 0.0, 3: 0.0}))
@@ -316,6 +339,13 @@ class TestRotationJump:
         report = rotation_jump_demo([1, 0], [1, 0], 5)
         assert report.status == "degenerate"
         assert report.empty
+
+    @pytest.mark.parametrize("scale, empty", [(1.0, True), (2.0, False)])
+    def test_same_ray_tolerance(self, scale, empty):
+        # 1 - cos(theta) is theta**2 / 2: SAME_RAY_TOL / 2 at scale 1, 2 SAME_RAY_TOL at scale 2
+        theta = scale * math.sqrt(SAME_RAY_TOL)
+        report = rotation_jump_demo([1, 0], ray_at(theta), 5)
+        assert report.empty is empty
 
     def test_step_minimum(self):
         with pytest.raises(ValueError):
