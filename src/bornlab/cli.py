@@ -134,6 +134,13 @@ _bool = _where(lambda value: value, lambda value: type(value) is bool, "true or 
 _cells = _where(_list_of(_index), lambda cells: len(set(cells)) == len(cells), "distinct cells")
 
 
+def _projector(cells: list, dim: int, field: str, grid: str) -> Projector:
+    """The projector on the ``field`` list's ``cells``, which must lie on ``grid``'s ``dim``."""
+    if any(cell >= dim for cell in cells):
+        raise ScenarioError(f"{field!r} names a cell past the {dim} cells of {grid!r}")
+    return Projector.from_cells(cells, dim)
+
+
 def _pm_assignment(doc) -> nogo.FrameAssignment:
     if not isinstance(doc, dict):
         raise ScenarioError(f"expected an object, not {type(doc).__name__}")
@@ -398,8 +405,8 @@ def _games_pivotal(v: dict, seed: int, csv_dir) -> dict:
 )
 def _games_special_equivalence(v: dict, seed: int, csv_dir) -> dict:
     state = v["state"]
-    p1 = Projector.from_cells(v["p1_cells"], len(state))
-    p2 = Projector.from_cells(v["p2_cells"], len(state))
+    p1 = _projector(v["p1_cells"], len(state), "p1_cells", "state")
+    p2 = _projector(v["p2_cells"], len(state), "p2_cells", "state")
     if p1.index_set() & p2.index_set():
         raise ScenarioError("'p1_cells' and 'p2_cells' must not overlap")
     payoff = games.linear_payoff(v["slope"])
@@ -432,7 +439,7 @@ def _histories(v: dict, seed: int, csv_dir) -> dict:
     psi0 = StateVector(v["psi0"])
     steps = [
         histories.HistoryStep(
-            [Projector.from_cells(cells, psi0.dim) for cells in step["resolution"]],
+            [_projector(cells, psi0.dim, "resolution", "psi0") for cells in step["resolution"]],
             step["unitary"],
         )
         for step in v["steps"]

@@ -9,6 +9,13 @@ renormalization, taken by one batch engine in the observables' joint
 eigenbasis; every trajectory runs on its own seeded noise stream, so no
 result depends on how trajectories are batched.
 
+There a step multiplies each joint block's amplitudes by one real factor.
+When H commutes with the observables, the engine evolves one real mass per
+block, the martingales that decide the outcome (Adler, Brody, Brun &
+Hughston, J. Phys. A 34, 8795, 2001), and H acts only as its exact phase
+exp(-i H t) on recorded states; any other H keeps the amplitudes and its
+Euler term ``-i H dt``.
+
 Norm convention: taken literally, the quadratic drift preserves the mean
 squared norm only at one special coupling value.  The default mode scales
 that term by ``gamma / 2``, which preserves the mean squared norm for every
@@ -236,39 +243,52 @@ def _check_run(model: CollapseModel, t_max: float, dt: float, eps_collapse: floa
 
 
 def _eigen_frame(model: CollapseModel):
-    """Block-ordered eigenbasis V, eigenvalue rows, block starts and V^+ H V.
+    """Block-ordered eigenbasis V, block eigenvalue rows, block starts and H's part.
 
     Each joint block is a contiguous run of columns; row ``k`` of the
-    eigenvalues is the real diagonal of ``V^+ A_k V``.  ``V^+ H V`` comes
-    back as None when it vanishes, as its real diagonal when it is
-    diagonal, and dense otherwise.
+    eigenvalues holds observable k's eigenvalue on each block.  H comes back
+    as None when ``V^+ H V`` vanishes.  When ``V^+ H V`` is block-diagonal
+    over the joint blocks, H commutes with the observables and comes back
+    as the real vector h of its eigenvalues: one ``eigh`` per block that is
+    not already diagonal turns V within that block.  Any other H comes back
+    as the dense ``V^+ H V``.
     """
     basis = model.eigenbasis[:, [i for b in model.blocks for i in b.indices]]
-    lam = np.array(
-        [np.real(np.sum(basis.conj() * (a @ basis), axis=0)) for a in model.observables]
-    )
-    starts = np.cumsum([0] + [len(b.indices) for b in model.blocks[:-1]])
+    lam = np.array([b.eigenvalues for b in model.blocks]).T
+    sizes = [len(b.indices) for b in model.blocks]
+    starts = np.cumsum([0] + sizes[:-1])
     ham = basis.conj().T @ model.hamiltonian @ basis
     size = float(np.max(np.abs(ham)))
     if size <= NORM_TOL:
         return basis, lam, starts, None
-    if np.max(np.abs(ham - np.diag(np.diag(ham)))) <= NORM_TOL * size:
-        return basis, lam, starts, np.real(np.diag(ham)).copy()
-    return basis, lam, starts, ham
+    tol = NORM_TOL * size
+    cells = np.repeat(np.arange(len(sizes)), sizes)
+    if np.max(np.abs(ham[cells[:, None] != cells]), initial=0.0) > tol:
+        return basis, lam, starts, ham
+    h = np.real(np.diag(ham)).copy()
+    for start, width in zip(starts, sizes):
+        block = slice(start, start + width)
+        sub = ham[block, block]
+        if np.max(np.abs(sub - np.diag(np.diag(sub)))) > tol:
+            h[block], turn = np.linalg.eigh(sub)
+            basis[:, block] = basis[:, block] @ turn
+    return basis, lam, starts, h
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """Sum the last axis, kept as length 1, in an order set by its length (short: column adds)."""
     if a.shape[-1] > 4:
         return np.add.reduce(a, axis=-1, keepdims=True)
-    return sum((a[..., i : i + 1] for i in range(1, a.shape[-1])), a[..., 0:1])
+    total = a[..., 0:1]
+    for i in range(1, a.shape[-1]):
+        total = total + a[..., i : i + 1]
+    return total
 
 
 @dataclass(frozen=True)
 class _Batch:
     outcome: np.ndarray  # per seed: joint block index, -1 while unresolved
     resolve_step: np.ndarray  # per seed: -1 while unresolved
-    final: np.ndarray  # per seed: final coordinates in the block-ordered eigenbasis
     steps: int  # trajectory-steps integrated over all seeds
     snapshots: dict  # checkpoint step -> block masses of the snapshot rows
     traces: dict  # recorded row -> (steps, states at those steps, rotated back)
@@ -294,62 +314,54 @@ def _run_batch(
 
     Row ``i`` starts at ``psi0`` and runs until it resolves or reaches
     ``horizons[i]`` steps on its own stream, drawn ``(span, K)`` per chunk.
-    A step multiplies coordinates by ``1 + sum_k r_k (db_k - c dt r_k)``,
-    ``r_k = lambda_k - <lambda_k>``, subtracts ``i dt H' c`` and
-    renormalizes.  Per-row values come from elementwise operations and
-    reductions along the row, so no row depends on the batch it runs in.
-    The first ``snapshot_rows`` rows' block masses are kept at each
-    checkpoint step.  Each row listed in ``record`` has its state recorded
-    every ``record_every`` steps and at the step where it stops, or at
-    ``record_until`` if it is still running then.
+    A step multiplies each joint block's amplitudes by the real factor
+    ``f = 1 + sum_k r_k (db_k - c dt r_k)``, ``r_k = lambda_k - <lambda_k>``,
+    and renormalizes.  For a commuting H a row is its block masses W, each
+    multiplied by ``f**2``, and a recorded state is rebuilt as
+    ``x_c(0) sqrt(W_B(t)) / sqrt(W_B(0)) exp(-i h_c t)``; a dense H keeps
+    the amplitudes x and adds ``-i dt H x``.  Per-row values come from
+    elementwise operations and reductions along the row, so no row depends
+    on the batch it runs in.  The first ``snapshot_rows`` rows' block
+    masses are kept at each checkpoint step.  Each row listed in ``record``
+    has its state recorded every ``record_every`` steps and at the step
+    where it stops, or at ``record_until`` if it is still running then.
     """
     basis, lam, starts, ham = _eigen_frame(model)
-    n, K = len(seeds), model.n_observables
+    n, K, m = len(seeds), model.n_observables, len(starts)
+    dense = ham is not None and ham.ndim == 2
+    cells = np.repeat(np.arange(m), np.diff(starts, append=model.dim))
     horizons = np.asarray(horizons, dtype=int)
     last, ends, checkpoints = int(horizons.max()), set(horizons.tolist()), set(checkpoints)
-    singletons = len(starts) == model.dim
     if K == 1:
         lam = lam[0]
+    # one row of eigenvalues per trajectory: a step's products then broadcast at most one operand
+    lam = np.repeat(lam[None], n, axis=0)
     cdt = model.damping_coefficient * dt
     cdt_lam = cdt * lam
     scale = np.sqrt(model.gamma * dt)
     threshold = 1.0 - eps_collapse
 
     coeff = basis.conj().T @ psi0
-    phase = None
-    if ham is None:
-        # real step factors: evolve signed moduli; the phases never move
-        modulus = np.abs(coeff)
-        phase = np.divide(coeff, modulus, out=np.ones_like(coeff), where=modulus > 0)
-        coeff = modulus
-    else:
-        rot = -1j * dt * (ham if ham.ndim == 1 else ham.T)
-    x = np.tile(coeff, (n, 1))
-
-    def squares(x):
-        if phase is not None:
-            return x * x
-        w = x.view(float) ** 2
-        return w[:, 0::2] + w[:, 1::2]
-
-    mass = squares(x)
+    w0 = model.block_weights(psi0)  # the same masses whatever H is
+    mass = np.tile(w0, (n, 1))
     norm2 = _row_sum(mass)  # a start state that is not finite fails at step 0
-    bm = mass if singletons else np.add.reduceat(mass, starts, axis=1)
+    if dense:
+        x = np.tile(coeff, (n, 1))
+        rot = -1j * dt * ham.T
     gens = [np.random.default_rng(int(s)) for s in seeds]
     ids = np.arange(n)
     outcome, resolve_step = np.full(n, -1), np.full(n, -1)
-    final = np.empty_like(x)
-    frozen = np.empty((snapshot_rows, len(starts)))
+    frozen = np.empty((snapshot_rows, m))
     snapshots = {}
     # recorded rows still running and their live positions; per recording step, the step, the
-    # rows it records and their states gathered in one block
+    # rows it records and their rows of x (dense H) or of the masses gathered in one block
     rec = pos = np.array(sorted(set(record)), dtype=int)
     shots = []
     total = step = j = span = 0
     sel = None
     while True:
         done = None
-        top = np.maximum.reduce(bm, axis=None)
+        top = np.maximum.reduce(mass, axis=None)
         if not top <= threshold:
             if top != top:  # a zero, infinite or NaN squared norm left a NaN mass
                 bad = np.flatnonzero(~((norm2 > 0.0) & (norm2 < np.inf)))[0]
@@ -359,7 +371,7 @@ def _run_batch(
                     step=step,
                     time=step * dt,
                 )
-            done = np.maximum.reduce(bm, axis=1) > threshold
+            done = np.maximum.reduce(mass, axis=1) > threshold
         if step in ends:
             stop = horizons[ids] == step
             done = stop if done is None else done | stop
@@ -368,31 +380,32 @@ def _run_batch(
             every = cut or step % record_every == 0
             if every or done is not None:
                 ended = np.full(rec.size, cut) if done is None else done[pos] | cut
+                state = x if dense else mass
                 if every:
-                    shots.append((step, rec, x[pos]))
+                    shots.append((step, rec, state[pos]))
                 elif ended.any():
-                    shots.append((step, rec[ended], x[pos[ended]]))
+                    shots.append((step, rec[ended], state[pos[ended]]))
                 rec = rec[~ended]
         if done is not None:
-            rows, settled = ids[done], bm[done]
+            rows, settled = ids[done], mass[done]
             won = np.maximum.reduce(settled, axis=1) > threshold
             outcome[rows[won]] = settled[won].argmax(axis=1)
             resolve_step[rows[won]] = step
-            final[rows] = x[done]
             low = rows < snapshot_rows
             frozen[rows[low]] = settled[low]
             total += step * rows.size
             # compact the live rows; the chunk's noise block stays in place
             keep = ~done
-            ids, x, mass = ids[keep], x[keep], mass[keep]
-            bm = mass if singletons else bm[keep]
+            ids, mass = ids[keep], mass[keep]
+            if dense:
+                x = x[keep]
             sel = np.flatnonzero(keep) if sel is None else sel[keep]
             if rec.size:
                 pos = np.searchsorted(ids, rec)
         if step in checkpoints:
             snapshots[step] = snap = frozen.copy()
             live = np.searchsorted(ids, snapshot_rows)
-            snap[ids[:live]] = bm[:live]
+            snap[ids[:live]] = mass[:live]
         if not ids.size:
             break
         if j == span:
@@ -406,30 +419,29 @@ def _run_batch(
             j, sel = 0, None
         db = stream[j] if sel is None else stream[j, sel]
         j += 1
-        e = _row_sum(mass * lam if K == 1 else mass[:, None, :] * lam)
-        factor = (lam - e) * ((db + cdt * e) - cdt_lam)
+        lam_now = lam[: len(mass)]
+        e = _row_sum(mass * lam_now if K == 1 else mass[:, None, :] * lam_now)
+        factor = (lam_now - e) * ((db + cdt * e) - cdt_lam[: len(mass)])
         if K > 1:
             factor = np.add.reduce(factor, axis=1)
         factor += 1.0
-        if phase is not None:
-            x *= factor
-        elif ham.ndim == 1:
-            x *= factor + rot
-        else:
+        step += 1
+        if dense:
             # numpy hands a one-row product to another BLAS kernel; two rows keep one
             wide = x if len(x) > 1 else np.vstack((x, x))
-            x = x * factor + (wide @ rot)[: len(x)]
-        mass = squares(x)
-        norm2 = _row_sum(mass)
-        step += 1
-        if phase is not None:
-            x /= np.sqrt(norm2)
-        else:
+            x = x * factor[:, cells] + (wide @ rot)[: len(x)]
+            w = x.view(float) ** 2
+            cell_mass = w[:, 0::2] + w[:, 1::2]
+            norm2 = _row_sum(cell_mass)
             # numpy divides a complex by a real as re * (1 / s), im * (1 / s)
             parts = x.view(float)
             parts *= 1.0 / np.sqrt(norm2)
+            mass = np.add.reduceat(cell_mass, starts, axis=1)
+        else:
+            mass *= factor
+            mass *= factor
+            norm2 = _row_sum(mass)
         mass /= norm2
-        bm = mass if singletons else np.add.reduceat(mass, starts, axis=1)
     for cp in checkpoints - snapshots.keys():
         snapshots[cp] = frozen.copy()
     traces = {}
@@ -437,15 +449,15 @@ def _run_batch(
         owner = np.concatenate([recorded for _, recorded, _ in shots])
         steps = np.repeat([s for s, _, _ in shots], [len(recorded) for _, recorded, _ in shots])
         states = np.concatenate([block for _, _, block in shots])
+        if not dense:
+            grown = np.divide(np.sqrt(states), np.sqrt(w0), out=np.zeros_like(states), where=w0 > 0)
+            states = coeff * grown[:, cells]
+            if ham is not None:
+                states *= np.exp(-1j * np.multiply.outer(steps * dt, ham))
         order = np.argsort(owner, kind="stable")
         for idx in np.split(order, np.flatnonzero(np.diff(owner[order])) + 1):
-            trace = states[idx]
-            traces[int(owner[idx[0]])] = (
-                steps[idx], (trace if phase is None else trace * phase) @ basis.T
-            )
-    if phase is not None:
-        final = final * phase
-    return _Batch(outcome, resolve_step, final, total, snapshots, traces)
+            traces[int(owner[idx[0]])] = (steps[idx], states[idx] @ basis.T)
+    return _Batch(outcome, resolve_step, total, snapshots, traces)
 
 
 def simulate(

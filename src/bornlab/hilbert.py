@@ -365,9 +365,6 @@ class MeasureTable:
             raise IncompleteMeasureError(f"measure undefined on cells {proj.cells}")
         return self._entries[proj]
 
-    def covers(self, proj: Projector) -> bool:
-        return proj in self._entries
-
     def items(self):
         return self._entries.items()
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from bornlab.collapse import CollapseModel
+from bornlab.collapse import COMMUTE_TOL, CollapseModel
 from bornlab.errors import (
     DimensionMismatchError,
     IncompleteMeasureError,
@@ -51,12 +51,14 @@ def _require_normalized(psi: np.ndarray) -> None:
         raise PreconditionError(f"state must be normalized; got |psi|^2 = {norm2}")
 
 
-def drift_diffusion(model: CollapseModel, psi) -> tuple[np.ndarray, list[np.ndarray]]:
+def drift_diffusion(
+    model: CollapseModel, psi, *, hamiltonian: bool = True
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Drift vector and the K diffusion vectors at a normalized state.
 
     The k-th diffusion vector is ``(A_k - <A_k>) psi``; the drift is
     ``(-i H - c * sum_k (A_k - <A_k>)^2) psi`` with ``c`` the model's
-    damping coefficient.
+    damping coefficient, or its H = 0 part when ``hamiltonian`` is false.
     """
     if isinstance(psi, StateVector):
         psi = psi.amplitudes
@@ -70,16 +72,26 @@ def drift_diffusion(model: CollapseModel, psi) -> tuple[np.ndarray, list[np.ndar
         rpsi = apsi - expect * psi
         diffusion.append(rpsi)
         quad += a @ rpsi - expect * rpsi
-    drift = -1j * (model.hamiltonian @ psi) - model.damping_coefficient * quad
+    drift = -model.damping_coefficient * quad
+    if hamiltonian:
+        drift = drift - 1j * (model.hamiltonian @ psi)
     return drift, diffusion
+
+
+def commutes(model: CollapseModel) -> bool:
+    """Whether the Hamiltonian commutes with every observable, within ``COMMUTE_TOL``."""
+    ham = model.hamiltonian
+    return all(np.max(np.abs(ham @ a - a @ ham)) <= COMMUTE_TOL for a in model.observables)
 
 
 def em_step(model: CollapseModel, psi, dt: float, noise) -> np.ndarray:
     """One explicit Euler-Maruyama step, renormalized.
 
     ``noise`` holds one increment per observable; the step is deterministic
-    in (psi, dt, noise).  Raises :class:`IntegrationFailureError` on
-    overflow or a vanishing norm.
+    in (psi, dt, noise).  An H that commutes with the observables acts as
+    its exact unitary ``exp(-i H dt)`` after the H = 0 Euler step (a Lie
+    split); any other H stays in the drift as the Euler term.  Raises
+    :class:`IntegrationFailureError` on overflow or a vanishing norm.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -89,10 +101,14 @@ def em_step(model: CollapseModel, psi, dt: float, noise) -> np.ndarray:
     values = np.asarray(noise, float)
     if values.shape[0] != model.n_observables:
         raise DimensionMismatchError("one noise component per observable required")
-    drift, diffusion = drift_diffusion(model, psi)
+    split = commutes(model)
+    drift, diffusion = drift_diffusion(model, psi, hamiltonian=not split)
     new = psi + drift * dt
     for rpsi, db in zip(diffusion, values):
         new = new + rpsi * db
+    if split and np.any(model.hamiltonian):
+        eigvals, eigvecs = np.linalg.eigh(model.hamiltonian)
+        new = eigvecs @ np.diag(np.exp(-1j * eigvals * dt)) @ eigvecs.conj().T @ new
     norm = float(np.linalg.norm(new))
     if not np.isfinite(norm) or norm == 0.0:
         raise IntegrationFailureError(f"step produced norm {norm}")
@@ -147,13 +163,14 @@ def check_additivity(table: MeasureTable, graining: CoarseGraining) -> Additivit
     mu(P v Q) = mu(P) + mu(Q) for all disjoint unions P, Q and mu(I) = 1.
     """
     blocks = block_projectors(graining)
+    covered = {proj for proj, _ in table.items()}
     for block in blocks:
-        if not table.covers(block):
+        if block not in covered:
             raise IncompleteMeasureError(f"measure undefined on block {block.cells}")
 
     def union_value(indices: frozenset[int]) -> float:
         proj = block_union(graining, indices)
-        if table.covers(proj):
+        if proj in covered:
             return float(table.value(proj))
         return float(sum(table.value(blocks[i]) for i in indices))
 

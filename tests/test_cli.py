@@ -284,6 +284,7 @@ class TestMain:
             ({"steps": [{"resolution": [[0.5], [1]]}]}, "'resolution'"),
             ({"steps": [{"resolution": [[0, 0], [1]]}]}, "'resolution'"),
             ({"steps": [{"resolution": [[-1], [0, 1]]}]}, "'resolution'"),
+            ({"steps": [{"resolution": [[0], [1, 2]]}]}, "'resolution'"),
         ],
     )
     def test_malformed_histories_exit_usage(self, tmp_path, capsys, change, field):
@@ -484,6 +485,16 @@ class TestMain:
                     "p1_cells": [0],
                     "p2_cells": [-1],
                 },
+                "'p2_cells'",
+            ),
+            (
+                "games",
+                {"mode": "special-equivalence", "state": [1, 0, 1], "p1_cells": [5], "p2_cells": [2]},
+                "'p1_cells'",
+            ),
+            (
+                "games",
+                {"mode": "special-equivalence", "state": [1, 0, 1], "p1_cells": [0], "p2_cells": [3]},
                 "'p2_cells'",
             ),
         ],

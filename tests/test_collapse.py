@@ -48,17 +48,24 @@ def rotated_model(n_obs, hamiltonian="zero", norm_mode="mean-preserving"):
     """Observables diagonal in a random basis, plus a normalized start state.
 
     ``hamiltonian`` is ``zero``, ``diagonal`` (diagonal in the model's own
-    eigenbasis, so it commutes with the observables) or ``dense`` (a random
-    Hermitian matrix that does not commute with them).
+    eigenbasis, so it commutes with the observables), ``block`` (as
+    ``diagonal``, but dense inside the first 2-dim joint block, so it still
+    commutes) or ``dense`` (a random Hermitian matrix that does not commute
+    with them).
     """
     rng = np.random.default_rng(n_obs)
     d = len(LABELS[0])
     basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     obs = [basis @ np.diag(labels) @ basis.conj().T for labels in LABELS[:n_obs]]
     ham = np.zeros((d, d))
-    if hamiltonian == "diagonal":
-        v = CollapseModel(ham, obs, gamma=1.0).eigenbasis
-        ham = v @ np.diag(rng.normal(size=d)) @ v.conj().T
+    if hamiltonian in ("diagonal", "block"):
+        free = CollapseModel(ham, obs, gamma=1.0)
+        inner = np.diag(rng.normal(size=d)).astype(complex)
+        if hamiltonian == "block":
+            i, j = next(b.indices for b in free.blocks if len(b.indices) == 2)
+            inner[i, j] = 0.8 - 0.5j
+            inner[j, i] = 0.8 + 0.5j
+        ham = free.eigenbasis @ inner @ free.eigenbasis.conj().T
     elif hamiltonian == "dense":
         z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         ham = 0.3 * (z + z.conj().T)
@@ -70,6 +77,10 @@ def rotated_model(n_obs, hamiltonian="zero", norm_mode="mean-preserving"):
 def engine_path(model):
     ham = _eigen_frame(model)[3]
     return "zero" if ham is None else ("diagonal" if ham.ndim == 1 else "dense")
+
+
+# the engine path each ``rotated_model`` Hamiltonian takes: a commuting H is a real vector
+PATHS = {"zero": "zero", "diagonal": "diagonal", "block": "diagonal", "dense": "dense"}
 
 
 class TestCollapseModel:
@@ -165,7 +176,8 @@ class TestEmStep:
         eigvals, eigvecs = np.linalg.eigh(h)
         exact = eigvecs @ np.diag(np.exp(-1j * eigvals * dt)) @ eigvecs.conj().T @ psi
         exact /= np.linalg.norm(exact)
-        assert np.max(np.abs(stepped - exact)) < 5 * dt**2
+        # H commutes with the observable, so the step applies exp(-i H dt) itself
+        assert np.max(np.abs(stepped - exact)) < 1e-15
 
     def test_noise_component_count_checked(self, qubit_model):
         with pytest.raises(DimensionMismatchError):
@@ -346,11 +358,11 @@ class TestEnsemble:
 
 class TestBatchEngine:
     @pytest.mark.parametrize("norm_mode", ["mean-preserving", "literal"])
-    @pytest.mark.parametrize("hamiltonian", ["zero", "diagonal", "dense"])
+    @pytest.mark.parametrize("hamiltonian", ["zero", "diagonal", "dense", "block"])
     @pytest.mark.parametrize("n_obs", [1, 2, 3])
     def test_matches_scalar_em_step(self, n_obs, hamiltonian, norm_mode):
         model, psi0 = rotated_model(n_obs, hamiltonian, norm_mode)
-        assert engine_path(model) == hamiltonian
+        assert engine_path(model) == PATHS[hamiltonian]
         assert max(len(b.indices) for b in model.blocks) == 2
         dt, n_steps, seed = 1e-3, 250, 17
         traj = simulate(
@@ -370,14 +382,16 @@ class TestBatchEngine:
     def test_row_does_not_depend_on_its_batch(self, hamiltonian):
         model, psi0 = rotated_model(2, hamiltonian)
         seeds = list(range(4000, 4300))
-        batch = _run_batch(model, psi0, seeds, [6000] * 300, 1e-3, 1e-6)
+        rows, kwargs = (0, 1, 150, 299), dict(record_every=1000, record_until=6000)
+        batch = _run_batch(model, psi0, seeds, [6000] * 300, 1e-3, 1e-6, record=rows, **kwargs)
         if hamiltonian != "dense":
             assert 0 < np.count_nonzero(batch.outcome >= 0) < 300
-        for i in (0, 1, 150, 299):
-            alone = _run_batch(model, psi0, [seeds[i]], [6000], 1e-3, 1e-6)
+        for i in rows:
+            alone = _run_batch(model, psi0, [seeds[i]], [6000], 1e-3, 1e-6, record=[0], **kwargs)
             assert alone.outcome[0] == batch.outcome[i]
             assert alone.resolve_step[0] == batch.resolve_step[i]
-            assert np.array_equal(alone.final[0], batch.final[i])
+            assert np.array_equal(alone.traces[0][0], batch.traces[i][0])
+            assert np.array_equal(alone.traces[0][1], batch.traces[i][1])
 
     @pytest.mark.parametrize("n, m, t_max", [(120, 40, 20.0), (120, 120, 20.0), (50, 80, 1.0)])
     def test_fused_martingale_matches_standalone(self, qubit_model, n, m, t_max):
@@ -399,6 +413,60 @@ class TestBatchEngine:
         plain = ensemble_outcomes(qubit_model, psi0, n, **kwargs)
         assert fused.outcomes == plain.outcomes
         assert fused.resolve_steps == plain.resolve_steps
+
+
+def batch_law(model, psi):
+    """Outcomes, resolution steps and block-mass snapshots of one fixed-seed batch."""
+    checkpoints = [0, 300, 1500, 3000]
+    batch = _run_batch(
+        model, psi, list(range(5200, 5260)), [3000] * 60, 1e-3, 1e-3,
+        checkpoints=checkpoints, snapshot_rows=30,
+    )
+    assert np.count_nonzero(batch.outcome >= 0) > 0
+    return [batch.outcome, batch.resolve_step, *(batch.snapshots[s] for s in checkpoints)]
+
+
+def invariance_case(name):
+    """(model, start coordinates) of an invariance test; every H commutes with the observables."""
+    if name.startswith("rotated"):
+        return rotated_model(int(name[-1]), "diagonal")
+    if name == "d8diag":
+        return golden_case("d8diag")[:2]
+    # the d6k3 golden model with an H that is dense inside the 2-dim joint block {4, 5}
+    model, psi, _ = golden_case("d6k3")
+    ham = np.diag([0.3, -0.2, 0.1, 0.5, 0.0, 0.7]).astype(complex)
+    ham[4, 5], ham[5, 4] = 0.4 - 0.3j, 0.4 + 0.3j
+    return CollapseModel(ham, model.observables, gamma=1.0), psi
+
+
+class TestInvariance:
+    """Changes of H that leave the block-mass law alone leave the engine's rows alone.
+
+    A commuting H never enters the block masses, so each pair must agree bit
+    for bit: outcomes, resolution steps and martingale snapshots.
+    """
+
+    CASES = ["rotated-1", "rotated-2", "rotated-3", "d8diag", "d6k3-block"]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_commuting_hamiltonian_gives_the_law_of_zero(self, name):
+        model, psi = invariance_case(name)
+        assert engine_path(model) == "diagonal"
+        free = CollapseModel(None, model.observables, model.gamma, model.norm_mode)
+        for a, b in zip(batch_law(model, psi), batch_law(free, psi)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["qubit-zero", *CASES])
+    def test_shift_by_a_multiple_of_the_identity(self, name):
+        if name == "qubit-zero":
+            model, psi = golden_case("qubit")[:2]
+        else:
+            model, psi = invariance_case(name)
+        shift = model.hamiltonian + 30.0 * np.eye(model.dim)
+        shifted = CollapseModel(shift, model.observables, model.gamma, model.norm_mode)
+        assert engine_path(shifted) == "diagonal"
+        for a, b in zip(batch_law(model, psi), batch_law(shifted, psi)):
+            assert np.array_equal(a, b)
 
 
 def same_trajectory(a, b) -> bool:
@@ -450,7 +518,7 @@ class TestRecordedTrajectories:
             simulate(qubit_model, plus_state(), t_max=1.0, dt=1e-3, seed=1, record_every=0)
 
     def test_overflow_names_seed_and_step_without_warning(self):
-        for hamiltonian, norm2 in [(None, "inf"), (np.diag([0.5, 0.0]), "nan")]:
+        for hamiltonian in [None, np.diag([0.5, 0.0])]:
             model = CollapseModel(hamiltonian, [np.diag([1e200, -1e200])], gamma=1.0)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -459,7 +527,7 @@ class TestRecordedTrajectories:
                         model, plus_state(), 3, t_max=1.0, dt=1e-3, seed=1, record=[1]
                     )
             assert err.value.step == 1
-            assert f"seed 1: squared norm {norm2} at step 1" in str(err.value)
+            assert "seed 1: squared norm inf at step 1" in str(err.value)
             # the error reports the failed step, so numpy's overflow warning is silenced
             assert not caught
 
@@ -577,9 +645,9 @@ def digest(*arrays) -> str:
 
 
 GOLDEN = {  # name -> (batch digest, {record_every: recorded-rows digest})
-    "qubit": ("91104559bcfb0c8038d2", {1: "fe275ff42691be71aa8a", 7: "b8d616d8f2d9b6b32f2f"}),
-    "d6k3": ("7dfa42d7157997cca3f9", {1: "18e5f7c15ebb1dd29bd9", 7: "2ace6ee622a0ca6c42eb"}),
-    "d8diag": ("861754c92927f67a49ec", {1: "9c2f1cb7913cb1631b1b", 7: "717b5e2c30cb6f95fa72"}),
+    "qubit": ("f9c59d592fd9a2d5cf9a", {1: "d5db99ce13e6ddffb563", 7: "92a7b115216d7ce21831"}),
+    "d6k3": ("aa6c489300a618ddd9e4", {1: "06ce193ba825880815fa", 7: "ce343da771405df813b5"}),
+    "d8diag": ("9b7952d9bc0c53a272f8", {1: "4ce05d8b3d0dc894f243", 7: "c9741578b46719d96bff"}),
 }
 
 
@@ -595,7 +663,7 @@ class TestGoldenDigests:
         )
         assert 0 < np.count_nonzero(batch.outcome >= 0) < len(SEEDS)
         snaps = [batch.snapshots[s] for s in sorted(batch.snapshots)]
-        assert digest(batch.outcome, batch.resolve_step, batch.final, *snaps) == GOLDEN[name][0]
+        assert digest(batch.outcome, batch.resolve_step, *snaps) == GOLDEN[name][0]
 
     @pytest.mark.parametrize("every", [1, 7])
     @pytest.mark.parametrize("name", sorted(GOLDEN))
