@@ -30,9 +30,7 @@ from . import __version__, collapse, emergence, errors, games, hilbert, historie
 from .hilbert import CoarseGraining, Projector, StateVector
 
 SCHEMA_VERSION = 1
-KINDS = ("simulate", "derive", "solve-measure", "games", "histories", "lln", "nogo")
 VARIANT_FIELDS = {"derive": "construction", "games": "mode", "lln": "op", "nogo": "check"}
-MAX_CSV_VALUES = 3 * 10**7  # numbers one --csv run may write, over all its files
 MAX_MASS_CHARS = 100  # characters of one string mass
 MAX_MASS_EXPONENT = 400  # size of a string mass's decimal exponent; floats reach 1e308
 
@@ -254,10 +252,13 @@ def _simulate(v: dict, seed: int, csv_dir: Path | None) -> dict:
     if any(idx >= n for idx in v["csv_trajectories"]):
         raise ScenarioError("'csv_trajectories' must index trajectories below n_trajectories")
     csv_trajectories = v["csv_trajectories"] if csv_dir is not None else []
+    # the library checks the same bound; checked here first so the message names the field
     rows = t_max / dt / record_every + 2 if dt > 0 else 0
     volume = len(csv_trajectories) * rows * (2 * model.dim + 1 + model.n_outcomes)
-    if volume > MAX_CSV_VALUES:
-        raise errors.PreconditionError(f"'csv_trajectories' exceed {MAX_CSV_VALUES} CSV values")
+    if volume > collapse.MAX_RECORDED_VALUES:
+        raise errors.PreconditionError(
+            f"'csv_trajectories' exceed {collapse.MAX_RECORDED_VALUES} CSV values"
+        )
     report = collapse.ensemble_outcomes(
         model,
         psi0,
@@ -575,6 +576,9 @@ def _nogo_search(v: dict, seed: int, csv_dir) -> dict:
     if not verdicts:
         verdicts["computed"] = "PASS"
     return {"verdicts": verdicts, "metrics": metrics}
+
+
+KINDS = tuple(dict.fromkeys(name.partition(":")[0] for name in SCENARIOS))  # in registration order
 
 
 # ---------------------------------------------------------------------------

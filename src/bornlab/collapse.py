@@ -51,6 +51,7 @@ EIGEN_CLUSTER_TOL = 1e-8  # eigenvalues this close share an eigenspace
 MAX_STEPS = 10**7  # steps per trajectory, checked before a run allocates anything
 MAX_NOISE_STREAMS = 10**5  # trajectories x observables; each holds _CHUNK_STEPS float64 draws
 MAX_TRAJECTORY_STEPS = 5 * 10**9  # steps asked of one ensemble, over every trajectory
+MAX_RECORDED_VALUES = 3 * 10**7  # CSV values of the recorded trajectories, over all of them
 _CHUNK_STEPS = 1024
 
 
@@ -142,10 +143,6 @@ class CollapseModel:
         coeff = self.eigenbasis.conj().T @ psi
         mass = np.abs(coeff) ** 2
         return np.array([mass[list(b.indices)].sum() for b in self.blocks])
-
-    def born_weights(self, psi0: StateVector) -> np.ndarray:
-        psi = psi0.normalized().amplitudes
-        return self.block_weights(psi)
 
 
 def _joint_eigenblocks(observables):
@@ -611,6 +608,9 @@ def ensemble_outcomes(
             raise PreconditionError(f"record_every must be at least 1, got {record_every}")
         if not all(0 <= i < n for i in record):
             raise PreconditionError(f"recorded trajectories must lie below n = {n}, got {record}")
+        columns = 1 + 2 * model.dim + model.n_outcomes  # a CSV row: t, re, im, block masses
+        if len(record) * (t_max / dt / record_every + 2) * columns > MAX_RECORDED_VALUES:
+            raise PreconditionError(f"recorded trajectories exceed {MAX_RECORDED_VALUES} values")
     seeds = [int(seed) + i for i in range(horizons.size)]
     psi = psi0.normalized().amplitudes
     run = _run_batch(
@@ -622,7 +622,7 @@ def ensemble_outcomes(
     outcome = np.where(late, -1, run.outcome[:n])
     resolve_step = np.where(late, -1, run.resolve_step[:n])
 
-    born = model.born_weights(psi0)
+    born = model.block_weights(psi)
     n_resolved = int((outcome >= 0).sum())
     rows = []
     for k, block in enumerate(model.blocks):

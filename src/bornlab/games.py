@@ -16,9 +16,12 @@ that ``derive_pivotal`` replays for two unit amplitudes and a linear
 payoff) and the equal-weight equivalence of projector games.
 
 Every measurement equivalence is a swap of two cell projectors of equal
-rank that hold equal weight.  Its unitary fixes the state, so a swapped
+rank in which the state's components have equal norm; ``projector_swap``
+alone decides which pairs swap.  Its unitary fixes the state, so a swapped
 game keeps its input game's state array and trades cells exactly: every
 game of a closure shares one state, and game keys are exact.
+The pivotal chain's trace records each step's residual under the weight
+assignment; the soundness verdict judges them.
 """
 
 from __future__ import annotations
@@ -470,11 +473,8 @@ class ValueSolver:
         """
         produced = []
         n = len(game.spectral)
-        weights = game.outcome_weights()
         for j in range(n):
             for k in range(j + 1, n):
-                if abs(weights[j] - weights[k]) > WEIGHT_TOL:
-                    continue
                 (lam_j, p_j), (lam_k, p_k) = game.spectral[j], game.spectral[k]
                 swap = projector_swap(game.state, p_j, p_k)
                 if swap is None:
@@ -563,8 +563,9 @@ def derive_pivotal(x1: float, x2: float, payoff: AffinePayoff) -> PivotalResult:
     eigenspaces (measurement equivalence), the matching label swap (payoff
     equivalence), the shift decomposition of the swapped payoff
     (sure-thing), and payoff negation (zero-sum).  The chain closes exactly
-    to 2V = payoff(x1) + payoff(x2).  Each step is numerically validated
-    against the weight-consistent assignment.
+    to 2V = payoff(x1) + payoff(x2), which the exact solve confirms.  Each
+    step's residual under the weight-consistent assignment goes into the
+    trace; ``check_pivotal``'s soundness verdict bounds the same residuals.
     """
     if not isinstance(payoff, AffinePayoff) or not payoff.is_linear:
         raise LinearityError("the derivation needs a linear payoff")
@@ -581,18 +582,16 @@ def derive_pivotal(x1: float, x2: float, payoff: AffinePayoff) -> PivotalResult:
 
     swap = projector_swap(state, spectral[0][1], spectral[1][1])
     conjugated = solver.transform(game, swap)
-    _validate_step(trace, "measurement-equivalence", game, conjugated, 0.0)
+    _record_step(trace, "measurement-equivalence", game, conjugated, 0.0)
 
     relabeled = solver.relabel(conjugated, _label_swap(game.spectrum, a, b))
-    _validate_step(trace, "payoff-equivalence", conjugated, relabeled, 0.0)
+    _record_step(trace, "payoff-equivalence", conjugated, relabeled, 0.0)
 
     # relabeled payoff is (payoff o -I) o shift(-(x1+x2)); peel the shift
     negated_payoff_game = game._with_payoff(payoff.compose_affine(-1, 0))
     shift = -(a + b)
     shifted = solver.sure_thing(negated_payoff_game, shift)
-    if shifted.key() != relabeled.key() and shift:
-        raise InconsistentSystemError("shift decomposition failed to close the chain")
-    _validate_step(
+    _record_step(
         trace,
         "sure-thing",
         shifted,
@@ -601,7 +600,7 @@ def derive_pivotal(x1: float, x2: float, payoff: AffinePayoff) -> PivotalResult:
     )
 
     negated = solver.zero_sum(game)
-    _validate_step(trace, "zero-sum", game, negated, None)
+    _record_step(trace, "zero-sum", game, negated, None)
 
     result = solver.solve()
     expected = (payoff(a) + payoff(b)) / 2
@@ -647,16 +646,14 @@ def _degenerate_pivotal(x: Fraction, payoff: AffinePayoff) -> PivotalResult:
     )
 
 
-def _validate_step(trace, rule, left: Game, right: Game, offset: float | None) -> None:
-    """Record a chain step, checking it against the weight assignment.
+def _record_step(trace, rule, left: Game, right: Game, offset: float | None) -> None:
+    """Record a chain step with its residual under the weight assignment.
 
-    ``offset`` None marks a negation step (values must be opposite);
-    otherwise V(left) = V(right) + offset must hold.
+    ``offset`` None marks a negation step (values are opposite); otherwise
+    the step claims V(left) = V(right) + offset.
     """
     lv, rv = left.born_value(), right.born_value()
     residual = abs(lv + rv) if offset is None else abs(lv - rv - offset)
-    if residual > SOUNDNESS_TOL:
-        raise InconsistentSystemError(f"{rule} step fails under the weight assignment: {residual}")
     claim = (
         "values negate under payoff reversal"
         if offset is None

@@ -12,7 +12,8 @@ additive.  The consistency check therefore compares the two measures over
 the event algebra: per history, per two-history union, and per final-time
 marginal.  Both measures are built for every history in one pass, one step
 at a time over all prefixes, so a prefix that histories share is evolved
-and projected once.
+and projected once.  Every pair is compared, so a ``HistorySet`` holds at
+most ``DEFAULT_PAIR_CAP`` histories; a larger set fails as it is built.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .hilbert import (
 )
 
 DEFAULT_EPSILON = 1e-8
-DEFAULT_HISTORY_CAP = 10**6
-DEFAULT_PAIR_CAP = 4096
+DEFAULT_PAIR_CAP = 4096  # histories of one set; the consistency check compares every pair
 # the stepwise-collapse probabilities of every history sum to one within this
 COLLAPSED_SUM_TOL = 1e-9
 # rows of the decoherence functional reduced at once, over the columns j >= the block's first
@@ -89,9 +89,9 @@ class HistorySet:
             if step.dim != steps[0].dim:
                 raise DimensionMismatchError("steps live on different spaces")
             count *= len(step.resolution)
-            if count > DEFAULT_HISTORY_CAP:
+            if count > DEFAULT_PAIR_CAP:
                 raise HistoryCountError(
-                    f"{count}+ histories exceed the cap of {DEFAULT_HISTORY_CAP}; "
+                    f"{count}+ histories exceed the pairwise-analysis cap of {DEFAULT_PAIR_CAP}; "
                     "coarsen the resolutions"
                 )
         object.__setattr__(self, "steps", steps)
@@ -224,11 +224,6 @@ def consistency_check(history_set: HistorySet, psi0: StateVector) -> Consistency
     to one.
     """
     n = history_set.n_histories
-    if n > DEFAULT_PAIR_CAP:
-        raise HistoryCountError(
-            f"{n} histories exceed the pairwise-analysis cap of {DEFAULT_PAIR_CAP}; "
-            "coarsen the resolutions"
-        )
     psi = psi0.normalized().amplitudes
     chains, collapsed = _branches(history_set, psi)
     choices = history_set.choices()

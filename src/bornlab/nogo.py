@@ -320,15 +320,12 @@ def dispersion_free_search(
             for other in sorted(adjacency[idx]):
                 if assignment.get(other) == 1:
                     return f"rays {idx} and {other} are orthogonal but both valued 1"
+        # a context's rays are pairwise orthogonal, so the pair check above keeps its 1s to one
         for ctx in complete:
             if idx not in ctx:
                 continue
             values = [assignment.get(k) for k in ctx if k != idx] + [value]
-            ones = sum(1 for v in values if v == 1)
-            unknown = sum(1 for v in values if v is None)
-            if ones > 1:
-                return f"context {ctx} holds more than one ray valued 1"
-            if ones == 0 and unknown == 0:
+            if all(v == 0 for v in values):
                 return f"context {ctx} has every ray valued 0; one must be 1"
         return None
 

@@ -16,7 +16,7 @@ from bornlab.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
-    MAX_CSV_VALUES,
+    KINDS,
     SCENARIOS,
     VARIANT_FIELDS,
     ScenarioError,
@@ -26,7 +26,13 @@ from bornlab.cli import (
     render_report,
     run_scenario,
 )
-from bornlab.collapse import MAX_NOISE_STREAMS, CollapseModel, simulate, trajectory_to_csv
+from bornlab.collapse import (
+    MAX_NOISE_STREAMS,
+    MAX_RECORDED_VALUES,
+    CollapseModel,
+    simulate,
+    trajectory_to_csv,
+)
 from bornlab.emergence import MAX_TOTAL_WEIGHT
 from bornlab.games import MAX_CLOSURE_DEPTH
 from bornlab.hilbert import StateVector
@@ -812,6 +818,16 @@ class TestScenarioTable:
         assert SCENARIOS["histories"][0]["epsilon"][1] == histories.DEFAULT_EPSILON
         assert SCENARIOS["lln:scan"][0]["threshold"][1] == lln.DEFAULT_SCAN_THRESHOLD
 
+    def test_kinds_are_the_registered_kinds(self, capsys):
+        registered = [name.partition(":")[0] for name in SCENARIOS]
+        assert KINDS == ("simulate", "derive", "solve-measure", "games", "histories", "lln", "nogo")
+        assert sorted(set(registered), key=registered.index) == list(KINDS)
+        assert main(["--help"]) == EXIT_OK
+        assert "{" + ",".join(KINDS) + "}" in capsys.readouterr().out
+        for kind in KINDS:
+            assert main([kind, "--help"]) == EXIT_OK
+            assert f"usage: bornlab {kind} " in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "kind, params, field",
         [
@@ -933,7 +949,7 @@ class TestScenarioTable:
 
     def test_csv_volume_bound(self, tmp_path, capsys):
         # each qubit row holds t, two real and two imaginary parts and two weights
-        rows = MAX_CSV_VALUES // 7 // 10 + 1
+        rows = MAX_RECORDED_VALUES // 7 // 10 + 1
         params = {**SIMULATE_PARAMS, "t_max": rows * 1e-3, "csv_trajectories": list(range(10))}
         out = tmp_path / "report.json"
         assert run_main(tmp_path, "simulate", params, "--csv", "--out", str(out)) == EXIT_USAGE

@@ -9,6 +9,7 @@ import pytest
 from bornlab.collapse import (
     MARTINGALE_FLOOR,
     MAX_NOISE_STREAMS,
+    MAX_RECORDED_VALUES,
     MAX_STEPS,
     MAX_TRAJECTORY_STEPS,
     CollapseModel,
@@ -585,6 +586,14 @@ class TestRunBounds:
         t_max = (MAX_TRAJECTORY_STEPS // n + 1) * 1e-3
         with pytest.raises(PreconditionError, match="MAX_TRAJECTORY_STEPS"):
             ensemble_outcomes(qubit_model, plus_state(), n, t_max=t_max, dt=1e-3, seed=1)
+
+    def test_recorded_values_bounded_before_work(self):
+        # with gamma = 0 nothing resolves, so a recorded run would keep every one of its 10^7 steps
+        model = CollapseModel(None, [np.diag([1.0, -1.0])], gamma=0.0)
+        rows = 1e4 / 1e-3 + 2  # each holds t, two real and two imaginary parts and two weights
+        assert rows * 7 > MAX_RECORDED_VALUES
+        with pytest.raises(PreconditionError, match="recorded trajectories exceed"):
+            simulate(model, plus_state(), t_max=1e4, dt=1e-3, seed=1)
 
     def test_missing_hamiltonian_is_zero(self, qubit_model):
         model = CollapseModel(None, qubit_model.observables, gamma=1.0)

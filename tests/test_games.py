@@ -18,6 +18,7 @@ from bornlab.errors import (
 from bornlab.exactlin import solve_exact
 from bornlab.games import (
     MAX_CLOSURE_DEPTH,
+    WEIGHT_TOL,
     AffinePayoff,
     Constraint,
     Game,
@@ -344,6 +345,30 @@ class TestValueSolve:
         state = np.array([1.0, 2.0, 1.0])
         p0, p1 = Projector.from_cells([0], 3), Projector.from_cells([1], 3)
         assert projector_swap(state, p0, p1) is None
+
+    def test_expand_game_swaps_exactly_the_pairs_projector_swap_returns(self):
+        # cells 0 and 1: equal rank, norms 9.5e-11 apart, weights 1.1e-10 apart (both swap);
+        # cell 0 and cells 2-3: equal weight, unequal rank (neither swaps)
+        s = np.sqrt(0.5)
+        state = np.array([1.0, 1.0 + 9.5e-11 * np.sqrt(3), s, s])
+        p0, p1, p23 = (Projector.from_cells(c, 4) for c in ([0], [1], [2, 3]))
+        unit = state / np.linalg.norm(state)
+        norms = [np.linalg.norm(p.apply(unit)) for p in (p0, p1)]
+        assert abs(norms[0] - norms[1]) < WEIGHT_TOL
+        w0, w1, w23 = (born_weight(StateVector(state), p) for p in (p0, p1, p23))
+        assert abs(w0 - w1) > WEIGHT_TOL and abs(w0 - w23) < WEIGHT_TOL
+        game = Game(state, [(0.0, p0), (1.0, p1), (2.0, p23)], linear_payoff())
+        solver = ValueSolver()
+        solver.register(game)
+        transformed, relabeled, _ = solver.expand_game(game)
+        kinds = [con.kind for con in solver.constraints]
+        assert kinds == ["measurement-equivalence", "payoff-equivalence", "zero-sum"]
+        assert [(lam, p.cells) for lam, p in transformed.spectral] == [
+            (2, p23.cells), (1, p0.cells), (0, p1.cells)
+        ]
+        assert transformed.state is game.state
+        assert relabeled.spectral == transformed.spectral  # each cell keeps its payoff
+        assert [relabeled.payoff(lam) for lam in (0, 1, 2)] == [1, 0, 2]
 
 
 def lstsq_oracle(solver: ValueSolver):

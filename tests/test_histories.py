@@ -258,15 +258,19 @@ class TestConsistencyCheck:
         assert max(d.gap for d in marginals) == pytest.approx(0.5, abs=1e-12)
 
     def test_pair_cap(self, monkeypatch):
+        # the check runs on every set small enough to build
+        step = HistoryStep(z_resolution())
         monkeypatch.setattr(histories_module, "DEFAULT_PAIR_CAP", 4)
-        steps = [HistoryStep(z_resolution()) for _ in range(3)]
+        assert consistency_check(HistorySet([step] * 2), plus()).n_histories == 4
         with pytest.raises(HistoryCountError, match="cap of 4"):
-            consistency_check(HistorySet(steps), plus())
+            HistorySet([step] * 3)
 
-    def test_history_count_cap(self, monkeypatch):
-        monkeypatch.setattr(histories_module, "DEFAULT_HISTORY_CAP", 32)
-        with pytest.raises(HistoryCountError, match="cap of 32"):
-            HistorySet([HistoryStep(z_resolution()) for _ in range(6)])
+    def test_history_count_cap(self):
+        # the set itself refuses more histories than the check may compare pairwise
+        step = HistoryStep(z_resolution())
+        assert HistorySet([step] * 12).n_histories == histories_module.DEFAULT_PAIR_CAP
+        with pytest.raises(HistoryCountError, match="cap of 4096"):
+            HistorySet([step] * 13)
 
 
 class TestPairReduction:
