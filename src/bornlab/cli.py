@@ -14,7 +14,6 @@ parse error, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -188,10 +187,15 @@ def _attrs(obj, *names) -> dict:
     return {name: getattr(obj, name) for name in names}
 
 
+def _cells_key(cells) -> str:
+    """``json.dumps(cells)`` of a projector's canonical ranges, written directly."""
+    return "[" + ", ".join(f"[{start}, {stop}]" for start, stop in cells) + "]"
+
+
 def _table_to_dict(table: hilbert.MeasureTable) -> dict:
     """Table values keyed by cell list; a non-integral Fraction is written as a string."""
     return {
-        json.dumps(proj.cells): (
+        _cells_key(proj.cells): (
             str(value) if isinstance(value, Fraction) and value.denominator != 1 else float(value)
         )
         for proj, value in table.items()
@@ -306,14 +310,13 @@ def _derive_rational(v: dict, seed: int, csv_dir) -> dict:
     graining = CoarseGraining.from_sizes([1] * len(weights) if sizes is None else sizes)
     state = emergence.RationalState(weights, graining, v["profiles"])
     table, trace = emergence.rational_born_values(state)
-    total = sum(weights)
-    expected = [Fraction(w, total) for w in weights]
-    actual = [table.value(graining.block_projector(i)) for i in range(len(weights))]
+    blocks = [graining.block_projector(i) for i in range(len(weights))]
+    ok = emergence.table_matches_weights(table, blocks, weights)
     return {
-        "verdicts": {"table_matches_weights": _verdict(actual == expected)},
+        "verdicts": {"table_matches_weights": _verdict(ok)},
         "metrics": {
             "table": _table_to_dict(table),
-            "weights": [str(w) for w in actual],
+            "weights": [str(table.value(proj)) for proj in blocks],
         },
         "traces": [trace.to_dict()],
     }
@@ -330,10 +333,8 @@ def _derive_equiprobable(v: dict, seed: int, csv_dir) -> dict:
     psi = StateVector(amplitudes)
     separating = hilbert.SeparatingSet.from_graining(psi, graining)
     table, trace = emergence.equiprobable_values(psi, separating)
-    d = separating.size
-    ok = all(
-        table.value(graining.block_projector(i)) == Fraction(1, d) for i in range(d)
-    )
+    blocks = separating.projectors
+    ok = emergence.table_matches_weights(table, blocks, [1] * len(blocks))
     return {
         "verdicts": {"table_matches_weights": _verdict(ok)},
         "metrics": {"table": _table_to_dict(table)},
@@ -348,25 +349,20 @@ def _derive_equiprobable(v: dict, seed: int, csv_dir) -> dict:
     expect=(_one_of("unique", "underdetermined"), "unique"),
 )
 def _solve_measure(v: dict, seed: int, csv_dir) -> dict:
-    masses = v["masses"]
-    dim = len(masses)
     family = hilbert.GrainingFamily(CoarseGraining.from_sizes(s) for s in v["grainings"])
-    result = emergence.measure_uniqueness_solve(emergence.MassProfile(masses), family)
+    result = emergence.measure_uniqueness_solve(emergence.MassProfile(v["masses"]), family)
     verdict = _verdict(result.status == v["expect"])
     metrics = {
         **_attrs(result, "status", "rank", "n_unknowns", "nonzeros"),
         "constraints": result.constraint_count,
     }
     if result.unique:
-        prefix = [0, *itertools.accumulate(masses)]
-        born_ok = all(
-            result.table.value(Projector.from_cells([(a, b)], dim))
-            == (prefix[b] - prefix[a]) / prefix[-1]
-            for a, b in result.unknown_keys
-        )
         metrics["table"] = _table_to_dict(result.table)
         return {
-            "verdicts": {"expectation": verdict, "matches_weights": _verdict(born_ok)},
+            "verdicts": {
+                "expectation": verdict,
+                "matches_weights": _verdict(result.matches_weights),
+            },
             "metrics": metrics,
         }
     metrics["freedom"] = result.freedom

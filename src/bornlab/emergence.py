@@ -13,6 +13,7 @@ floating point only enters at the boundary (amplitudes, reported values).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,12 +62,13 @@ class MassProfile:
     masses: tuple[Fraction, ...]
 
     def __init__(self, masses):
-        masses = tuple(Fraction(m) for m in masses)
+        masses = tuple(m if type(m) is Fraction else Fraction(m) for m in masses)
         if not masses:
             raise InvalidStateError("mass profile needs at least one cell")
-        if any(m < 0 for m in masses):
+        # a Fraction's denominator is positive, so its numerator carries the sign
+        if any(m.numerator < 0 for m in masses):
             raise InvalidStateError("masses must be nonnegative")
-        if sum(masses) <= 0:
+        if not any(m.numerator for m in masses):
             raise InvalidStateError("total mass must be positive")
         object.__setattr__(self, "masses", masses)
 
@@ -472,10 +474,11 @@ class UniquenessResult:
     """Outcome of the weight-uniqueness linear solve.
 
     ``status`` is ``unique`` or ``underdetermined``.  For unique systems
-    ``table`` holds the solved weights (exact rationals).  Otherwise
-    ``freedom`` gives the solution-space dimension and ``witnesses`` two
-    distinct valid tables.  ``nonzeros`` counts the nonzero coefficients
-    of the constraint matrix.
+    ``table`` holds the solved weights (exact rationals), and
+    ``matches_weights`` says whether each is its block's share of the
+    total mass, the Born weight.  Otherwise ``freedom`` gives the
+    solution-space dimension and ``witnesses`` two distinct valid tables.
+    ``nonzeros`` counts the nonzero coefficients of the constraint matrix.
     """
 
     status: str
@@ -483,6 +486,7 @@ class UniquenessResult:
     n_unknowns: int
     unknown_keys: tuple
     table: MeasureTable | None = None
+    matches_weights: bool = False
     freedom: int = 0
     witnesses: tuple[MeasureTable, MeasureTable] | None = None
     constraint_count: int = 0
@@ -493,45 +497,78 @@ class UniquenessResult:
         return self.status == "unique"
 
 
+def _integer_masses(masses) -> list[int]:
+    """Rational masses (ints or Fractions) scaled by their common
+    denominator: integers in the same ratios."""
+    scale = math.lcm(*(m.denominator for m in masses))
+    return [m.numerator * (scale // m.denominator) for m in masses]
+
+
+def _shares_match(values, parts, total: int) -> bool:
+    """True when every value equals its integer part over ``total``,
+    tested as numerator * total == denominator * part."""
+    for value, part in zip(values, parts):
+        num, den = value.as_integer_ratio()
+        if num * total != den * part:
+            return False
+    return True
+
+
+def table_matches_weights(table: MeasureTable, projectors, weights) -> bool:
+    """True when the table gives each projector its weight's share of the
+    total weight; ``weights`` are nonnegative rationals (ints or Fractions),
+    one per projector, and the test runs in integers."""
+    parts = _integer_masses(weights)
+    return _shares_match((table.value(proj) for proj in projectors), parts, sum(parts))
+
+
 def measure_uniqueness_solve(profile: MassProfile, family: GrainingFamily) -> UniquenessResult:
     """Decide whether additivity, invariance, and stability pin the weights.
 
     Unknowns are the block projectors across the family, identified across
-    grainings by their cell ranges (stability).  Constraints: per-graining
-    normalization, block-vs-refinement additivity for every refining pair,
-    and equality of blocks related by a mass-profile-preserving cell
-    permutation (the constructible invariance unitaries).  The system is
+    grainings by their cell ranges (stability).  Constraints: equality of
+    blocks related by a mass-profile-preserving cell permutation (the
+    constructible invariance unitaries), block-vs-refinement additivity for
+    every refining pair, and per-graining normalization.  The system is
     assembled and solved in exact rational arithmetic.
+
+    The sparse rows come first so that forward elimination does not carry
+    the dense normalization rows through every equality chain.  The system
+    is always feasible (the Born weights solve it), and the pivot columns
+    and reduced rows of a feasible system depend only on its row space, so
+    the order changes no result.
     """
-    masses = profile.masses
-    total = sum(masses)
     if not family.members:
         raise InvalidGrainingError("the graining family has no members")
     if family.members[0].dim != profile.dim:
         raise DimensionMismatchError("profile and family disagree on grid size")
+    parts = _integer_masses(profile.masses)
+    prefix = list(itertools.accumulate(parts, initial=0))
 
     keys = list(dict.fromkeys(block for g in family.members for block in g.blocks))
     index = {block: i for i, block in enumerate(keys)}
     rows: list[list[int]] = []
     rhs: list[int] = []
     labels: list[str] = []
+    nonzeros = 0
 
     def add_row(terms, value: int, label: str) -> None:
+        nonlocal nonzeros
         row = [0] * len(keys)
         for block, coeff in terms:
-            row[index[block]] += coeff
+            row[index[block]] = coeff
         rows.append(row)
         rhs.append(value)
         labels.append(label)
+        nonzeros += len(terms)  # the blocks of one row are distinct
 
     for gi, graining in enumerate(family.members):
-        add_row(((b, 1) for b in graining.blocks), 1, f"norm[g{gi}]")
         # invariance: blocks whose mass profiles match as multisets swap
         # under a cell permutation preserving the (phase-stripped) state;
         # a chain of equalities per matching group spans all the pairs
         groups: dict = {}
         for i, (a, b) in enumerate(graining.blocks):
-            groups.setdefault(tuple(sorted(masses[a:b])), []).append(i)
+            groups.setdefault(tuple(sorted(parts[a:b])), []).append(i)
         for members in groups.values():
             for i, j in zip(members, members[1:]):
                 terms = ((graining.blocks[i], 1), (graining.blocks[j], -1))
@@ -553,35 +590,35 @@ def measure_uniqueness_solve(profile: MassProfile, family: GrainingFamily) -> Un
                 terms = [(block, 1)] + [(blk, -1) for blk in inner]
                 add_row(terms, 0, f"refine[g{gi}<g{gj}]:{b_start}-{b_stop}")
 
+    for gi, graining in enumerate(family.members):
+        add_row([(b, 1) for b in graining.blocks], 1, f"norm[g{gi}]")
+
     result: LinearSolveResult = solve_exact(rows, rhs, labels)
     require_feasible(result, "weight-uniqueness system")
-    nonzeros = sum(1 for row in rows for x in row if x)
-
     dim0 = family.members[0].dim
-
-    def block_projector(block: tuple[int, int]) -> Projector:
-        return Projector.from_cells([block], dim0)
+    shape = {
+        "rank": result.rank,
+        "n_unknowns": result.n_unknowns,
+        "unknown_keys": tuple(keys),
+        "constraint_count": len(rows),
+        "nonzeros": nonzeros,
+    }
 
     if result.status == "unique":
         table = MeasureTable()
         for key, value in zip(keys, result.solution):
-            table.assign(block_projector(key), value)
-        return UniquenessResult(
-            status="unique",
-            rank=result.rank,
-            n_unknowns=result.n_unknowns,
-            unknown_keys=tuple(keys),
-            table=table,
-            constraint_count=len(rows),
-            nonzeros=nonzeros,
+            table.assign(Projector(dim0, (key,)), value)
+        born = _shares_match(
+            result.solution, (prefix[b] - prefix[a] for a, b in keys), prefix[-1]
         )
+        return UniquenessResult(status="unique", table=table, matches_weights=born, **shape)
 
     # underdetermined: exhibit two distinct valid tables.  The first is the
     # reference additive solution; the second steps halfway to [0, 1]'s edge
     # along a nullspace direction, or, when the reference already sits on
     # that edge, gives each block its share of cells (matched blocks have
     # equal cell counts, so every row holds)
-    reference = [profile.block_mass(a, b) / total for a, b in keys]
+    reference = [Fraction(prefix[b] - prefix[a], prefix[-1]) for a, b in keys]
     direction = result.nullspace[0]
     t_limit = min(
         (1 - ref) / step if step > 0 else ref / -step
@@ -594,15 +631,12 @@ def measure_uniqueness_solve(profile: MassProfile, family: GrainingFamily) -> Un
         alt = [Fraction(b - a, dim0) for a, b in keys]
     table_a, table_b = MeasureTable(), MeasureTable()
     for key, va, vb in zip(keys, reference, alt):
-        table_a.assign(block_projector(key), va)
-        table_b.assign(block_projector(key), vb)
+        proj = Projector(dim0, (key,))
+        table_a.assign(proj, va)
+        table_b.assign(proj, vb)
     return UniquenessResult(
         status="underdetermined",
-        rank=result.rank,
-        n_unknowns=result.n_unknowns,
-        unknown_keys=tuple(keys),
         freedom=result.freedom,
         witnesses=(table_a, table_b),
-        constraint_count=len(rows),
-        nonzeros=nonzeros,
+        **shape,
     )

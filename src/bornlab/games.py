@@ -785,13 +785,14 @@ class SpecialEquivalence:
 
     solved: ValueSolveResult
     weights: tuple[float, float]
+    swap: tuple[Projector, Projector] | None  # ``projector_swap``'s result
     difference: Fraction | None  # V(first) - V(second) when forced
     general: list[dict]  # ``general_equivalence_check`` rows
 
     @property
     def holds(self) -> bool:
-        """Equal weights, and values forced exactly equal."""
-        return abs(self.weights[0] - self.weights[1]) <= WEIGHT_TOL and self.difference == 0
+        """The two projectors swap, and their values are forced exactly equal."""
+        return self.swap is not None and self.difference == 0
 
 
 def special_equivalence(
@@ -805,5 +806,9 @@ def special_equivalence(
     swap = projector_swap(state, p1, p2)
     solved = value_solve(pair, depth, unitaries=[] if swap is None else [swap])
     return SpecialEquivalence(
-        solved, weights, solved.exact_difference(*pair), general_equivalence_check(solved, pair)
+        solved,
+        weights,
+        swap,
+        solved.exact_difference(*pair),
+        general_equivalence_check(solved, pair),
     )

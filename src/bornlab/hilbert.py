@@ -354,9 +354,13 @@ class MeasureTable:
                 self.assign(proj, value)
 
     def assign(self, proj: Projector, value) -> None:
-        if not isinstance(value, Fraction):
+        """A Fraction must lie in [0, 1] exactly; a float may miss it by ``STRUCT_TOL``."""
+        if isinstance(value, Fraction):
+            inside = 0 <= value.numerator <= value.denominator
+        else:
             value = float(value)
-        if not 0 <= value <= 1 and (value < -STRUCT_TOL or value > 1 + STRUCT_TOL):
+            inside = -STRUCT_TOL <= value <= 1 + STRUCT_TOL
+        if not inside:
             raise PreconditionError(f"measure value {value} outside [0,1]")
         self._entries[proj] = value
 

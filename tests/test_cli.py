@@ -20,6 +20,7 @@ from bornlab.cli import (
     SCENARIOS,
     VARIANT_FIELDS,
     ScenarioError,
+    _table_to_dict,
     main,
     parse_matrix,
     parse_vector,
@@ -35,7 +36,7 @@ from bornlab.collapse import (
 )
 from bornlab.emergence import MAX_TOTAL_WEIGHT
 from bornlab.games import MAX_CLOSURE_DEPTH
-from bornlab.hilbert import StateVector
+from bornlab.hilbert import MeasureTable, Projector, StateVector
 from bornlab.lln import MAX_AUDIT_WEIGHTS, MAX_TRIALS
 from bornlab.nogo import MAX_ROTATION_STEPS
 
@@ -1106,6 +1107,13 @@ class TestMeasureTableReportDigest:
             del report["wall_clock_s"]
             h.update(f"{code}\n{render_report(report)}".encode())
         assert h.hexdigest() == TABLES_REPORTS_DIGEST
+
+
+    @pytest.mark.parametrize("cells", [[], [(2, 5)], [0, (2, 4), 7, 11, (12, 15)]])
+    def test_table_keys_are_the_json_of_the_cells(self, cells):
+        proj = Projector.from_cells(cells, 16)
+        table = MeasureTable({proj: 0.5})
+        assert list(_table_to_dict(table)) == [json.dumps(proj.cells)]
 
 
 # the operational axioms a derivation may cite, and each construction's rules

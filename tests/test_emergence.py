@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab import emergence
 from bornlab.emergence import (
@@ -18,22 +21,27 @@ from bornlab.emergence import (
     equiprobable_values,
     measure_uniqueness_solve,
     rational_born_values,
+    table_matches_weights,
 )
 from bornlab.errors import (
     ConvergenceFailureError,
     InvalidGrainingError,
+    InvalidStateError,
     PreconditionError,
     ResolutionError,
 )
+from bornlab.exactlin import solve_exact
 from bornlab.hilbert import (
     CoarseGraining,
     GrainingFamily,
+    MeasureTable,
     Projector,
     SeparatingSet,
     StateVector,
     born_weight,
 )
 from oracles import check_additivity
+from test_exactlin import dense_solve_exact
 
 
 def unit_separating(d):
@@ -341,6 +349,120 @@ class TestMeasureUniqueness:
                 expected = grid.profile.block_mass(*key) / total
                 got = result.table.value(Projector.from_cells([key], grid.dim))
                 assert got == expected
+
+
+@st.composite
+def uniqueness_inputs(draw):
+    """A mass profile, zeros and repeats included, and a family of 1-4 grainings."""
+    d = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        masses = [Fraction(1, d)] * d  # an equal-mass grid
+    else:
+        pool = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2)]
+        masses = draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d))
+        if not any(masses):
+            masses[draw(st.integers(0, d - 1))] = Fraction(1)
+    grainings = []
+    for _ in range(draw(st.integers(1, 3))):
+        cuts = sorted(draw(st.sets(st.integers(1, d - 1), max_size=d - 1))) if d > 1 else []
+        grainings.append(CoarseGraining(d, list(zip([0, *cuts], [*cuts, d]))))
+    if draw(st.booleans()):
+        grainings.append(CoarseGraining.unit_cells(d))
+    return masses, GrainingFamily(grainings)
+
+
+def solve_recording_rows(profile, family):
+    """``measure_uniqueness_solve`` and the (rows, rhs, labels) it hands the solver."""
+    calls = []
+
+    def recording(rows, rhs, labels):
+        calls.append((rows, rhs, labels))
+        return solve_exact(rows, rhs, labels)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(emergence, "solve_exact", recording)
+        result = measure_uniqueness_solve(profile, family)
+    (call,) = calls
+    return result, call
+
+
+class TestUniquenessRows:
+    @given(uniqueness_inputs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_order_changes_no_result_and_the_dense_oracle_agrees(self, inputs, data):
+        masses, family = inputs
+        result, (rows, rhs, labels) = solve_recording_rows(MassProfile(masses), family)
+        solved = solve_exact(rows, rhs, labels)
+        assert solved == dense_solve_exact(rows, rhs, labels)
+        assert solved.status in ("unique", "underdetermined")  # the Born weights solve it
+        order = data.draw(st.permutations(range(len(rows))))
+        shuffled = solve_exact(
+            [rows[i] for i in order], [rhs[i] for i in order], [labels[i] for i in order]
+        )
+        fields = ("status", "rank", "n_unknowns", "solution", "nullspace")
+        assert [getattr(shuffled, f) for f in fields] == [getattr(solved, f) for f in fields]
+
+        # sparse rows first: the dense normalization rows close the system
+        norms = [f"norm[g{gi}]" for gi in range(len(family.members))]
+        assert labels[-len(norms):] == norms and not set(labels[: -len(norms)]) & set(norms)
+        assert (result.status, result.rank, result.n_unknowns) == (
+            solved.status, solved.rank, solved.n_unknowns
+        )
+        assert result.constraint_count == len(rows)
+        assert result.nonzeros == sum(1 for row in rows for x in row if x != 0)
+        if result.unique:
+            dim, total = len(masses), sum(masses)
+            values = [result.table.value(Projector.from_cells([key], dim))
+                      for key in result.unknown_keys]
+            assert values == list(solved.solution)
+            born = [sum(masses[a:b]) / total for a, b in result.unknown_keys]
+            assert result.matches_weights == (values == born)
+
+    def test_born_verdict_fails_when_one_solved_value_moves(self):
+        profile = MassProfile([Fraction(1, 4)] * 4)
+        family = GrainingFamily(CoarseGraining.from_sizes(s) for s in ([1, 1, 1, 1], [2, 2]))
+        result, _ = solve_recording_rows(profile, family)
+        assert result.unique and result.matches_weights
+        for k in range(result.n_unknowns):
+
+            def perturbed(rows, rhs, labels):
+                out = solve_exact(rows, rhs, labels)
+                solution = list(out.solution)
+                solution[k] -= Fraction(1, 10**12)
+                return dataclasses.replace(out, solution=tuple(solution))
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(emergence, "solve_exact", perturbed)
+                moved = measure_uniqueness_solve(profile, family)
+            assert moved.unique and not moved.matches_weights
+
+    def test_table_verdict_reads_every_projector(self):
+        graining = CoarseGraining.from_sizes([1, 2, 1])
+        blocks = [graining.block_projector(i) for i in range(3)]
+        table, _ = rational_born_values(RationalState([3, 0, 2], graining))
+        assert table_matches_weights(table, blocks, [3, 0, 2])
+        assert not table_matches_weights(table, blocks, [2, 0, 3])
+        for k in range(3):
+            moved = MeasureTable(dict(table.items()))
+            moved.assign(blocks[k], table.value(blocks[k]) + Fraction(1, 10**12))
+            assert not table_matches_weights(moved, blocks, [3, 0, 2])
+
+
+class TestExactBounds:
+    def test_mass_profile_sign_and_total(self):
+        with pytest.raises(InvalidStateError, match="nonnegative"):
+            MassProfile([Fraction(-1, 10**30), 1])
+        with pytest.raises(InvalidStateError, match="positive"):
+            MassProfile([0, Fraction(0), 0.0])
+        assert MassProfile([0, Fraction(1, 10**30)]).total == Fraction(1, 10**30)
+
+    def test_measure_table_takes_a_fraction_only_inside_the_unit_interval(self):
+        table, proj = MeasureTable(), Projector.from_cells([0], 2)
+        for value in (Fraction(0), Fraction(1), Fraction(1, 3), 1 + 1e-13, -1e-13):
+            table.assign(proj, value)
+        for value in (Fraction(-1, 10**15), Fraction(10**15 + 1, 10**15), 1 + 1e-11, math.nan):
+            with pytest.raises(PreconditionError, match="outside"):
+                table.assign(proj, value)
 
 
 class TestRationalWeightBound:

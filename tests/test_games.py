@@ -32,6 +32,7 @@ from bornlab.games import (
     linear_payoff,
     projector_swap,
     relabel_game,
+    special_equivalence,
     transform_game,
     value_solve,
     verify_soundness,
@@ -369,6 +370,20 @@ class TestValueSolve:
         assert transformed.state is game.state
         assert relabeled.spectral == transformed.spectral  # each cell keeps its payoff
         assert [relabeled.payoff(lam) for lam in (0, 1, 2)] == [1, 0, 2]
+
+    def test_special_equivalence_holds_exactly_when_the_swap_forces_equal_values(self):
+        # norms 9.5e-11 apart swap, though the float weights differ by 1.1e-10
+        s = np.sqrt(0.5)
+        state = [1.0, 1.0 + 9.5e-11 * np.sqrt(3), s, s]
+        p0, p1, p23 = (Projector.from_cells(c, 4) for c in ([0], [1], [2, 3]))
+        check = special_equivalence(state, p0, p1, linear_payoff(), 2)
+        assert abs(check.weights[0] - check.weights[1]) > WEIGHT_TOL
+        assert check.swap == (p0, p1)
+        assert check.difference == 0 and check.holds
+        # equal weights but unequal rank: no swap, so the verdict fails
+        check = special_equivalence(state, p0, p23, linear_payoff(), 2)
+        assert abs(check.weights[0] - check.weights[1]) < WEIGHT_TOL
+        assert check.swap is None and not check.holds
 
 
 def lstsq_oracle(solver: ValueSolver):
